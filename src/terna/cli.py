@@ -35,6 +35,7 @@ from .lemmas import (
 from .search import (
     SieveReport,
     default_workers,
+    env_workers,
     exceptional_set,
     represent,
     represent_all,
@@ -415,9 +416,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if getattr(args, "threads", None) is None:
-        args.threads = default_workers()
     try:
+        if getattr(args, "threads", None) is None:
+            # an unparseable TERNA_THREADS is a usage error here
+            args.threads = env_workers() or default_workers()
         return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

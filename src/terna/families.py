@@ -4,8 +4,9 @@ An ExceptionalFamily describes a set of nonnegative integers as a union
 of scaled arithmetic progressions {s^k * (m*l + r) : k, l >= 0} plus a
 finite explicit set.  The three built-in families are the classically
 known exceptional sets E(x^2+y^2+z^2), E(x^2+y^2+3z^2) and
-E(10x^2+5y^2+2z^2); ``crosscheck`` replays any family against a fresh
-sieve of its form and reports every disagreement.
+E(10x^2+5y^2+2z^2).  ``membership`` writes a family out as one byte per
+n, and ``crosscheck`` compares that with a fresh sieve of its form and
+reports every disagreement.
 """
 
 from __future__ import annotations
@@ -106,10 +107,32 @@ class CrosscheckReport:
         return not self.discrepancies
 
 
+def membership(fam: ExceptionalFamily, limit: int) -> bytearray:
+    """Byte n is 1 iff member(fam, n), for 0 <= n <= limit: one slice
+    assignment per pattern and scale level, plus the extra set."""
+    out = bytearray(limit + 1)
+    for p in fam.patterns:
+        scale = 1
+        while scale * p.residue <= limit:
+            start, step = scale * p.residue, scale * p.modulus
+            out[start::step] = b"\x01" * len(range(start, limit + 1, step))
+            # with residue 0 every scaled level lies inside the first
+            if p.scale is None or p.residue == 0:
+                break
+            scale *= p.scale
+    for n in fam.extra:
+        if n <= limit:
+            out[n] = 1
+    return out
+
+
 def crosscheck(fam: ExceptionalFamily, f: DiagonalForm, limit: int, workers: int = 1) -> CrosscheckReport:
     """All n <= limit where membership in fam disagrees with the sieve of f."""
     t0 = time.perf_counter()
-    sieved = frozenset(exceptional_set(f, limit, workers=workers).exceptions)
-    bad = tuple(n for n in range(limit + 1) if member(fam, n) != (n in sieved))
+    expected = membership(fam, limit)
+    sieved = bytearray(limit + 1)
+    for n in exceptional_set(f, limit, workers=workers).exceptions:
+        sieved[n] = 1
+    bad = () if sieved == expected else tuple(n for n in range(limit + 1) if sieved[n] != expected[n])
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return CrosscheckReport(fam.label, str(f), limit, bad, elapsed_ms)

@@ -125,6 +125,19 @@ def test_cli_threads_do_not_change_output(capsys):
     assert solo == duo
 
 
+def test_cli_rejects_unparseable_terna_threads(capsys, monkeypatch):
+    monkeypatch.setenv("TERNA_THREADS", "junk")
+    code, out, err = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30")
+    assert code == 2
+    assert out == "" and "TERNA_THREADS" in err
+    # an explicit --threads does not read the environment
+    code, _, _ = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30", "--threads", "1")
+    assert code == 0
+    monkeypatch.setenv("TERNA_THREADS", "2")
+    code, _, _ = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30")
+    assert code == 0
+
+
 def test_cli_represent(capsys):
     code, out, _ = run(capsys, "represent", "x(2x+1)+y(3y+1)+z(6z+1)", "--n", "48")
     assert code == 0

@@ -2,7 +2,15 @@ import pytest
 
 import oracles
 from terna import DiagonalForm, builtin_families, crosscheck, member
-from terna.families import DICKSON_1_1_3, DICKSON_10_5_2, FAMILY_FORMS, GAUSS_LEGENDRE, ExceptionalFamily, ProgressionPattern
+from terna.families import (
+    DICKSON_1_1_3,
+    DICKSON_10_5_2,
+    FAMILY_FORMS,
+    GAUSS_LEGENDRE,
+    ExceptionalFamily,
+    ProgressionPattern,
+    membership,
+)
 
 
 def test_gauss_legendre_membership():
@@ -58,6 +66,17 @@ def test_member_multiplicative_consistency():
             for n in range(1, 3000):
                 if pattern.contains(n):
                     assert pattern.contains(pattern.scale * n)
+
+
+@pytest.mark.parametrize("fam", builtin_families(), ids=lambda f: f.label)
+def test_membership_bitmap_matches_member(fam):
+    assert membership(fam, 10**4) == bytearray(member(fam, n) for n in range(10**4 + 1))
+
+
+def test_membership_bitmap_residue_zero_and_extra():
+    fam = ExceptionalFamily("toy", (ProgressionPattern(3, 6, 0), ProgressionPattern(None, 100, 99)), frozenset({5, 10**9}))
+    for limit in (0, 1, 5, 3000):
+        assert membership(fam, limit) == bytearray(member(fam, n) for n in range(limit + 1))
 
 
 @pytest.mark.parametrize("key", sorted(FAMILY_FORMS))

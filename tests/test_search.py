@@ -117,6 +117,14 @@ def test_sieve_constrained_matches_scan():
         assert (m in report.exceptions) == (represent_constrained(c, m) is None)
 
 
+def test_sieve_below_smallest_value():
+    # every value of c is at least 27, so nothing up to the limit is attained
+    c = cf((1, 1, 1), ((6, 3), (6, 3), (6, 3)))
+    for limit in (0, 1, 26):
+        assert exceptional_set(c, limit).exceptions == tuple(range(limit + 1))
+    assert 27 not in exceptional_set(c, 27).exceptions
+
+
 SEARCH_AGREE_FORMS = [
     PolySum.of((2, 1), (3, 1), (6, 1)),
     PolySum.of((2, 1), (2, 1), (5, 1)),
@@ -146,6 +154,16 @@ def test_parallel_determinism():
         solo = exceptional_set(form, 20000, workers=1)
         duo = exceptional_set(form, 20000, workers=2)
         assert solo.exceptions == duo.exceptions
+
+
+def test_clamp_workers():
+    from terna.search import clamp_workers
+
+    assert clamp_workers(500, 2, 10**6) == 2  # one per CPU
+    assert clamp_workers(3, 8, 1000) == 3  # no more than asked for
+    assert clamp_workers(8, 8, 7) == 3  # at least two shifts each
+    assert clamp_workers(2, 2, 3) == 1
+    assert clamp_workers(1, 64, 1000) == 1
 
 
 def test_resource_cap():
