@@ -4,9 +4,11 @@ The five_descent rotation rewrites a sum of two squares divisible by 5 so
 that neither coordinate is divisible by 5; rep_5x2_5y2_z2_odd chains it
 into a decomposition 20n+r = 5x^2+5y^2+z^2 with z odd.  The remaining
 helpers are deterministic exhaustive searches for decompositions whose
-existence is a known fact, including one (odd coordinates in x^2+2y^2)
-whose stated form fails for many inputs; the failures are surfaced
-honestly rather than patched over.
+existence is a known fact, each one call into the same search engine as
+represent, with its constraints as residue classes.  One of them (odd
+coordinates in x^2+2y^2) has a stated form that fails for many inputs:
+an odd-odd decomposition exists exactly for the values = 3 (mod 8), and
+the failures are surfaced honestly rather than patched over.
 """
 
 from terna import (
@@ -35,7 +37,7 @@ for n, r in ((0, 6), (0, 14), (7, 6), (123, 14)):
 
 print()
 print("== odd-odd decompositions of x^2+2y^2 values, and their failure set ==")
-for w in (3, 11, 33, 57):
+for w in (3, 11, 19, 27):
     u, v = rep_x2_2y2_odd(w)
     print(f"{w} = {u}^2 + 2*{v}^2 with both odd")
 try:

@@ -72,7 +72,6 @@ from .search import (
 )
 from .survey import (
     EvenSquareScanReport,
-    SurveyConfig,
     filter_universal_quadruples,
     filter_universal_triples,
     reverify_quadruples,

@@ -3,9 +3,15 @@
 Each function either follows an explicit descent/rewrite procedure
 (``five_descent``, ``rep_5x2_5y2_z2_odd``) or is a deterministic
 exhaustive search for a decomposition whose existence is imported as a
-numerically verified fact (the ``rep_*`` searchers).  Searches raise
-ConstructionError when they exhaust their complete range, since that
-would falsify the underlying claim; it must never happen on valid input.
+numerically verified fact (the ``rep_*`` searchers).  Every search is one
+call into the search engine (``search.represent_constrained``), with each
+constraint held up to sign by a single residue class: the |w| of the
+members of 3k+1 are the integers prime to 3 in ascending order, those of
+6k+1 the odd ones among them, those of 6k+2 the even ones.  A search over
+two coefficients gets a third coefficient m + 1, which holds the third
+coordinate at 0.  Searches raise ConstructionError when they exhaust
+their complete range, since that would falsify the underlying claim; it
+must never happen on valid input.
 """
 
 from __future__ import annotations
@@ -15,14 +21,18 @@ from math import gcd, isqrt
 
 from .core import (
     CongruenceClass,
+    ConstrainedForm,
     ConstructionError,
+    DiagonalForm,
     NotRepresentableError,
     PreconditionError,
     TernaError,
 )
-from .search import binary_square_mask
+from .search import _UNCONSTRAINED, _set_bits, binary_square_mask, represent_constrained
 
 _ODD = CongruenceClass(2, 1)
+# the |w| of its members run through the integers prime to 3, ascending
+_PRIME_TO_3 = CongruenceClass(3, 1)
 
 _SIGN_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -86,16 +96,12 @@ def five_descent(u: int, v: int) -> tuple[tuple[int, int], DescentTrace]:
     return (u0, v0), DescentTrace(a, tuple(steps))
 
 
-def _odd_two_squares(m: int) -> tuple[int, int] | None:
-    # m = u^2 + v^2 with u, v odd; first hit with u odd ascending.
-    u = 1
-    while u * u < m:
-        w2 = m - u * u
-        v = isqrt(w2)
-        if v * v == w2 and v % 2:
-            return u, v
-        u += 2
-    return None
+def _pair(c1: int, k1: CongruenceClass, c2: int, k2: CongruenceClass, m: int) -> tuple[int, int] | None:
+    # first (w1, w2) with c1*w1^2 + c2*w2^2 = m, m >= 0, in search order:
+    # w2 through its class, w1 solved; a third coefficient m + 1 holds the
+    # third coordinate at 0
+    hit = represent_constrained(ConstrainedForm(DiagonalForm((c1, c2, m + 1)), (k1, k2, _UNCONSTRAINED)), m)
+    return None if hit is None else hit[:2]
 
 
 def rep_5x2_5y2_z2_odd(n: int, r: int) -> tuple[int, int, int]:
@@ -116,15 +122,13 @@ def rep_5x2_5y2_z2_odd(n: int, r: int) -> tuple[int, int, int]:
     rm5 = r % 5
     neg_rm5 = (-r) % 5
 
-    found = None
     for w in range(isqrt(t // 4), -1, -1):
-        pair = _odd_two_squares(t - 4 * w * w)
+        pair = _pair(1, _ODD, 1, _ODD, t - 4 * w * w)
         if pair is not None:
-            found = (w, *pair)
+            v, u = pair
             break
-    if found is None:
+    else:
         raise ConstructionError("three-squares", f"no (2w)^2+odd^2+odd^2 decomposition of {t}")
-    w, u, v = found
 
     sq2w = (4 * w * w) % 5
     if sq2w == neg_rm5:
@@ -170,25 +174,12 @@ def rep_x2_2y2_odd(w: int) -> tuple[int, int]:
     """
     if w < 1:
         raise PreconditionError("w must be positive")
-    v = 1
-    while 2 * v * v < w:
-        u2 = w - 2 * v * v
-        u = isqrt(u2)
-        if u * u == u2 and u % 2:
-            return u, v
-        v += 2
-    for v in range(isqrt(w // 2) + 1):
-        if _is_square(w - 2 * v * v):
-            raise NoOddRepresentationError(f"{w} = x^2+2y^2 has no decomposition with both coordinates odd")
+    hit = _pair(1, _ODD, 2, _ODD, w)
+    if hit is not None:
+        return hit
+    if _pair(1, _UNCONSTRAINED, 2, _UNCONSTRAINED, w) is not None:
+        raise NoOddRepresentationError(f"{w} = x^2+2y^2 has no decomposition with both coordinates odd")
     raise NotRepresentableError(f"{w} is not of the form x^2+2y^2")
-
-
-def _bits(mask: int, limit: int) -> bytes:
-    return mask.to_bytes(limit // 8 + 1, "little")
-
-
-def _bit(raw: bytes, k: int) -> int:
-    return (raw[k >> 3] >> (k & 7)) & 1
 
 
 def anomalies_x2_2y2(limit: int) -> list[int]:
@@ -196,8 +187,7 @@ def anomalies_x2_2y2(limit: int) -> list[int]:
     decomposition."""
     everything = binary_square_mask(1, 2, limit)
     odd_only = binary_square_mask(1, 2, limit, _ODD, _ODD)
-    gap = _bits(everything & ~odd_only, limit)
-    return [w for w in range(1, limit + 1) if _bit(gap, w)]
+    return _set_bits(everything & ~odd_only & ~1)
 
 
 def check_3x2_6y2(w: int) -> tuple[bool, bool]:
@@ -205,40 +195,24 @@ def check_3x2_6y2(w: int) -> tuple[bool, bool]:
     w = u^2+2v^2 solvable.  Both by exhaustive search."""
     if w < 0:
         raise PreconditionError("w must be nonnegative")
-    lhs = False
-    for y in range(isqrt(w // 6) + 1):
-        rest = w - 6 * y * y
-        if rest % 3 == 0 and _is_square(rest // 3):
-            lhs = True
-            break
-    rhs = False
-    if w % 3 == 0:
-        for v in range(isqrt(w // 2) + 1):
-            if _is_square(w - 2 * v * v):
-                rhs = True
-                break
+    lhs = _pair(3, _UNCONSTRAINED, 6, _UNCONSTRAINED, w) is not None
+    rhs = w % 3 == 0 and _pair(1, _UNCONSTRAINED, 2, _UNCONSTRAINED, w) is not None
     return lhs, rhs
 
 
 def scan_3x2_6y2(limit: int) -> list[int]:
     """All w <= limit where the two sides of check_3x2_6y2 disagree
     (expected empty), computed with value bitmasks."""
-    lhs_mask = _bits(binary_square_mask(3, 6, limit), limit)
-    rhs_mask = _bits(binary_square_mask(1, 2, limit), limit)
-    out = []
-    for w in range(limit + 1):
-        lhs = _bit(lhs_mask, w) == 1
-        rhs = w % 3 == 0 and _bit(rhs_mask, w) == 1
-        if lhs != rhs:
-            out.append(w)
-    return out
+    # bits 0, 3, 6, ... up to limit: the sum of 8^i is (8^k - 1) / 7
+    multiples_of_3 = ((1 << 3 * (limit // 3 + 1)) - 1) // 7
+    return _set_bits(binary_square_mask(3, 6, limit) ^ (binary_square_mask(1, 2, limit) & multiples_of_3))
 
 
 def rep_x2_3y2_6z2(n: int, parity: int) -> tuple[int, int, int]:
     """(x, y, z) with x^2 + 3y^2 + 6z^2 = 6n + 1 and x = parity (mod 2).
 
-    Requires 6n+1 to be a non-square; scans x ascending through the
-    requested parity class, then z ascending, solving y exactly.
+    Requires 6n+1 to be a non-square; the search runs x ascending through
+    the requested parity class, then z ascending, solving y exactly.
     """
     if parity not in (0, 1):
         raise PreconditionError(f"parity must be 0 or 1, got {parity}")
@@ -247,33 +221,22 @@ def rep_x2_3y2_6z2(n: int, parity: int) -> tuple[int, int, int]:
     t = 6 * n + 1
     if _is_square(t):
         raise PreconditionError(f"{t} is a perfect square")
-    x = parity
-    while x * x <= t:
-        rem = t - x * x
-        for z in range(isqrt(rem // 6) + 1):
-            rest = rem - 6 * z * z
-            if rest % 3 == 0 and _is_square(rest // 3):
-                return x, isqrt(rest // 3), z
-        x += 2
+    form = ConstrainedForm(DiagonalForm((3, 6, 1)), (_UNCONSTRAINED, _UNCONSTRAINED, CongruenceClass(2, parity)))
+    hit = represent_constrained(form, t)
+    if hit is not None:
+        y, z, x = hit
+        return x, y, z
     raise ConstructionError("exhausted", f"no x^2+3y^2+6z^2 = {t} with x = {parity} (mod 2)")
 
 
 def rep_x2_y2_2z2_coprime3(n: int) -> tuple[int, int, int]:
     """(x, y, z) with x^2 + y^2 + 2z^2 = 6n + 1 and none of x, y, z
-    divisible by 3, for n >= 1.  Scans z ascending, then x descending."""
+    divisible by 3, for n >= 1.  The search runs z ascending, then y
+    ascending (x descending), solving x exactly."""
     if n < 1:
         raise PreconditionError("n must be positive")
     t = 6 * n + 1
-    z = 1
-    while 2 * z * z <= t - 2:
-        if z % 3:
-            rem = t - 2 * z * z
-            for x in range(isqrt(rem), 0, -1):
-                if x % 3 == 0:
-                    continue
-                y2 = rem - x * x
-                y = isqrt(y2)
-                if y * y == y2 and y % 3:
-                    return x, y, z
-        z += 1
+    hit = represent_constrained(ConstrainedForm(DiagonalForm((1, 1, 2)), (_PRIME_TO_3,) * 3), t)
+    if hit is not None:
+        return tuple(abs(w) for w in hit)
     raise ConstructionError("exhausted", f"no x^2+y^2+2z^2 = {t} with 3 coprime to xyz")

@@ -5,6 +5,15 @@ Two complementary engines:
 * ``represent`` / ``represent_diag`` / ``represent_constrained`` answer a
   single query "is n a value?" by an exhaustive scan of the bounded
   coordinate space, so an empty answer is a proof of non-representability.
+  One loop, ``_scan_all``, does every exhaustive search in the package,
+  the lemma and witness searches included: it walks w3 and then w2 in
+  ``class_members`` order and solves w1 by exact square root, yielding
+  every hit lazily, so a first-hit query stops at its first hit.  A
+  sign-symmetric class ((-r) % m == r: trivial, odd, residue 0) is walked
+  over its members w >= 0 only, and each hit is replayed at -w where
+  ``class_members`` would visit -w: right after +w at the w2 level, after
+  the whole +w3 block at the w3 level.  The hit order is unchanged, and a
+  first hit never needs the mirrored half.
 
 * ``exceptional_set`` computes E(f) = {n <= N : n is not a value of f}
   for a whole range at once, from the attainable-value bitset built by
@@ -111,35 +120,34 @@ def class_members(modulus: int, residue: int, bound: int) -> Iterator[int]:
         neg -= modulus
 
 
-def _last_coordinate(c: int, rem: int, cl: CongruenceClass) -> Optional[int]:
-    # First w in coordinate order (0, +w, -w) with c*w^2 == rem and w in cl.
-    if rem < 0 or rem % c:
-        return None
-    q = rem // c
-    r = isqrt(q)
-    if r * r != q:
-        return None
-    if r == 0:
-        return 0 if cl.residue == 0 else None
-    if cl.contains(r):
-        return r
-    if cl.contains(-r):
-        return -r
-    return None
-
-
-def _scan(cf: ConstrainedForm, m: int) -> Optional[tuple[int, int, int]]:
-    # Lexicographic scan in (w3, w2, w1): outer coordinates run through
-    # class_members order, the innermost is solved by exact square root.
+def _scan_all(cf: ConstrainedForm, m: int) -> Iterator[tuple[int, int, int]]:
+    # Every (w1, w2, w3) with c1*w1^2 + c2*w2^2 + c3*w3^2 == m >= 0, in the
+    # scan order and with the sign mirroring the module docstring states.
     c1, c2, c3 = cf.form.coeffs
     k1, k2, k3 = cf.classes
-    for w3 in class_members(k3.modulus, k3.residue, isqrt(m // c3)):
+    mirror2 = (-k2.residue) % k2.modulus == k2.residue
+    mirror3 = (-k3.residue) % k3.modulus == k3.residue
+    b3 = isqrt(m // c3)
+    for w3 in range(k3.residue, b3 + 1, k3.modulus) if mirror3 else class_members(k3.modulus, k3.residue, b3):
         rem3 = m - c3 * w3 * w3
-        for w2 in class_members(k2.modulus, k2.residue, isqrt(rem3 // c2)):
-            w1 = _last_coordinate(c1, rem3 - c2 * w2 * w2, k1)
-            if w1 is not None:
-                return (w1, w2, w3)
-    return None
+        b2 = isqrt(rem3 // c2)
+        block = []
+        for w2 in range(k2.residue, b2 + 1, k2.modulus) if mirror2 else class_members(k2.modulus, k2.residue, b2):
+            rem = rem3 - c2 * w2 * w2
+            if rem % c1:
+                continue
+            q = rem // c1
+            r = isqrt(q)
+            if r * r != q:
+                continue
+            for v in (w2, -w2) if mirror2 and w2 else (w2,):
+                for w1 in (r, -r) if r else (0,):
+                    if k1.contains(w1):
+                        block.append((w1, v))
+                        yield (w1, v, w3)
+        if mirror3 and w3:
+            for w1, w2 in block:
+                yield (w1, w2, -w3)
 
 
 def represent(p: PolySum, n: int) -> Optional[Witness]:
@@ -151,45 +159,20 @@ def represent(p: PolySum, n: int) -> Optional[Witness]:
     if n < 0:
         return None
     rd = reduce(p)
-    triple = _scan(rd.constrained, 4 * rd.L * n + rd.C)
+    triple = next(_scan_all(rd.constrained, 4 * rd.L * n + rd.C), None)
     return None if triple is None else lift(rd, triple)
 
 
 def represent_diag(f: DiagonalForm, m: int) -> Optional[tuple[int, int, int]]:
     """First unconstrained triple with sum of weighted squares m, or None."""
-    if m < 0:
-        return None
-    return _scan(ConstrainedForm(f, (_UNCONSTRAINED,) * 3), m)
+    return represent_constrained(ConstrainedForm(f, (_UNCONSTRAINED,) * 3), m)
 
 
 def represent_constrained(cf: ConstrainedForm, m: int) -> Optional[tuple[int, int, int]]:
     """Like represent_diag with each coordinate held to its class."""
     if m < 0:
         return None
-    return _scan(cf, m)
-
-
-def _scan_all(cf: ConstrainedForm, m: int):
-    c1, c2, c3 = cf.form.coeffs
-    k1, k2, k3 = cf.classes
-    for w3 in class_members(k3.modulus, k3.residue, isqrt(m // c3)):
-        rem3 = m - c3 * w3 * w3
-        for w2 in class_members(k2.modulus, k2.residue, isqrt(rem3 // c2)):
-            rem = rem3 - c2 * w2 * w2
-            if rem % c1:
-                continue
-            q = rem // c1
-            r = isqrt(q)
-            if r * r != q:
-                continue
-            if r == 0:
-                if k1.residue == 0:
-                    yield (0, w2, w3)
-                continue
-            if k1.contains(r):
-                yield (r, w2, w3)
-            if k1.contains(-r):
-                yield (-r, w2, w3)
+    return next(_scan_all(cf, m), None)
 
 
 def represent_all(p: PolySum, n: int) -> list[Witness]:
@@ -211,22 +194,7 @@ def count_representations(f: DiagonalForm, m: int) -> int:
     """Number of integer triples (signs and order distinct) representing m."""
     if m < 0:
         return 0
-    c1, c2, c3 = f.coeffs
-    total = 0
-    for w3 in range(isqrt(m // c3) + 1):
-        rem3 = m - c3 * w3 * w3
-        m3 = 1 if w3 == 0 else 2
-        for w2 in range(isqrt(rem3 // c2) + 1):
-            rem = rem3 - c2 * w2 * w2
-            if rem % c1:
-                continue
-            q = rem // c1
-            r = isqrt(q)
-            if r * r != q:
-                continue
-            m2 = 1 if w2 == 0 else 2
-            total += m3 * m2 * (1 if r == 0 else 2)
-    return total
+    return sum(1 for _ in _scan_all(ConstrainedForm(f, (_UNCONSTRAINED,) * 3), m))
 
 
 # --- value slots -----------------------------------------------------------

@@ -31,23 +31,6 @@ from .witnesses import CONJECTURED_TRIPLES, quadruple_poly, triple_poly
 DEFAULT_TEST_VALUES = (1, 2, 4, 5, 9, 48)
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    """Bounds for one survey run."""
-
-    max_coeff: int
-    test_values: tuple[int, ...] | None = None
-    n_limit: int | None = None
-    verify_limit: int | None = None
-
-    def __post_init__(self):
-        if self.max_coeff < 1:
-            raise ValueError("max_coeff must be >= 1")
-        for bound in (self.n_limit, self.verify_limit):
-            if bound is not None and bound < 1:
-                raise ValueError("limits must be >= 1")
-
-
 def filter_universal_triples(
     c_max: int = 50,
     test_values: tuple[int, ...] = DEFAULT_TEST_VALUES,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import isqrt
 
 from .core import (
     CongruenceClass,
@@ -34,8 +33,8 @@ from .core import (
     normalize_sign,
     reduce,
 )
-from .lemmas import _is_square, rep_5x2_5y2_z2_odd, rep_x2_3y2_6z2, rep_x2_y2_2z2_coprime3
-from .search import attainable, exceptional_set, represent, represent_constrained, represent_diag
+from .lemmas import _PRIME_TO_3, _is_square, _pair, rep_5x2_5y2_z2_odd, rep_x2_3y2_6z2, rep_x2_y2_2z2_coprime3
+from .search import _UNCONSTRAINED, attainable, exceptional_set, represent, represent_constrained, represent_diag
 
 PROVEN_TRIPLES = ((1, 2, 3), (1, 2, 4), (1, 2, 5), (2, 2, 4), (2, 2, 5), (2, 3, 3), (2, 3, 4))
 CONJECTURED_TRIPLES = ((2, 2, 6), (2, 3, 5), (2, 3, 7), (2, 3, 8), (2, 3, 9), (2, 3, 10))
@@ -188,15 +187,9 @@ def _need(cond: bool, step: str, detail: str = ""):
         raise ConstructionError(step, detail)
 
 
-def isqrt_exact(m: int) -> int | None:
-    """Exact integer square root, or None when m is not a perfect square."""
-    if m < 0:
-        return None
-    r = isqrt(m)
-    return r if r * r == m else None
-
-
 _ODD3 = _cf((1, 1, 1), ((2, 1), (2, 1), (2, 1)))
+# clause b: v (parity 1 - delta, solved), u odd, w even, all prime to 3
+_COPRIME3 = tuple(_cf((1, 1, 1), ((6, 1 + delta), (6, 1), (6, 2))) for delta in (0, 1))
 
 
 def _three_squares_all_odd(t: int) -> tuple[int, int, int]:
@@ -213,32 +206,6 @@ def _three_squares_by_parity(t: int) -> tuple[list[int], list[int]]:
     return [v for v in vals if v % 2], [v for v in vals if v % 2 == 0]
 
 
-def _rep_x2_2y2_coprime3(m: int) -> tuple[int, int]:
-    # m = s^2 + 2t^2 with 3 coprime to s*t; existence imported, search exhaustive.
-    t = 1
-    while 2 * t * t <= m:
-        if t % 3:
-            s2 = m - 2 * t * t
-            s = isqrt_exact(s2)
-            if s is not None and s % 3:
-                return s, t
-        t += 1
-    raise ConstructionError("x2+2y2-coprime3", f"{m} admits no decomposition coprime to 3")
-
-
-def _rep_3x2_6y2(m: int) -> tuple[int, int]:
-    # m = 3r0^2 + 6s0^2, smallest |r0| first.
-    r0 = 0
-    while 3 * r0 * r0 <= m:
-        rest = m - 3 * r0 * r0
-        if rest % 6 == 0:
-            s0 = isqrt_exact(rest // 6)
-            if s0 is not None:
-                return r0, s0
-        r0 += 1
-    raise ConstructionError("3x2+6y2", f"{m} is not of the form 3x^2+6y^2")
-
-
 def _build_i(n: int):
     t = 24 * n + 11
     u, v, w = _three_squares_all_odd(t)
@@ -251,11 +218,18 @@ def _build_i(n: int):
     else:
         m = w * w + 2 * vbar * vbar
         _need(m % 3 == 0, "multiple-of-3", f"{m} should be divisible by 3")
-        s1, t1 = _rep_x2_2y2_coprime3(m)
+        # m = s^2 + 2t^2 with 3 coprime to s*t; existence imported
+        hit = _pair(1, _PRIME_TO_3, 2, _PRIME_TO_3, m)
+        _need(hit is not None, "x2+2y2-coprime3", f"{m} admits no decomposition coprime to 3")
+        s1, t1 = (abs(x) for x in hit)
         _need(s1 % 2 == 1 and t1 % 2 == 1, "rewrite-parity", f"({s1},{t1}) not both odd")
         r_, s_, t_ = s1, ubar, t1
     _need(t_ % 2 == 1 and t_ % 3 != 0, "t-coprime-6", f"t={t_}")
-    r0, s0 = _rep_3x2_6y2(r_ * r_ + 2 * s_ * s_)
+    # m = 3r0^2 + 6s0^2, smallest r0 first
+    m = r_ * r_ + 2 * s_ * s_
+    hit = _pair(6, _UNCONSTRAINED, 3, _UNCONSTRAINED, m)
+    _need(hit is not None, "3x2+6y2", f"{m} is not of the form 3x^2+6y^2")
+    s0, r0 = hit
     _need(r0 % 2 == 1 and s0 % 2 == 1, "r0s0-odd", f"({r0},{s0})")
     pre = (s0, r0, t_)
     return (normalize_sign(s0, 2, 1), normalize_sign(r0, 4, 1), normalize_sign(t_, 6, 1)), pre
@@ -346,26 +320,11 @@ def _build_a(n: int):
     return (normalize_sign(6 * x6, 6, 0), normalize_sign(odd_, 6, 1), normalize_sign(even_, 6, 2)), pre
 
 
-def _three_squares_coprime3(t: int, delta: int) -> tuple[int, int, int]:
-    # u odd, v of parity 1-delta, w even, all coprime to 3, u^2+v^2+w^2 = t.
-    w = 2
-    while w * w <= t:
-        if w % 3:
-            rem = t - w * w
-            u = 1
-            while u * u <= rem:
-                if u % 3:
-                    v = isqrt_exact(rem - u * u)
-                    if v is not None and v % 2 != delta and v % 3:
-                        return u, v, w
-                u += 2
-        w += 2
-    raise ConstructionError("three-squares-coprime3", f"{t} admits no suitable decomposition")
-
-
 def _build_b(n: int, delta: int):
     t = 12 * n + 6 + 3 * delta
-    u, v, w = _three_squares_coprime3(t, delta)
+    hit = represent_constrained(_COPRIME3[delta], t)
+    _need(hit is not None, "three-squares-coprime3", f"{t} admits no suitable decomposition")
+    v, u, w = (abs(x) for x in hit)
     pre = (u, v, w)
     return (normalize_sign(u, 6, 1), normalize_sign(v, 6, 1 + delta), normalize_sign(w, 6, 2)), pre
 

@@ -1,0 +1,156 @@
+"""Differential tests of the search engine (``search._scan_all``).
+
+Every exhaustive search runs through one loop, which walks a sign-symmetric
+class over its members w >= 0 and replays each hit at -w.  On seeded random
+inputs it must agree with brute force: ``represent_all`` with the box of
+``oracles.naive_all_witnesses``, the constrained scan with a plain triple
+loop in ``class_members`` order, and each lemma searcher that is now an
+engine call with the first decomposition, in its documented order, among
+the ones ``oracles.two_square_reps``/``three_square_reps`` list.
+"""
+
+import random
+from math import isqrt
+
+import pytest
+
+import oracles
+from terna import (
+    CongruenceClass,
+    ConstrainedForm,
+    DiagonalForm,
+    NoOddRepresentationError,
+    NotRepresentableError,
+    PolySum,
+    check_3x2_6y2,
+    count_representations,
+    represent,
+    represent_all,
+    represent_constrained,
+    rep_x2_2y2_odd,
+    rep_x2_3y2_6z2,
+    rep_x2_y2_2z2_coprime3,
+)
+from terna import search, witnesses
+from terna.lemmas import _is_square
+
+
+def random_polys(seed: int, count: int) -> list[tuple[tuple, int]]:
+    # b <= a: the oracle's box bounds each variable by n alone, which holds
+    # only while no term takes a negative value
+    rng = random.Random(seed)
+    return [
+        (tuple((a, rng.randint(0, a)) for a in (rng.randint(1, 5) for _ in range(3))), rng.randint(0, 60))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("pairs, n", random_polys(20261018, 40))
+def test_represent_all_matches_box(pairs, n):
+    p = PolySum.of(*pairs)
+    hits = [tuple(w) for w in represent_all(p, n)]
+    assert len(hits) == len(set(hits))
+    assert set(hits) == oracles.naive_all_witnesses(pairs, n)
+    assert represent(p, n) == (represent_all(p, n)[0] if hits else None)
+
+
+def random_class(rng: random.Random) -> CongruenceClass:
+    # half of them sign-symmetric: trivial, residue 0, or residue m/2
+    m = rng.randint(1, 8)
+    if rng.random() < 0.5:
+        return CongruenceClass(m, rng.choice([0, m // 2] if m % 2 == 0 else [0]))
+    return CongruenceClass(m, rng.randrange(m))
+
+
+def box_hits(cf: ConstrainedForm, m: int) -> list[tuple[int, int, int]]:
+    # every triple of the box |wi| <= isqrt(m // ci), each coordinate in
+    # class_members order, w3 outermost
+    c1, c2, c3 = cf.form.coeffs
+    k1, k2, k3 = cf.classes
+
+    def members(k, c):
+        return list(search.class_members(k.modulus, k.residue, isqrt(m // c)))
+
+    return [
+        (w1, w2, w3)
+        for w3 in members(k3, c3)
+        for w2 in members(k2, c2)
+        for w1 in members(k1, c1)
+        if c1 * w1 * w1 + c2 * w2 * w2 + c3 * w3 * w3 == m
+    ]
+
+
+def random_constrained(seed: int, count: int) -> list[tuple[ConstrainedForm, int]]:
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        coeffs = tuple(rng.randint(1, 6) for _ in range(3))
+        classes = tuple(random_class(rng) for _ in range(3))
+        cases.append((ConstrainedForm(DiagonalForm(coeffs), classes), rng.randint(0, 400)))
+    return cases
+
+
+@pytest.mark.parametrize("cf, m", random_constrained(20261019, 150))
+def test_constrained_scan_matches_box_order(cf, m):
+    expected = box_hits(cf, m)
+    assert represent_constrained(cf, m) == (expected[0] if expected else None)
+    assert list(search._scan_all(cf, m)) == expected
+
+
+def test_count_representations_matches_box():
+    rng = random.Random(20261020)
+    for _ in range(40):
+        f = DiagonalForm(tuple(rng.randint(1, 5) for _ in range(3)))
+        m = rng.randint(0, 300)
+        trivial = ConstrainedForm(f, (CongruenceClass(1, 0),) * 3)
+        assert count_representations(f, m) == len(box_hits(trivial, m))
+
+
+def test_rep_x2_2y2_odd_is_smallest_odd_v():
+    for w in range(1, 400):
+        reps = oracles.two_square_reps(w, 1, 2)
+        odd = [(u, v) for u, v in reps if u % 2 and v % 2]
+        if odd:
+            assert rep_x2_2y2_odd(w) == min(odd, key=lambda uv: uv[1])
+        elif reps:
+            with pytest.raises(NoOddRepresentationError):
+                rep_x2_2y2_odd(w)
+        else:
+            with pytest.raises(NotRepresentableError):
+                rep_x2_2y2_odd(w)
+
+
+def test_check_3x2_6y2_matches_oracle():
+    for w in range(300):
+        assert check_3x2_6y2(w) == (
+            bool(oracles.two_square_reps(w, 3, 6)),
+            w % 3 == 0 and bool(oracles.two_square_reps(w, 1, 2)),
+        )
+
+
+def test_rep_x2_3y2_6z2_is_first_by_x_then_z():
+    for n in range(1, 150):
+        t = 6 * n + 1
+        if _is_square(t):
+            continue
+        reps = oracles.three_square_reps(t, (1, 3, 6))
+        for parity in (0, 1):
+            first = min((r for r in reps if r[0] % 2 == parity), key=lambda r: (r[0], r[2]))
+            assert rep_x2_3y2_6z2(n, parity) == first
+
+
+def test_rep_x2_y2_2z2_coprime3_is_first_by_z_then_y():
+    for n in range(1, 150):
+        reps = oracles.three_square_reps(6 * n + 1, (1, 1, 2))
+        first = min((r for r in reps if all(x % 3 for x in r)), key=lambda r: (r[2], r[1]))
+        assert rep_x2_y2_2z2_coprime3(n) == first
+
+
+@pytest.mark.parametrize("key, delta", [((3, 1, 1, 2), 0), ((3, 1, 2, 2), 1)])
+def test_clause_b_decomposition_is_first_by_w_then_u(key, delta):
+    # 12n+6+3*delta = u^2+v^2+w^2, u odd, v of parity 1-delta, w even, all prime to 3
+    for n in range(120):
+        reps = oracles.three_square_reps(12 * n + 6 + 3 * delta)
+        ok = [(u, v, w) for u, v, w in reps if u % 2 and v % 2 != delta and w % 2 == 0 and u * v * w % 3]
+        _, pre = witnesses._BUILDERS[key](n)
+        assert pre == min(ok, key=lambda r: (r[2], r[0]))

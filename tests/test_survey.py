@@ -1,8 +1,5 @@
-import pytest
-
 import oracles
 from terna import (
-    SurveyConfig,
     filter_universal_quadruples,
     filter_universal_triples,
     represent,
@@ -90,11 +87,3 @@ def test_scan_5x2_5y2_4z2():
     assert report.exceptions[14] == (1, 10)
     # hand check: 6 is not 5x^2+5y^2+4z^2
     assert not oracles.three_square_reps(6, (5, 5, 4))
-
-
-def test_survey_config_validation():
-    SurveyConfig(50, test_values=(1, 2), n_limit=10, verify_limit=100)
-    with pytest.raises(ValueError):
-        SurveyConfig(0)
-    with pytest.raises(ValueError):
-        SurveyConfig(5, n_limit=0)
