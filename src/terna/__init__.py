@@ -26,7 +26,6 @@ from .core import (
     NotRepresentableError,
     PolySum,
     PreconditionError,
-    ReductionData,
     ResourceLimitError,
     SquareRep,
     Term,
@@ -40,7 +39,6 @@ from .core import (
     verify,
 )
 from .families import (
-    CrosscheckReport,
     ExceptionalFamily,
     ProgressionPattern,
     builtin_families,
@@ -48,7 +46,6 @@ from .families import (
     member,
 )
 from .lemmas import (
-    DescentTrace,
     NoOddRepresentationError,
     anomalies_x2_2y2,
     check_3x2_6y2,
@@ -59,9 +56,6 @@ from .lemmas import (
     rep_x2_y2_2z2_coprime3,
 )
 from .search import (
-    SieveReport,
-    ValueMask,
-    attainable,
     count_representations,
     exceptional_set,
     represent,
@@ -71,7 +65,6 @@ from .search import (
     represent_diag_all,
 )
 from .survey import (
-    EvenSquareScanReport,
     filter_universal_quadruples,
     filter_universal_triples,
     reverify_quadruples,
@@ -80,12 +73,8 @@ from .survey import (
 )
 from .witnesses import (
     CONJECTURED_TRIPLES,
-    LIOUVILLE_TRIPLES,
     PROVEN_QUADRUPLES,
     PROVEN_TRIPLES,
-    SMALL_QUADRUPLES,
-    BridgeReport,
-    Recipe,
     all_recipes,
     diagonal_bridge,
     misc_poly,

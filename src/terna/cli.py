@@ -205,12 +205,12 @@ def _cmd_exceptions(args) -> int:
 
 def _cmd_represent(args) -> int:
     obj = parse_form(args.form).to_object()
-    if isinstance(obj, DiagonalForm):
-        hits = represent_diag_all(obj, args.n) if args.all else represent_diag(obj, args.n)
-        hits = hits if args.all else ([hits] if hits is not None else [])
+    diagonal = isinstance(obj, DiagonalForm)
+    if args.all:
+        hits = (represent_diag_all if diagonal else represent_all)(obj, args.n)
     else:
-        hits = represent_all(obj, args.n) if args.all else represent(obj, args.n)
-        hits = hits if args.all else ([hits] if hits is not None else [])
+        hit = (represent_diag if diagonal else represent)(obj, args.n)
+        hits = [] if hit is None else [hit]
     if not hits:
         print(f"{args.n}: no representation")
         return 0
@@ -239,14 +239,9 @@ def _cmd_survey(args) -> int:
             print("  ({},{},{})".format(*t))
         print(f"total: {len(rows)}")
         return 0
-    if args.theorem == "1.3":
-        a_range = tuple(args.bounds) if args.bounds else (3, 13)
-        rows = filter_universal_quadruples(a_range=a_range, n_limit=args.n_limit)
-    elif args.theorem == "remark1.3":
-        a_range = tuple(args.bounds) if args.bounds else (1, 2)
-        rows = filter_universal_quadruples(a_range=a_range, n_limit=args.n_limit)
-    else:
-        raise TernaError(f"unknown survey {args.theorem!r}")
+    # "1.3" or "remark1.3": argparse allows nothing else
+    a_range = tuple(args.bounds) if args.bounds else ((3, 13) if args.theorem == "1.3" else (1, 2))
+    rows = filter_universal_quadruples(a_range=a_range, n_limit=args.n_limit)
     print(f"surviving quadruples for a in {a_range}, n <= {args.n_limit}:")
     for q in rows:
         print("  ({},{},{},{})".format(*q))

@@ -185,9 +185,6 @@ class SquareRep:
         if s != self.total:
             raise ValueError(f"parts sum to {s}, not {self.total}")
 
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.parts)
-
 
 @dataclass(frozen=True)
 class ReductionData:

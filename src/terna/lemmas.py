@@ -28,7 +28,7 @@ from .core import (
     PreconditionError,
     TernaError,
 )
-from .search import _UNCONSTRAINED, _set_bits, binary_square_mask, represent_constrained
+from .search import _UNCONSTRAINED, _set_bits, represent_constrained, value_mask
 
 _ODD = CongruenceClass(2, 1)
 # the |w| of its members run through the integers prime to 3, ascending
@@ -102,6 +102,13 @@ def _pair(c1: int, k1: CongruenceClass, c2: int, k2: CongruenceClass, m: int) ->
     # third coordinate at 0
     hit = represent_constrained(ConstrainedForm(DiagonalForm((c1, c2, m + 1)), (k1, k2, _UNCONSTRAINED)), m)
     return None if hit is None else hit[:2]
+
+
+def _pair_mask(c1: int, k1: CongruenceClass, c2: int, k2: CongruenceClass, limit: int) -> int:
+    # bit v set iff v = c1*w1^2 + c2*w2^2 <= limit over the classes, as in
+    # _pair; the shift undoes the offset of classes without 0
+    mask, offset = value_mask(ConstrainedForm(DiagonalForm((c1, c2, limit + 1)), (k1, k2, _UNCONSTRAINED)), limit)
+    return mask << offset
 
 
 def rep_5x2_5y2_z2_odd(n: int, r: int) -> tuple[int, int, int]:
@@ -185,8 +192,8 @@ def rep_x2_2y2_odd(w: int) -> tuple[int, int]:
 def anomalies_x2_2y2(limit: int) -> list[int]:
     """All 1 <= w <= limit representable as x^2+2y^2 but with no odd-odd
     decomposition."""
-    everything = binary_square_mask(1, 2, limit)
-    odd_only = binary_square_mask(1, 2, limit, _ODD, _ODD)
+    everything = _pair_mask(1, _UNCONSTRAINED, 2, _UNCONSTRAINED, limit)
+    odd_only = _pair_mask(1, _ODD, 2, _ODD, limit)
     return _set_bits(everything & ~odd_only & ~1)
 
 
@@ -205,7 +212,8 @@ def scan_3x2_6y2(limit: int) -> list[int]:
     (expected empty), computed with value bitmasks."""
     # bits 0, 3, 6, ... up to limit: the sum of 8^i is (8^k - 1) / 7
     multiples_of_3 = ((1 << 3 * (limit // 3 + 1)) - 1) // 7
-    return _set_bits(binary_square_mask(3, 6, limit) ^ (binary_square_mask(1, 2, limit) & multiples_of_3))
+    lhs = _pair_mask(3, _UNCONSTRAINED, 6, _UNCONSTRAINED, limit)
+    return _set_bits(lhs ^ (_pair_mask(1, _UNCONSTRAINED, 2, _UNCONSTRAINED, limit) & multiples_of_3))
 
 
 def rep_x2_3y2_6z2(n: int, parity: int) -> tuple[int, int, int]:

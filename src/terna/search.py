@@ -33,6 +33,13 @@ Two complementary engines:
   merge their masks by bitwise OR, which is associative and
   commutative, so worker count never changes the result.
 
+* ``value_mask`` and ``attainable`` also sieve one progression (M, C):
+  bit n says whether M*n + C is a value, in limit + 1 bits whatever M
+  is.  With values bucketed by residue mod M, the two shorter lists give
+  a quotient bitset B_s per pair residue s, folded with the longest
+  list's quotients of residue C - s (mod M), carries added; the steps
+  above run over all (B_s, shifts) groups, and (1, 0) is the one group B.
+
 Enumeration cutoffs use math.isqrt throughout; no floating point.
 """
 
@@ -58,6 +65,8 @@ from .core import (
 )
 
 Form = Union[PolySum, DiagonalForm, ConstrainedForm]
+# (M, C): a sieve over the values M*n + C, n = 0, 1, 2, ...
+Progression = tuple[int, int]
 
 # 2**31 sieve bits = 256 MiB; overridable per call.
 DEFAULT_MAX_BITS = 1 << 31
@@ -80,18 +89,18 @@ class SieveReport:
 
 @dataclass(frozen=True)
 class ValueMask:
-    """Attainable-value set of a form on [offset, limit], byte-packed for
-    O(1) membership tests."""
+    """The n in [offset, limit] with M*n + C a value of a form, for one
+    progression (M, C), as bit n - offset of raw (little-endian)."""
 
     offset: int
     limit: int
     raw: bytes
 
-    def __contains__(self, v: int) -> bool:
-        k = v - self.offset
-        if k < 0 or v > self.limit:
-            return False
-        return (self.raw[k >> 3] >> (k & 7)) & 1 == 1
+    def missing(self) -> list[int]:
+        """The n in [0, limit] not in the set, ascending."""
+        mask = int.from_bytes(self.raw, "little")
+        present = mask >> -self.offset if self.offset <= 0 else mask << self.offset
+        return _set_bits(~present & ((1 << (self.limit + 1)) - 1))
 
 
 def class_members(modulus: int, residue: int, bound: int) -> Iterator[int]:
@@ -223,18 +232,9 @@ def _poly_slot(a: int, b: int, lo: int, cap: int) -> list[int]:
 def _square_slot(c: int, cap: int, cl: CongruenceClass = _UNCONSTRAINED) -> list[int]:
     if cap < 0:
         return []
-    bound = isqrt(cap // c)
-    if cl.modulus == 1:
-        return [c * w * w for w in range(bound + 1)]
     # |w| from either the class or its negation; duplicates are harmless
-    residues = {cl.residue, (-cl.residue) % cl.modulus}
-    out = []
-    for r in residues:
-        w = r
-        while w <= bound:
-            out.append(c * w * w)
-            w += cl.modulus
-    return out
+    bound = isqrt(cap // c)
+    return [c * w * w for r in {cl.residue, -cl.residue % cl.modulus} for w in range(r, bound + 1, cl.modulus)]
 
 
 def _slots(form: Form, limit: int) -> list[tuple[int, list[int]]]:
@@ -332,55 +332,90 @@ def _chunks(seq: list[int], k: int) -> list[list[int]]:
     return [seq[i : i + size] for i in range(0, len(seq), size)]
 
 
-def _fold(base: int, shifts: list[int], width: int, workers: int) -> int:
-    n = clamp_workers(workers, os.cpu_count() or 1, len(shifts))
-    if n <= 1:
-        return _or_shifts(base, shifts, width)
-    parts = _chunks(shifts, n)
-    try:
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(_or_shifts, [base] * len(parts), parts, [width] * len(parts)))
-    except (OSError, BrokenExecutor):
-        # environments without working process pools fall back to the
-        # same chunked computation in-process; the merge is identical
-        results = [_or_shifts(base, part, width) for part in parts]
+def _fold(groups: list[tuple[int, list[int]]], width: int, workers: int) -> int:
+    # OR of base << s over every group's shifts, each group's shifts cut
+    # into one chunk per worker
+    n = clamp_workers(workers, os.cpu_count() or 1, sum(len(shifts) for _, shifts in groups))
+    parts = [(base, part) for base, shifts in groups if shifts for part in _chunks(shifts, max(n, 1))]
     acc = 0
-    for r in results:
-        acc |= r
+    if n > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=n) as pool:
+                for r in pool.map(_or_shifts, *zip(*parts), [width] * len(parts)):
+                    acc |= r
+            return acc
+        except (OSError, BrokenExecutor):
+            # environments without working process pools fall back to the
+            # same chunked computation in-process; OR is idempotent, so
+            # what the pool merged already changes nothing
+            pass
+    for base, part in parts:
+        acc |= _or_shifts(base, part, width)
     return acc
 
 
-def _levels(form: Form, limit: int, max_bits: int) -> tuple[int, int, int, list[int]]:
-    """(offset, width, base, shifts): base is the bitset of sums over the
-    two shorter slots, shifts the longest slot's values less its minimum,
-    ascending.  Value v of form is attained iff bit v - offset - s of base
-    is set for some shift s."""
-    slots = sorted(((m, sorted({v - m for v in vals})) for m, vals in _slots(form, limit)), key=lambda s: len(s[1]))
-    offset = sum(m for m, _ in slots)
-    width = max(limit - offset + 1, 0)
+def _buckets(values: list[int], modulus: int) -> dict[int, list[int]]:
+    # residue -> quotients, ascending when values are
+    out: dict[int, list[int]] = {}
+    for v in values:
+        q, r = divmod(v, modulus)
+        out.setdefault(r, []).append(q)
+    return out
+
+
+def _levels(form: Form, limit: int, max_bits: int, progression: Progression) -> tuple[int, int, list[tuple[int, list[int]]]]:
+    """(offset, width, groups) for progression = (M, C): M*(k + offset) + C
+    is a value of form iff bit k - s of base is set for some (base, shifts)
+    in groups and some shift s.  The bases and shifts are the B_s and
+    longest-slot quotients of the module docstring, each slot's values
+    less its minimum."""
+    M, C = progression
+    if M < 1:
+        raise ValueError(f"progression modulus must be >= 1, got {M}")
+    slots = sorted(((m, sorted({v - m for v in vals})) for m, vals in _slots(form, M * limit + C)), key=lambda s: len(s[1]))
+    # with the minima taken out, the sums are M*k + dr over bits k >= 0
+    dq, dr = divmod(C - sum(m for m, _ in slots), M)
+    width = max(limit + dq + 1, 0)
     if width > max_bits:
         raise ResourceLimitError(f"sieve needs {width} bits, cap is {max_bits}")
     (_, short), (_, middle), (_, longest) = slots
-    return offset, width, _or_shifts(_bits(middle, width), short, width), longest
+    middles = _buckets(middle, M)
+    pairs: dict[int, int] = {}
+    for a, shifts in _buckets(short, M).items():
+        for b, quotients in middles.items():
+            carry, s = divmod(a + b, M)
+            pairs[s] = pairs.get(s, 0) | _or_shifts(_bits(quotients, width), [q + carry for q in shifts], width)
+    thirds = _buckets(longest, M)
+    groups = []
+    for s, base in sorted(pairs.items()):
+        quotients = thirds.get((dr - s) % M)
+        if quotients:
+            carry = int(s > dr)
+            groups.append((base, [q + carry for q in quotients]))
+    return -dq, width, groups
 
 
-def value_mask(form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS) -> tuple[int, int]:
-    """Bitset of attainable values of form in [offset, limit].
-
-    Returns (mask, offset): value v is attained iff bit (v - offset) of
-    mask is set.  offset = sum of per-slot minima (0 for square slots,
-    possibly negative for polynomial terms).  Once few values are missing,
-    the last fold level gives way to testing those few directly.
+def value_mask(
+    form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS, progression: Progression = (1, 0)
+) -> tuple[int, int]:
+    """(mask, offset): for progression = (M, C), M*n + C is a value of form
+    iff bit n - offset of mask is set, n <= limit.  For the default (1, 0),
+    offset is the sum of per-slot minima (0 for square slots, possibly
+    negative for polynomial terms).  Once few bits are missing, the last
+    fold level gives way to testing those few directly.
     """
-    offset, width, base, shifts = _levels(form, limit, max_bits)
+    offset, width, groups = _levels(form, limit, max_bits, progression)
     acc = 0
     for done in range(_BATCH, _PROBE_SHIFTS + 1, _BATCH):
-        acc |= _or_shifts(base, shifts[done - _BATCH : done], width)
+        for base, shifts in groups:
+            acc |= _or_shifts(base, shifts[done - _BATCH : done], width)
         if (width - acc.bit_count()) * _BITS_PER_CANDIDATE <= width:
             keep = (1 << width) - 1
-            unreached = _unreached(_set_bits(keep ^ acc), base, width, shifts[done:])
+            unreached = _set_bits(keep ^ acc)
+            for base, shifts in groups:
+                unreached = _unreached(unreached, base, width, shifts[done:])
             return keep ^ _bits(unreached, width), offset
-    return acc | _fold(base, shifts[_PROBE_SHIFTS:], width, workers), offset
+    return acc | _fold([(base, shifts[_PROBE_SHIFTS:]) for base, shifts in groups], width, workers), offset
 
 
 def _unreached(candidates: list[int], base: int, width: int, shifts: list[int]) -> list[int]:
@@ -400,23 +435,20 @@ def _unreached(candidates: list[int], base: int, width: int, shifts: list[int]) 
     return out
 
 
-def _dense_value_mask(form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS) -> tuple[int, int]:
+def _dense_value_mask(form: Form, limit: int, workers: int = 1, progression: Progression = (1, 0)) -> tuple[int, int]:
     # reference engine for the tests: value_mask with every shift folded
-    offset, width, base, shifts = _levels(form, limit, max_bits)
-    return _fold(base, shifts, width, workers), offset
+    offset, width, groups = _levels(form, limit, DEFAULT_MAX_BITS, progression)
+    return _fold(groups, width, workers), offset
 
 
-def attainable(form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS) -> ValueMask:
-    """The attainable-value set of form up to limit, as a ValueMask."""
-    mask, offset = value_mask(form, limit, workers=workers, max_bits=max_bits)
+def attainable(
+    form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS, progression: Progression = (1, 0)
+) -> ValueMask:
+    """The n <= limit with M*n + C a value of form, as a ValueMask; the
+    default progression (M, C) = (1, 0) gives the values up to limit."""
+    mask, offset = value_mask(form, limit, workers=workers, max_bits=max_bits, progression=progression)
     width = max(limit - offset + 1, 0)
     return ValueMask(offset, limit, mask.to_bytes((width + 7) // 8, "little"))
-
-
-def _missing(mask: int, offset: int, limit: int) -> int:
-    """Bitset of the n in [0, limit] whose bit n - offset of mask is clear."""
-    values = mask >> -offset if offset <= 0 else mask << offset
-    return ~values & ((1 << (limit + 1)) - 1)
 
 
 def env_workers() -> Optional[int]:
@@ -455,22 +487,6 @@ def exceptional_set(
     if limit < 0:
         raise ValueError("limit must be >= 0")
     t0 = time.perf_counter()
-    values = attainable(form, limit, workers=workers, max_bits=max_bits)
-    exceptions = tuple(_set_bits(_missing(int.from_bytes(values.raw, "little"), values.offset, limit)))
+    exceptions = tuple(attainable(form, limit, workers=workers, max_bits=max_bits).missing())
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return SieveReport(form=str(form), limit=limit, exceptions=exceptions, elapsed_ms=elapsed_ms)
-
-
-def binary_square_mask(
-    c1: int,
-    c2: int,
-    limit: int,
-    cls1: CongruenceClass = _UNCONSTRAINED,
-    cls2: CongruenceClass = _UNCONSTRAINED,
-) -> int:
-    """Bitset of {c1*u^2 + c2*v^2 <= limit} with optional class constraints."""
-    v1 = _square_slot(c1, limit, cls1)
-    v2 = _square_slot(c2, limit, cls2)
-    if len(v2) > len(v1):
-        v1, v2 = v2, v1
-    return _or_shifts(_bits(v1, limit + 1), set(v2), limit + 1)

@@ -102,11 +102,11 @@ class EvenSquareScanReport:
 
 
 def scan_5x2_5y2_4z2(limit: int, workers: int = 1) -> EvenSquareScanReport:
-    """Scan 20n+r against 5x^2+5y^2+4z^2 for r in {6, 14}, n <= limit."""
+    """Scan 20n+r against 5x^2+5y^2+4z^2 for r in {6, 14}, n <= limit: one
+    sieve of the form on each progression 20n+r, limit + 1 bits wide."""
     t0 = time.perf_counter()
-    values = attainable(DiagonalForm((5, 5, 4)), 20 * limit + 14, workers=workers)
     exceptions = {
-        r: tuple(n for n in range(limit + 1) if 20 * n + r not in values)
+        r: tuple(attainable(DiagonalForm((5, 5, 4)), limit, workers=workers, progression=(20, r)).missing())
         for r in (6, 14)
     }
     elapsed_ms = int((time.perf_counter() - t0) * 1000)

@@ -16,12 +16,23 @@ def term_range(a: int, b: int, n: int) -> tuple[int, int]:
     return (-b - s) // (2 * a) - 1, (-b + s) // (2 * a) + 1
 
 
+def term_min(a: int, b: int) -> int:
+    # the smallest x*(a*x+b) over the integers: x next to -b/(2a)
+    q = -(b // (2 * a))
+    return min(q0 * (a * q0 + b) for q0 in (q - 1, q, q + 1))
+
+
+def box(pairs, n: int) -> list[tuple[int, int]]:
+    # per variable, the x range that can reach n: its term is at most n
+    # minus the other two terms' minima, which are <= 0
+    mins = [term_min(a, b) for a, b in pairs]
+    return [term_range(a, b, n - (sum(mins) - mins[i])) for i, (a, b) in enumerate(pairs)]
+
+
 def naive_represent(pairs, n: int):
     """First (x, y, z) in box order with sum of terms n, else None."""
     (a1, b1), (a2, b2), (a3, b3) = pairs
-    x_lo, x_hi = term_range(a1, b1, n)
-    y_lo, y_hi = term_range(a2, b2, n)
-    z_lo, z_hi = term_range(a3, b3, n)
+    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = box(pairs, n)
     for x in range(x_lo, x_hi + 1):
         vx = x * (a1 * x + b1)
         for y in range(y_lo, y_hi + 1):
@@ -35,9 +46,7 @@ def naive_represent(pairs, n: int):
 def naive_all_witnesses(pairs, n: int) -> set[tuple[int, int, int]]:
     """Every (x, y, z) in the box with term sum n."""
     (a1, b1), (a2, b2), (a3, b3) = pairs
-    x_lo, x_hi = term_range(a1, b1, n)
-    y_lo, y_hi = term_range(a2, b2, n)
-    z_lo, z_hi = term_range(a3, b3, n)
+    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = box(pairs, n)
     out = set()
     for x in range(x_lo, x_hi + 1):
         vx = x * (a1 * x + b1)
@@ -52,10 +61,7 @@ def naive_all_witnesses(pairs, n: int) -> set[tuple[int, int, int]]:
 def naive_exceptions(pairs, limit: int) -> list[int]:
     """E(f) up to limit by the literal triple loop with early cutoffs."""
     (a1, b1), (a2, b2), (a3, b3) = pairs
-    mins = []
-    for a, b in pairs:
-        q = -(b // (2 * a))
-        mins.append(min(q0 * (a * q0 + b) for q0 in (q - 1, q, q + 1)))
+    mins = [term_min(a, b) for a, b in pairs]
     reach = bytearray(limit + 1)
     x_lo, x_hi = term_range(a1, b1, limit - mins[1] - mins[2])
     for x in range(x_lo, x_hi + 1):
@@ -85,6 +91,30 @@ def naive_diag_exceptions(coeffs, limit: int) -> list[int]:
             for z in range(isqrt((limit - vxy) // c3) + 1):
                 reach[vxy + c3 * z * z] = 1
     return [n for n in range(limit + 1) if not reach[n]]
+
+
+def naive_class_values(coeffs, classes, cap: int) -> bytearray:
+    """reach[v] = 1 for each v <= cap that is c1*w1^2 + c2*w2^2 + c3*w3^2
+    with each wi = ri (mod mi), classes given as (mi, ri) pairs."""
+    reach = bytearray(max(cap + 1, 0))
+    # a value depends on |w| alone, so keep each |w| that w or -w brings
+    ws = [
+        [w for w in range(isqrt(max(cap, 0) // c) + 1) if w % m == r or -w % m == r]
+        for c, (m, r) in zip(coeffs, classes)
+    ]
+    (c1, c2, c3), (ws1, ws2, ws3) = coeffs, ws
+    for w1 in ws1:
+        v1 = c1 * w1 * w1
+        for w2 in ws2:
+            v12 = v1 + c2 * w2 * w2
+            if v12 > cap:
+                break
+            for w3 in ws3:
+                v = v12 + c3 * w3 * w3
+                if v > cap:
+                    break
+                reach[v] = 1
+    return reach
 
 
 def two_square_reps(m: int, c1: int = 1, c2: int = 1) -> set[tuple[int, int]]:

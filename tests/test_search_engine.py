@@ -35,23 +35,30 @@ from terna import search, witnesses
 from terna.lemmas import _is_square
 
 
-def random_polys(seed: int, count: int) -> list[tuple[tuple, int]]:
-    # b <= a: the oracle's box bounds each variable by n alone, which holds
-    # only while no term takes a negative value
+def random_polys(seed: int, count: int, spread: int) -> list[tuple[tuple, int]]:
+    # b up to spread * a: with spread > 1, b > a (terms with negative
+    # values) is common
     rng = random.Random(seed)
     return [
-        (tuple((a, rng.randint(0, a)) for a in (rng.randint(1, 5) for _ in range(3))), rng.randint(0, 60))
+        (tuple((a, rng.randint(0, spread * a)) for a in (rng.randint(1, 5) for _ in range(3))), rng.randint(0, 60))
         for _ in range(count)
     ]
 
 
-@pytest.mark.parametrize("pairs, n", random_polys(20261018, 40))
+@pytest.mark.parametrize("pairs, n", random_polys(20261018, 40, 1) + random_polys(20261019, 40, 3))
 def test_represent_all_matches_box(pairs, n):
     p = PolySum.of(*pairs)
     hits = [tuple(w) for w in represent_all(p, n)]
     assert len(hits) == len(set(hits))
     assert set(hits) == oracles.naive_all_witnesses(pairs, n)
     assert represent(p, n) == (represent_all(p, n)[0] if hits else None)
+
+
+def test_box_reaches_past_negative_terms():
+    # y = 7 needs the other two terms negative: x(x+4) = -4, z(z+7) = -12
+    pairs = ((1, 4), (1, 0), (1, 7))
+    assert (-2, 7, -4) in oracles.naive_all_witnesses(pairs, 33)
+    assert {tuple(w) for w in represent_all(PolySum.of(*pairs), 33)} == oracles.naive_all_witnesses(pairs, 33)
 
 
 def random_class(rng: random.Random) -> CongruenceClass:

@@ -13,9 +13,9 @@ import random
 import pytest
 
 import oracles
-from terna import PolySum
+from terna import CongruenceClass, ConstrainedForm, DiagonalForm, PolySum
 from terna import search
-from terna.search import _dense_value_mask, exceptional_set, value_mask
+from terna.search import _dense_value_mask, attainable, exceptional_set, value_mask
 
 # switch points: the module's own, one that tests candidates after the
 # first batch, and one that never leaves the fold while a value is missing
@@ -99,3 +99,102 @@ def test_set_bits():
     for width in (9, 64, 1000, 5000):
         x = rng.getrandbits(width)
         assert search._set_bits(x) == [k for k in range(width) if x >> k & 1]
+
+
+# --- progression sieve ------------------------------------------------------
+#
+# value_mask/attainable with progression (M, C): bit n stands for M*n + C.
+# Checked against the brute-force oracle for M*n + C, against the dense
+# mask of the whole range [0, M*limit + C] read at M*n + C, and across
+# worker counts and switch points.
+
+
+def random_class(rng: random.Random) -> tuple[int, int]:
+    m = rng.randint(1, 6)
+    return m, rng.choice([0, 1 % m, rng.randrange(m)])
+
+
+def random_progression_cases(seed: int, count: int) -> list[tuple]:
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        coeffs = tuple(rng.randint(1, 6) for _ in range(3))
+        classes = [random_class(rng) for _ in range(3)]
+        # every fourth case: one odd and one residue-0 coordinate
+        if k % 4 == 3:
+            classes[0], classes[1] = (2, 1), (rng.randint(2, 5), 0)
+        modulus = (1, rng.randint(2, 8), rng.randint(9, 40))[k % 3]
+        # C >= M in about half of the cases
+        constant = rng.randint(0, 2 * modulus)
+        limit = (0, 1, rng.randint(0, 3000 // modulus), 3000 // modulus)[k % 4]
+        cases.append((coeffs, tuple(classes), (modulus, constant), limit))
+    return cases
+
+
+PROGRESSION_CASES = random_progression_cases(20261018, 32)
+
+
+def constrained(coeffs, classes) -> ConstrainedForm:
+    return ConstrainedForm(DiagonalForm(coeffs), tuple(CongruenceClass(m, r) for m, r in classes))
+
+
+# (batch, probe): the module's own, and one that leaves the probe after
+# four shifts of each group, so that the fold finishes through the pool
+PROBES = ((search._BATCH, search._PROBE_SHIFTS), (2, 4))
+
+
+@pytest.mark.parametrize("probe", PROBES)
+@pytest.mark.parametrize("switch", sorted(SWITCHES))
+@pytest.mark.parametrize(
+    "coeffs,classes,progression,limit",
+    PROGRESSION_CASES,
+    ids=[f"{c}{k}{p}@{n}" for c, k, p, n in PROGRESSION_CASES],
+)
+def test_progression_sieve(monkeypatch, coeffs, classes, progression, limit, switch, probe):
+    monkeypatch.setattr(search, "_BITS_PER_CANDIDATE", SWITCHES[switch])
+    monkeypatch.setattr(search, "_BATCH", probe[0])
+    monkeypatch.setattr(search, "_PROBE_SHIFTS", probe[1])
+    form = constrained(coeffs, classes)
+    modulus, constant = progression
+    top = modulus * limit + constant
+    reach = oracles.naive_class_values(coeffs, classes, top)
+    expected = [n for n in range(limit + 1) if not reach[modulus * n + constant]]
+
+    assert attainable(form, limit, progression=progression).missing() == expected
+    mask = value_mask(form, limit, workers=1, progression=progression)
+    assert value_mask(form, limit, workers=2, progression=progression) == mask
+    assert _dense_value_mask(form, limit, progression=progression) == mask
+    assert _dense_value_mask(form, limit, workers=2, progression=progression) == mask
+
+    # bit v - offset of the dense mask is value v; values below offset are
+    # not attained
+    dense, offset = _dense_value_mask(form, top)
+    bits = [modulus * n + constant - offset for n in range(limit + 1)]
+    assert [n for n, k in enumerate(bits) if k < 0 or not dense >> k & 1] == expected
+
+
+@pytest.mark.parametrize("pairs,limit", CASES[:8], ids=[f"{p}@{n}" for p, n in CASES[:8]])
+@pytest.mark.parametrize("progression", [(3, 1), (7, 12), (12, 5)])
+def test_progression_sieve_polysum(pairs, limit, progression):
+    # terms with negative values: the offset of the bits may be negative
+    modulus, constant = progression
+    limit //= modulus
+    missing = set(oracles.naive_exceptions(pairs, modulus * limit + constant))
+    expected = [n for n in range(limit + 1) if modulus * n + constant in missing]
+    form = PolySum.of(*pairs)
+    assert attainable(form, limit, progression=progression).missing() == expected
+    assert value_mask(form, limit, progression=progression) == _dense_value_mask(form, limit, progression=progression)
+
+
+def test_default_progression_is_the_plain_sieve():
+    # (1, 0) keeps one fold group: the two shorter slots' bitset and the
+    # longest slot's values, as before progressions
+    form = PolySum.of((2, 1), (3, 1), (7, 1))
+    offset, width, groups = search._levels(form, 10**4, search.DEFAULT_MAX_BITS, (1, 0))
+    assert (offset, width, len(groups)) == (0, 10**4 + 1, 1)
+    assert attainable(form, 10**4, progression=(1, 0)) == attainable(form, 10**4)
+
+
+def test_progression_rejects_modulus_below_one():
+    with pytest.raises(ValueError):
+        value_mask(DiagonalForm((1, 1, 1)), 10, progression=(0, 1))
