@@ -96,10 +96,10 @@ def naive_diag_exceptions(coeffs, limit: int) -> list[int]:
 def naive_class_values(coeffs, classes, cap: int) -> bytearray:
     """reach[v] = 1 for each v <= cap that is c1*w1^2 + c2*w2^2 + c3*w3^2
     with each wi = ri (mod mi), classes given as (mi, ri) pairs."""
-    reach = bytearray(max(cap + 1, 0))
+    reach = bytearray(cap + 1)
     # a value depends on |w| alone, so keep each |w| that w or -w brings
     ws = [
-        [w for w in range(isqrt(max(cap, 0) // c) + 1) if w % m == r or -w % m == r]
+        [w for w in range(isqrt(cap // c) + 1) if w % m == r or -w % m == r]
         for c, (m, r) in zip(coeffs, classes)
     ]
     (c1, c2, c3), (ws1, ws2, ws3) = coeffs, ws
