@@ -65,8 +65,6 @@ from .core import (
 )
 
 Form = Union[PolySum, DiagonalForm, ConstrainedForm]
-# (M, C): a sieve over the values M*n + C, n = 0, 1, 2, ...
-Progression = tuple[int, int]
 
 # 2**31 sieve bits = 256 MiB; overridable per call.
 DEFAULT_MAX_BITS = 1 << 31
@@ -295,29 +293,31 @@ _PIECE = 1 << 17
 
 def _or_shifts(base: int, shifts: Iterable[int], width: int) -> int:
     # OR of base << s over the shifts s < width, cut to width bits.  Pieces
-    # of _PIECE bits are shifted into double-width accumulators, so every
-    # temporary stays in cache and small enough for the allocator's heap.
+    # of _PIECE bits, or one piece as wide as a narrower bitset, are shifted
+    # into double-width accumulators, so every temporary stays in cache and
+    # small enough for the allocator's heap.
     # Folding 2 391 shifts over 10^7 bits takes 1.0-1.2 s this way; shifting
     # the whole bitset took 1.7-2.8 s, more than half of it in page faults
     # on freshly mapped memory (Python 3.11, glibc).
-    size = _PIECE // 8
-    n = -(-width // _PIECE)
+    piece = min(_PIECE, -(-width // 8) * 8) or 8
+    size = piece // 8
+    n = -(-width // piece)
     raw = memoryview(base.to_bytes(n * size, "little"))
     pieces = [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(n)]
     del raw
     acc = [0] * n
     for s in shifts:
-        q, r = divmod(s, _PIECE)
+        q, r = divmod(s, piece)
         for i in range(n - q):
             acc[i + q] |= pieces[i] << r
     del pieces
     # each block takes the spill of the one below it, then the top is cut
-    low = (1 << _PIECE) - 1
+    low = (1 << piece) - 1
     for b in range(n - 1, 0, -1):
-        acc[b] = (acc[b] | acc[b - 1] >> _PIECE) & low
+        acc[b] = (acc[b] | acc[b - 1] >> piece) & low
     if n:
         acc[0] &= low
-        acc[-1] &= (1 << (width - (n - 1) * _PIECE)) - 1
+        acc[-1] &= (1 << (width - (n - 1) * piece)) - 1
     return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in acc), "little")
 
 
@@ -365,7 +365,7 @@ def _buckets(values: list[int], modulus: int) -> dict[int, list[int]]:
     return out
 
 
-def _levels(form: Form, limit: int, max_bits: int, progression: Progression) -> tuple[int, int, list[tuple[int, list[int]]]]:
+def _levels(form: Form, limit: int, max_bits: int, progression: tuple[int, int]) -> tuple[int, int, list[tuple[int, list[int]]]]:
     """(offset, width, groups) for progression = (M, C): M*(k + offset) + C
     is a value of form iff bit k - s of base is set for some (base, shifts)
     in groups and shift s: the B_s and longest-slot quotients of the module
@@ -397,7 +397,7 @@ def _levels(form: Form, limit: int, max_bits: int, progression: Progression) -> 
 
 
 def value_mask(
-    form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS, progression: Progression = (1, 0)
+    form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS, progression: tuple[int, int] = (1, 0)
 ) -> tuple[int, int]:
     """(mask, offset): for progression = (M, C), M*n + C is a value of form
     iff bit n - offset of mask is set, n <= limit.  For the default (1, 0),
@@ -435,14 +435,14 @@ def _unreached(candidates: list[int], base: int, width: int, shifts: list[int]) 
     return out
 
 
-def _dense_value_mask(form: Form, limit: int, workers: int = 1, progression: Progression = (1, 0)) -> tuple[int, int]:
+def _dense_value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> tuple[int, int]:
     # reference engine for the tests: value_mask with every shift folded
     offset, width, groups = _levels(form, limit, DEFAULT_MAX_BITS, progression)
     return _fold(groups, width, workers), offset
 
 
 def attainable(
-    form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS, progression: Progression = (1, 0)
+    form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS, progression: tuple[int, int] = (1, 0)
 ) -> ValueMask:
     """The n <= limit with M*n + C a value of form, as a ValueMask; the
     default progression (M, C) = (1, 0) gives the values up to limit."""
