@@ -74,11 +74,6 @@ class Term:
     def value(self, x: int) -> int:
         return x * (self.a * x + self.b)
 
-    def min_value(self) -> int:
-        # vertex of a*x^2 + b*x is at -b/(2a); check the two nearest integers
-        q = -(self.b // (2 * self.a))
-        return min(self.value(q), self.value(q - 1), self.value(q + 1))
-
     def text(self, var: str) -> str:
         if self.b == 0 and self.a == 1:
             return f"{var}^2"

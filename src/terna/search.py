@@ -17,14 +17,24 @@ Two complementary engines:
 
 * ``exceptional_set`` computes E(f) = {n <= N : n is not a value of f}
   for a whole range at once, from the attainable-value bitset built by
-  ``value_mask`` (a Python int used as a bit array).  Each variable's
-  values are enumerated with an early cutoff.  The two shorter value
-  lists are folded word-parallel into the bitset B of their sums, by
-  OR-ing shifted copies of 2^17-bit pieces.  The longest list is then
-  folded into B smallest value first, a batch at a time, counting the
-  still-missing bits after each batch.  Once few are missing, folding
-  stops: each missing bit k is tested against B's bytes for the
-  remaining values v, up to the first k - v in B.  Forms whose
+  ``value_mask`` (a Python int used as a bit array).  ``value_mask`` and
+  ``attainable`` sieve one progression (M, C): bit n says whether M*n + C
+  is a value, in limit + 1 bits whatever M is; the default (1, 0) is the
+  plain range.  Every input is first made one constrained diagonal form on
+  one progression (``_constrained``): n is a value of a PolySum iff
+  4*L*n + C' is a value of its reduction (``reduce``), so (M, C) becomes
+  (4*L*M, 4*L*C + C'), and a DiagonalForm gets trivial classes.  Each
+  variable's values c*w^2 over its class are enumerated with an early
+  cutoff and bucketed by residue mod M, keeping the quotients.  Each
+  residue pair of the two shorter lists is folded word-parallel into a
+  quotient bitset B_s for the pair residue s, carry added, by OR-ing
+  shifted copies of 2^17-bit pieces; B_s goes with the longest list's
+  quotients v of residue C - s (mod M).  On (1, 0) there is one group
+  (B, v), for a PolySum too: its values less their minima are multiples
+  of 4L.  The v are then folded into their B smallest first, a batch at
+  a time, counting the still-missing bits after each batch.  Once few
+  are missing, folding stops: each missing bit k is tested against B's
+  bytes for the remaining v, up to the first k - v in B.  Forms whose
   exceptional sets stay dense (Gauss, Dickson) finish the fold instead.
   The exceptions are then read off the complemented bitset, with zero
   bytes skipped at C speed.  Work is O(values enumerated) plus
@@ -32,13 +42,6 @@ Two complementary engines:
   may split the remaining values into chunks for worker processes and
   merge their masks by bitwise OR, which is associative and
   commutative, so worker count never changes the result.
-
-* ``value_mask`` and ``attainable`` also sieve one progression (M, C):
-  bit n says whether M*n + C is a value, in limit + 1 bits whatever M
-  is.  With values bucketed by residue mod M, the two shorter lists give
-  a quotient bitset B_s per pair residue s, folded with the longest
-  list's quotients of residue C - s (mod M), carries added; the steps
-  above run over all (B_s, shifts) groups, and (1, 0) is the one group B.
 
 Enumeration cutoffs use math.isqrt throughout; no floating point.
 """
@@ -88,16 +91,15 @@ class SieveReport:
 @dataclass(frozen=True)
 class ValueMask:
     """The n in [offset, limit] with M*n + C a value of a form, for one
-    progression (M, C), as bit n - offset of raw (little-endian)."""
+    progression (M, C), as bit n - offset of mask."""
 
     offset: int
     limit: int
-    raw: bytes
+    mask: int
 
     def missing(self) -> list[int]:
         """The n in [0, limit] not in the set, ascending."""
-        mask = int.from_bytes(self.raw, "little")
-        present = mask >> -self.offset if self.offset <= 0 else mask << self.offset
+        present = self.mask >> -self.offset if self.offset <= 0 else self.mask << self.offset
         return _set_bits(~present & ((1 << (self.limit + 1)) - 1))
 
 
@@ -206,28 +208,12 @@ def count_representations(f: DiagonalForm, m: int) -> int:
 
 # --- value slots -----------------------------------------------------------
 #
-# A "slot" is the value multiset of one variable: {term(x) : x in Z} for a
-# PolySum term, {c*w^2 : w in Z} for a diagonal coefficient, or the same
-# restricted to a congruence class.  Slots carry their minimum so sums can
-# be offset into a nonnegative bit range (a parsed term with b > a can take
-# negative values).
+# A "slot" is the value multiset {c*w^2 : w in cl} of one variable of a
+# constrained form, w running over its congruence class cl.  Slots carry
+# their minimum so sums can be offset into a nonnegative bit range.
 
 
-def _poly_slot(a: int, b: int, lo: int, cap: int) -> list[int]:
-    if cap < lo:
-        return []
-    s = isqrt(b * b + 4 * a * max(cap, 0))
-    x_lo = (-b - s) // (2 * a) - 1
-    x_hi = (-b + s) // (2 * a) + 1
-    out = []
-    for x in range(x_lo, x_hi + 1):
-        v = x * (a * x + b)
-        if lo <= v <= cap:
-            out.append(v)
-    return out
-
-
-def _square_slot(c: int, cap: int, cl: CongruenceClass = _UNCONSTRAINED) -> list[int]:
+def _square_slot(c: int, cap: int, cl: CongruenceClass) -> list[int]:
     if cap < 0:
         return []
     # |w| from either the class or its negation; duplicates are harmless
@@ -235,25 +221,25 @@ def _square_slot(c: int, cap: int, cl: CongruenceClass = _UNCONSTRAINED) -> list
     return [c * w * w for r in {cl.residue, -cl.residue % cl.modulus} for w in range(r, bound + 1, cl.modulus)]
 
 
-def _slots(form: Form, limit: int) -> list[tuple[int, list[int]]]:
+def _slots(cf: ConstrainedForm, limit: int) -> list[tuple[int, list[int]]]:
     """Per-variable (min value, values <= cap) with caps shrunk by the
     minima of the other slots."""
+    mins = [c * cl.min_abs() ** 2 for c, cl in zip(cf.form.coeffs, cf.classes)]
+    total_min = sum(mins)
+    return [(m, _square_slot(c, limit - (total_min - m), cl)) for m, c, cl in zip(mins, cf.form.coeffs, cf.classes)]
+
+
+def _constrained(form: Form, progression: tuple[int, int]) -> tuple[ConstrainedForm, int, int]:
+    # (cf, M', C') with M*n + C a value of form iff M'*n + C' is a value of
+    # cf: completing the square takes a PolySum value n to 4*L*n + C'
+    M, C = progression
     if isinstance(form, PolySum):
-        mins = [t.min_value() for t in form.terms]
-        total_min = sum(mins)
-        return [
-            (mins[i], _poly_slot(t.a, t.b, mins[i], limit - (total_min - mins[i])))
-            for i, t in enumerate(form.terms)
-        ]
+        rd = reduce(form)
+        return rd.constrained, 4 * rd.L * M, 4 * rd.L * C + rd.C
     if isinstance(form, DiagonalForm):
-        return [(0, _square_slot(c, limit)) for c in form.coeffs]
+        return ConstrainedForm(form, (_UNCONSTRAINED,) * 3), M, C
     if isinstance(form, ConstrainedForm):
-        mins = [c * cl.min_abs() ** 2 for c, cl in zip(form.form.coeffs, form.classes)]
-        total_min = sum(mins)
-        return [
-            (mins[i], _square_slot(c, limit - (total_min - mins[i]), cl))
-            for i, (c, cl) in enumerate(zip(form.form.coeffs, form.classes))
-        ]
+        return form, M, C
     raise TypeError(f"cannot sieve {type(form).__name__}")
 
 
@@ -370,10 +356,12 @@ def _levels(form: Form, limit: int, max_bits: int, progression: tuple[int, int])
     is a value of form iff bit k - s of base is set for some (base, shifts)
     in groups and shift s: the B_s and longest-slot quotients of the module
     docstring, over each slot's values less its minimum."""
-    M, C = progression
-    if M < 1:
-        raise ValueError(f"progression modulus must be >= 1, got {M}")
-    slots = sorted(((m, sorted({v - m for v in vals})) for m, vals in _slots(form, M * limit + C)), key=lambda s: len(s[1]))
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    if progression[0] < 1:
+        raise ValueError(f"progression modulus must be >= 1, got {progression[0]}")
+    cf, M, C = _constrained(form, progression)
+    slots = sorted(((m, sorted({v - m for v in vals})) for m, vals in _slots(cf, M * limit + C)), key=lambda s: len(s[1]))
     # with the minima taken out, the sums are M*k + dr over bits k >= 0
     dq, dr = divmod(C - sum(m for m, _ in slots), M)
     width = max(limit + dq + 1, 0)
@@ -400,10 +388,11 @@ def value_mask(
     form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS, progression: tuple[int, int] = (1, 0)
 ) -> tuple[int, int]:
     """(mask, offset): for progression = (M, C), M*n + C is a value of form
-    iff bit n - offset of mask is set, n <= limit.  For the default (1, 0),
-    offset is the sum of per-slot minima (0 for square slots, possibly
-    negative for polynomial terms).  Once few bits are missing, the last
-    fold level gives way to testing those few directly."""
+    iff bit n - offset of mask is set, n <= limit.  offset is the least n
+    with M*n + C at least the form's smallest value; for the default
+    (1, 0), that value itself: 0 for a diagonal form, the sum of the terms'
+    minima (possibly negative) for a PolySum.  Once few bits are missing,
+    the last fold level gives way to testing those few directly."""
     offset, width, groups = _levels(form, limit, max_bits, progression)
     acc = 0
     for done in range(_BATCH, _PROBE_SHIFTS + 1, _BATCH):
@@ -447,8 +436,7 @@ def attainable(
     """The n <= limit with M*n + C a value of form, as a ValueMask; the
     default progression (M, C) = (1, 0) gives the values up to limit."""
     mask, offset = value_mask(form, limit, workers=workers, max_bits=max_bits, progression=progression)
-    width = max(limit - offset + 1, 0)
-    return ValueMask(offset, limit, mask.to_bytes((width + 7) // 8, "little"))
+    return ValueMask(offset, limit, mask)
 
 
 def env_workers() -> Optional[int]:
@@ -484,8 +472,6 @@ def exceptional_set(
     Deterministic regardless of workers; raises ResourceLimitError when the
     bit array would exceed max_bits.
     """
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
     t0 = time.perf_counter()
     exceptions = tuple(attainable(form, limit, workers=workers, max_bits=max_bits).missing())
     elapsed_ms = int((time.perf_counter() - t0) * 1000)

@@ -216,3 +216,4 @@ def test_cli_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "exceptions", "x^2+y^2", "--limit", "10")[0] == 2
     assert run(capsys, "represent", "x^2+y^2+w^2", "--n", "3")[0] == 2
+    assert run(capsys, "scan-remark21", "--limit", "-1")[0] == 2

@@ -53,6 +53,7 @@ def test_engines_agree_with_oracle(monkeypatch, pairs, limit, switch, piece):
     monkeypatch.setattr(search, "_PIECE", piece)
     form = PolySum.of(*pairs)
     dense = _dense_value_mask(form, limit)
+    assert dense[1] == sum(oracles.term_min(a, b) for a, b in pairs)
     assert value_mask(form, limit, workers=1) == dense
     assert value_mask(form, limit, workers=2) == dense
     expected = tuple(oracles.naive_exceptions(pairs, limit))
@@ -182,19 +183,29 @@ def test_progression_sieve_polysum(pairs, limit, progression):
     missing = set(oracles.naive_exceptions(pairs, modulus * limit + constant))
     expected = [n for n in range(limit + 1) if modulus * n + constant in missing]
     form = PolySum.of(*pairs)
-    assert attainable(form, limit, progression=progression).missing() == expected
-    assert value_mask(form, limit, progression=progression) == _dense_value_mask(form, limit, progression=progression)
+    for workers in (1, 2):
+        assert attainable(form, limit, workers=workers, progression=progression).missing() == expected
+        mask = value_mask(form, limit, workers=workers, progression=progression)
+        assert mask == _dense_value_mask(form, limit, workers=workers, progression=progression)
 
 
 def test_default_progression_is_the_plain_sieve():
     # (1, 0) keeps one fold group: the two shorter slots' bitset and the
-    # longest slot's values, as before progressions
-    form = PolySum.of((2, 1), (3, 1), (7, 1))
-    offset, width, groups = search._levels(form, 10**4, search.DEFAULT_MAX_BITS, (1, 0))
-    assert (offset, width, len(groups)) == (0, 10**4 + 1, 1)
-    assert attainable(form, 10**4, progression=(1, 0)) == attainable(form, 10**4)
+    # longest slot's values, as before progressions; a PolySum, sieved as
+    # its reduction on (4L, C), is not split into residue groups (the
+    # second form has b > a and L = 6)
+    for pairs, offset in [(((2, 1), (3, 1), (7, 1)), 0), (((3, 7), (2, 5), (6, 1)), -7)]:
+        form = PolySum.of(*pairs)
+        levels = search._levels(form, 10**4, search.DEFAULT_MAX_BITS, (1, 0))
+        assert (levels[0], levels[1], len(levels[2])) == (offset, 10**4 + 1 - offset, 1)
+        assert attainable(form, 10**4, progression=(1, 0)) == attainable(form, 10**4)
 
 
 def test_progression_rejects_modulus_below_one():
     with pytest.raises(ValueError):
         value_mask(DiagonalForm((1, 1, 1)), 10, progression=(0, 1))
+
+
+def test_sieve_rejects_negative_limit():
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        attainable(DiagonalForm((1, 1, 1)), -1)
