@@ -52,7 +52,7 @@ import os
 import re
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterable, Iterator, Optional, Union
 
@@ -95,7 +95,7 @@ class ValueMask:
 
     offset: int
     limit: int
-    mask: int
+    mask: int = field(repr=False)  # str() of an int over 4300 digits raises
 
     def missing(self) -> list[int]:
         """The n in [0, limit] not in the set, ascending."""

@@ -209,3 +209,8 @@ def test_progression_rejects_modulus_below_one():
 def test_sieve_rejects_negative_limit():
     with pytest.raises(ValueError, match="limit must be >= 0"):
         attainable(DiagonalForm((1, 1, 1)), -1)
+
+
+def test_value_mask_repr_leaves_out_the_mask():
+    # the mask of 10^5 bits has more decimal digits than str() allows
+    assert repr(attainable(DiagonalForm((1, 1, 1)), 10**5)) == "ValueMask(offset=0, limit=100000)"
