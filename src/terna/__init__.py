@@ -27,7 +27,6 @@ from .core import (
     PolySum,
     PreconditionError,
     ResourceLimitError,
-    SquareRep,
     Term,
     TernaError,
     Witness,

@@ -46,12 +46,19 @@ class ConstructionError(TernaError):
     """A constructive pipeline hit a step its invariants rule out.
 
     This should never trigger; an occurrence is a falsification report,
-    so the failing step is kept on the exception.
+    so the failing step is kept on the exception.  A witness pipeline also
+    fills in the clause id, n and its builder's triple ``pre`` (None when
+    the builder itself failed); a lemma called on its own leaves them None.
     """
 
     def __init__(self, step: str, message: str = ""):
-        self.step = step
-        super().__init__(f"construction failed at step '{step}'" + (f": {message}" if message else ""))
+        super().__init__(step, message)
+        self.step, self.message = step, message
+        self.clause = self.n = self.pre = None
+
+    def __str__(self) -> str:
+        where = "" if self.clause is None else f" of clause {self.clause} at n={self.n} (pre={self.pre})"
+        return f"construction failed at step '{self.step}'{where}" + (f": {self.message}" if self.message else "")
 
 
 class ResourceLimitError(TernaError):
@@ -164,21 +171,6 @@ class Witness:
 
     def __iter__(self):
         return iter((self.x, self.y, self.z))
-
-
-@dataclass(frozen=True)
-class SquareRep:
-    """A decomposition total = sum of coeff*value^2, validated on construction."""
-
-    parts: tuple[tuple[int, int], ...]
-    total: int
-
-    def __post_init__(self):
-        if any(c < 1 for c, _ in self.parts):
-            raise ValueError("coefficients must be positive")
-        s = sum(c * v * v for c, v in self.parts)
-        if s != self.total:
-            raise ValueError(f"parts sum to {s}, not {self.total}")
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ each proven quadruple (a, b, c, d), giving x(ax+b)+y(ay+c)+z(az+d),
 triple representing n.  method="search" scans the constrained space
 directly; method="constructive" replays the published-style pipeline:
 fetch an intermediate square decomposition of multiplier*n + constant
-(deterministic search, or one of the lemma constructions), massage it by
-the clause's rotations and swaps into the shape of the clause identity,
-flip signs into the required congruence classes, and lift.
+(deterministic search, or one of the lemma constructions) and massage it
+by the clause's rotations and swaps into the shape of the clause
+identity.  Each clause's builder returns that triple up to sign; one step
+shared by all clauses then flips each slot into the congruence class that
+reduce() assigns to it, re-checks the clause identity exactly, and lifts.
 
-Every pipeline re-checks the clause identity exactly and raises
-ConstructionError naming the failing step otherwise; such an error would
+A pipeline that breaks an invariant raises ConstructionError naming the
+clause, n, the failing step and the builder's triple; such an error would
 falsify the clause, so it must never trigger.
 """
 
@@ -25,6 +27,7 @@ from .core import (
     ConstrainedForm,
     ConstructionError,
     DiagonalForm,
+    NoValidSignError,
     PolySum,
     Witness,
     evaluate,
@@ -168,17 +171,21 @@ _CLAUSES: dict[tuple, tuple] = {
 }
 
 
+_RECIPES = {
+    key: Recipe(cid, triple_poly(key) if len(key) == 3 else quadruple_poly(key), mult, const, _cf(coeffs, classes), steps)
+    for key, (cid, mult, const, coeffs, classes, steps) in _CLAUSES.items()
+}
+
+
 def recipe(key: tuple) -> Recipe:
     """The Recipe for a proven triple or quadruple."""
-    if key not in _CLAUSES:
+    if key not in _RECIPES:
         raise ValueError(f"no constructive clause for {key}")
-    cid, mult, const, coeffs, classes, steps = _CLAUSES[key]
-    poly = triple_poly(key) if len(key) == 3 else quadruple_poly(key)
-    return Recipe(cid, poly, mult, const, _cf(coeffs, classes), steps)
+    return _RECIPES[key]
 
 
 def all_recipes() -> list[Recipe]:
-    return [recipe(k) for k in _CLAUSES]
+    return list(_RECIPES.values())
 
 
 def _need(cond: bool, step: str, detail: str = ""):
@@ -199,6 +206,7 @@ def _three_squares_by_parity(t: int) -> tuple[list[int], list[int]]:
     return [v for v in vals if v % 2], [v for v in vals if v % 2 == 0]
 
 
+# Each builder returns its clause's triple in slot order, up to sign.
 def _build_i(n: int):
     t = 24 * n + 11
     hit = represent_constrained(_ODD3, t)
@@ -219,15 +227,12 @@ def _build_i(n: int):
         s1, t1 = (abs(x) for x in hit)
         _need(s1 % 2 == 1 and t1 % 2 == 1, "rewrite-parity", f"({s1},{t1}) not both odd")
         r_, s_, t_ = s1, ubar, t1
-    _need(t_ % 2 == 1 and t_ % 3 != 0, "t-coprime-6", f"t={t_}")
     # m = 3r0^2 + 6s0^2, smallest r0 first
     m = r_ * r_ + 2 * s_ * s_
     hit = _pair(6, _UNCONSTRAINED, 3, _UNCONSTRAINED, m)
     _need(hit is not None, "3x2+6y2", f"{m} is not of the form 3x^2+6y^2")
     s0, r0 = hit
-    _need(r0 % 2 == 1 and s0 % 2 == 1, "r0s0-odd", f"({r0},{s0})")
-    pre = (s0, r0, t_)
-    return (normalize_sign(s0, 2, 1), normalize_sign(r0, 4, 1), normalize_sign(t_, 6, 1)), pre
+    return s0, r0, t_
 
 
 def _build_ii(n: int):
@@ -235,25 +240,16 @@ def _build_ii(n: int):
     odds, evens = _three_squares_by_parity(t)
     _need(len(odds) == 2, "parity-pattern", f"{t} decomposition is not odd+odd+even")
     p, q = odds
-    v = evens[0] // 2
     half_a, half_b = (p + q) // 2, abs(p - q) // 2
     even_half, odd_half = (half_a, half_b) if half_a % 2 == 0 else (half_b, half_a)
-    u, w = even_half // 2, odd_half
-    _need(u % 2 == 1 and v % 2 == 1 and w % 2 == 1, "all-odd", f"(u,v,w)=({u},{v},{w})")
-    _need(w % 8 in (1, 7), "w-mod-8", f"w={w}")
-    pre = (u, v, w)
-    return (normalize_sign(u, 2, 1), normalize_sign(v, 4, 1), normalize_sign(w, 8, 1)), pre
+    return even_half // 2, evens[0] // 2, odd_half
 
 
 def _build_iii(n: int):
     t = 40 * n + 17
     hit = represent_diag(DiagonalForm((10, 5, 2)), t)
     _need(hit is not None, "dickson-form", f"{t} is not 10u^2+5v^2+2w^2")
-    u, v, w = (abs(x) for x in hit)
-    _need(u % 2 == 1 and v % 2 == 1 and w % 2 == 1, "all-odd", f"({u},{v},{w})")
-    _need(w % 5 in (1, 4), "w-mod-5", f"w={w}")
-    pre = (u, v, w)
-    return (normalize_sign(u, 2, 1), normalize_sign(v, 4, 1), normalize_sign(w, 10, 1)), pre
+    return tuple(abs(x) for x in hit)
 
 
 def _build_iv(n: int):
@@ -261,20 +257,12 @@ def _build_iv(n: int):
     hit = represent_diag(DiagonalForm((4, 4, 1)), t)
     _need(hit is not None, "three-squares", f"{t} is not (2u)^2+(2v)^2+w^2")
     u, v, w = (abs(x) for x in hit)
-    p, q = u + v, u - v
-    _need(p % 2 == 1 and q % 2 == 1, "rotation-parity", f"(u,v)=({u},{v})")
-    _need(w % 8 in (1, 7), "w-mod-8", f"w={w}")
-    pre = (p, q, w)
-    return (normalize_sign(p, 4, 1), normalize_sign(q, 4, 1), normalize_sign(w, 8, 1)), pre
+    return u + v, u - v, w
 
 
 def _build_v(n: int):
     u, v, w = rep_5x2_5y2_z2_odd(n, 6)
-    p, q = u + v, u - v
-    _need(p % 2 == 1 and q % 2 == 1, "rotation-parity", f"(u,v)=({u},{v})")
-    _need((w * w) % 5 == 1, "w-mod-5", f"w={w}")
-    pre = (p, q, w)
-    return (normalize_sign(p, 4, 1), normalize_sign(q, 4, 1), normalize_sign(w, 10, 1)), pre
+    return u + v, u - v, w
 
 
 def _build_vi(n: int):
@@ -282,25 +270,15 @@ def _build_vi(n: int):
     hit = represent_diag(DiagonalForm((1, 1, 3)), t)
     _need(hit is not None, "dickson-form", f"{t} is not u^2+v^2+3w^2")
     u, v, w = (abs(x) for x in hit)
-    _need(w % 2 == 1, "w-odd", f"w={w}")
     _need((u - v) % 2 == 0, "uv-parity", f"({u},{v})")
-    s, t2 = (u + v) // 2, abs(u - v) // 2
-    _need(s % 2 == 1 and t2 % 2 == 1, "halves-odd", f"({s},{t2})")
-    _need(s % 3 != 0 and t2 % 3 != 0, "halves-coprime-3", f"({s},{t2})")
-    pre = (w, s, t2)
-    return (normalize_sign(w, 4, 1), normalize_sign(s, 6, 1), normalize_sign(t2, 6, 1)), pre
+    return w, (u + v) // 2, abs(u - v) // 2
 
 
 def _build_vii(n: int):
     t = 48 * n + 13
     _need(not _is_square(t), "nonsquare-input", f"{t} is a perfect square")
     big_x, big_y, big_z = rep_x2_3y2_6z2((t - 1) // 6, 0)
-    v, w, u = big_x // 2, big_y, big_z
-    _need(u % 2 == 1 and v % 2 == 1 and w % 2 == 1, "all-odd", f"(u,v,w)=({u},{v},{w})")
-    _need(v % 3 != 0, "v-coprime-3", f"v={v}")
-    _need(w % 8 in (1, 7), "w-mod-8", f"w={w}")
-    pre = (u, v, w)
-    return (normalize_sign(u, 4, 1), normalize_sign(v, 6, 1), normalize_sign(w, 8, 1)), pre
+    return big_z, big_x // 2, big_y
 
 
 def _build_a(n: int):
@@ -308,11 +286,8 @@ def _build_a(n: int):
     hit = represent_diag(DiagonalForm((1, 1, 36)), t)
     _need(hit is not None, "imported-form", f"{t} is not u^2+v^2+36x^2")
     u, v, x6 = (abs(w) for w in hit)
-    _need((u + v) % 2 == 1, "parity", f"({u},{v})")
-    _need(u % 3 and v % 3, "coprime-3", f"({u},{v})")
     odd_, even_ = (u, v) if u % 2 else (v, u)
-    pre = (6 * x6, odd_, even_)
-    return (normalize_sign(6 * x6, 6, 0), normalize_sign(odd_, 6, 1), normalize_sign(even_, 6, 2)), pre
+    return 6 * x6, odd_, even_
 
 
 def _build_b(n: int, delta: int):
@@ -320,8 +295,7 @@ def _build_b(n: int, delta: int):
     hit = represent_constrained(_COPRIME3[delta], t)
     _need(hit is not None, "three-squares-coprime3", f"{t} admits no suitable decomposition")
     v, u, w = (abs(x) for x in hit)
-    pre = (u, v, w)
-    return (normalize_sign(u, 6, 1), normalize_sign(v, 6, 1 + delta), normalize_sign(w, 6, 2)), pre
+    return u, v, w
 
 
 def _build_c(n: int):
@@ -329,10 +303,7 @@ def _build_c(n: int):
     p, q = u + v, u - v
     if p % 3 == 0:
         p, q = q, p
-    _need(p % 2 == 1 and q % 2 == 1, "rotation-parity", f"(u,v)=({u},{v})")
-    _need(p % 3 != 0 and q % 3 == 0, "mod-3-split", f"(p,q)=({p},{q})")
-    pre = (p, 2 * w, q)
-    return (normalize_sign(p, 6, 1), normalize_sign(2 * w, 6, 2), normalize_sign(q, 6, 3)), pre
+    return p, 2 * w, q
 
 
 def _build_d(n: int):
@@ -340,15 +311,8 @@ def _build_d(n: int):
     odds, evens = _three_squares_by_parity(t)
     _need(len(odds) == 2, "parity-pattern", f"{t} decomposition is not odd+odd+even")
     p, q = odds
-    w = evens[0]
-    _need((w // 2) % 4 in (1, 3), "half-mod-4", f"w={w}")
-    if p % 8 in (1, 7):
-        first, third = p, q
-    else:
-        first, third = q, p
-    _need(first % 8 in (1, 7) and third % 8 in (3, 5), "mod-8-split", f"({p},{q})")
-    pre = (first, w, third)
-    return (normalize_sign(first, 8, 1), normalize_sign(w, 8, 2), normalize_sign(third, 8, 3)), pre
+    first, third = (p, q) if p % 8 in (1, 7) else (q, p)
+    return first, evens[0], third
 
 
 _BUILDERS = {
@@ -368,14 +332,22 @@ _BUILDERS = {
 
 
 def _constructive(key: tuple, n: int) -> Witness:
-    rec = recipe(key)
-    rd = reduce(rec.poly)
-    triple, _ = _BUILDERS[key](n)
-    target = rec.multiplier * n + rec.constant
-    total = sum(c * w * w for c, w in zip(rec.target_form.form.coeffs, triple))
-    _need(total == target, "clause-identity", f"{total} != {target} at n={n}")
-    wit = lift(rd, triple)
-    _need(evaluate(rec.poly, wit) == n, "lift", f"witness {wit} does not evaluate to {n}")
+    rec = _RECIPES[key]
+    pre = None
+    try:
+        pre = _BUILDERS[key](n)
+        try:
+            triple = [normalize_sign(w, cl.modulus, cl.residue) for w, cl in zip(pre, rec.target_form.classes)]
+        except NoValidSignError as e:
+            raise ConstructionError("sign", str(e)) from e
+        target = rec.multiplier * n + rec.constant
+        total = sum(c * w * w for c, w in zip(rec.target_form.form.coeffs, triple))
+        _need(total == target, "clause-identity", f"{total} != {target}")
+        wit = lift(reduce(rec.poly), triple)
+        _need(evaluate(rec.poly, wit) == n, "lift", f"witness {wit} does not evaluate to {n}")
+    except ConstructionError as e:
+        e.clause, e.n, e.pre = rec.id, n, pre
+        raise
     return wit
 
 

@@ -6,7 +6,6 @@ from terna import (
     DiagonalForm,
     NoValidSignError,
     PolySum,
-    SquareRep,
     Term,
     Witness,
     embed,
@@ -147,14 +146,6 @@ def test_reflection_invariance_when_shift_equals_coefficient():
         for y in range(-10, 11):
             for z in range(-10, 11):
                 assert evaluate(p, (x, y, z)) == evaluate(p, (x, y, -z - 1))
-
-
-def test_square_rep_validation():
-    SquareRep(((1, 3), (1, 1), (1, 1)), 11)
-    with pytest.raises(ValueError):
-        SquareRep(((1, 3), (1, 1), (1, 1)), 12)
-    with pytest.raises(ValueError):
-        SquareRep(((0, 3),), 0)
 
 
 def test_diagonal_form_validation():

@@ -1,10 +1,14 @@
+import hashlib
+
 import pytest
 
 import oracles
 from terna import (
+    ConstructionError,
     Witness,
     all_recipes,
     diagonal_bridge,
+    embed,
     evaluate,
     exceptional_set,
     misc_poly,
@@ -14,11 +18,13 @@ from terna import (
     quadruple_witness,
     recipe,
     reduce,
+    rep_x2_3y2_6z2,
     represent,
     triple_poly,
     triple_witness,
     verify,
 )
+from terna import lemmas
 from terna.witnesses import _BUILDERS, PROVEN_QUADRUPLES, PROVEN_TRIPLES
 
 
@@ -103,11 +109,12 @@ def test_witness_argument_validation():
 
 @pytest.mark.parametrize("key", sorted(_BUILDERS), ids=str)
 def test_normalization_only_flips_signs(key):
-    # the final constrained triple must be the pre-normalization values up to sign
-    builder = _BUILDERS[key]
+    # the lifted witness embeds to the builder's triple up to sign, slot by slot
+    rd = reduce(recipe(key).poly)
+    fn = triple_witness if len(key) == 3 else quadruple_witness
     for n in range(60):
-        final, pre = builder(n)
-        assert sorted(abs(v) for v in final) == sorted(abs(v) for v in pre)
+        final = embed(rd, fn(key, n))
+        assert [abs(v) for v in final] == [abs(v) for v in _BUILDERS[key](n)]
 
 
 def test_clause_identities_hold_exactly():
@@ -119,11 +126,46 @@ def test_clause_identities_hold_exactly():
             }[rec.id]
         ]
         for n in (0, 1, 2, 17, 101):
-            triple, _ = builder(n)
+            triple = builder(n)
             total = sum(c * w * w for c, w in zip(rec.target_form.form.coeffs, triple))
             assert total == rec.multiplier * n + rec.constant
             for w, cl in zip(triple, rec.target_form.classes):
-                assert w % cl.modulus == cl.residue
+                assert cl.residue in (w % cl.modulus, -w % cl.modulus)
+
+
+def test_pinned_witnesses():
+    # every clause's constructive witness at n = 0, 7, ..., 10^4, byte for byte
+    rows = [
+        (k, n, tuple(triple_witness(k, n) if len(k) == 3 else quadruple_witness(k, n)))
+        for k in PROVEN_TRIPLES + PROVEN_QUADRUPLES
+        for n in range(0, 10**4 + 1, 7)
+    ]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "54b2c11a258decb58d3450464494c25843bcc46a212a41df066466c3acd7bd79"
+
+
+def test_broken_builder_names_clause_n_step_and_pre(monkeypatch):
+    monkeypatch.setitem(_BUILDERS, (2, 3, 3), lambda n: (2, 1, 1))
+    with pytest.raises(ConstructionError) as info:
+        triple_witness((2, 3, 3), 5)
+    err = info.value
+    assert (err.step, err.clause, err.n, err.pre) == ("sign", "vi", 5, (2, 1, 1))
+    assert all(part in str(err) for part in ("'sign'", "clause vi", "n=5", "(2, 1, 1)"))
+    monkeypatch.setitem(_BUILDERS, (2, 3, 3), lambda n: (1, 1, 1))
+    with pytest.raises(ConstructionError) as info:
+        triple_witness((2, 3, 3), 5)
+    assert info.value.step == "clause-identity"
+
+
+def test_lemma_errors_name_the_clause_only_inside_a_pipeline(monkeypatch):
+    monkeypatch.setattr(lemmas, "represent_constrained", lambda form, t: None)
+    with pytest.raises(ConstructionError) as info:
+        rep_x2_3y2_6z2(10, 0)
+    assert (info.value.step, info.value.clause, info.value.n, info.value.pre) == ("exhausted", None, None, None)
+    # clause vii feeds 48n+13 = 6*10+1 at n = 1 to the same lemma; the builder fails, so pre stays None
+    with pytest.raises(ConstructionError) as info:
+        triple_witness((2, 3, 4), 1)
+    assert (info.value.step, info.value.clause, info.value.n, info.value.pre) == ("exhausted", "vii", 1, None)
 
 
 def test_misc_witnesses():
