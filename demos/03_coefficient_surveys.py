@@ -4,7 +4,8 @@ A handful of small unattainable values prunes the infinite coefficient
 space down to finitely many candidates.  Since a failed represent() scan
 is exhaustive, every exclusion here is a proof, and every survivor is a
 candidate whose universality needs (and, for twelve of them, has) a
-separate argument.
+separate argument.  A quadruple that survives a short represent() scan is
+confirmed by one exact sieve of the whole range [0, 1000].
 """
 
 from terna import filter_universal_quadruples, filter_universal_triples, represent, triple_poly

@@ -240,6 +240,7 @@ def _cmd_survey(args) -> int:
         print(f"total: {len(rows)}")
         return 0
     # "1.3" or "remark1.3": argparse allows nothing else
+    _expect(args.bounds is None or len(args.bounds) == 2, f"--theorem {args.theorem} needs --bounds lo,hi")
     a_range = tuple(args.bounds) if args.bounds else ((3, 13) if args.theorem == "1.3" else (1, 2))
     rows = filter_universal_quadruples(a_range=a_range, n_limit=args.n_limit)
     print(f"surviving quadruples for a in {a_range}, n <= {args.n_limit}:")

@@ -175,6 +175,8 @@ _RECIPES = {
     key: Recipe(cid, triple_poly(key) if len(key) == 3 else quadruple_poly(key), mult, const, _cf(coeffs, classes), steps)
     for key, (cid, mult, const, coeffs, classes, steps) in _CLAUSES.items()
 }
+# each clause's completed square, which _constructive lifts through
+_REDUCTIONS = {key: reduce(rec.poly) for key, rec in _RECIPES.items()}
 
 
 def recipe(key: tuple) -> Recipe:
@@ -343,7 +345,7 @@ def _constructive(key: tuple, n: int) -> Witness:
         target = rec.multiplier * n + rec.constant
         total = sum(c * w * w for c, w in zip(rec.target_form.form.coeffs, triple))
         _need(total == target, "clause-identity", f"{total} != {target}")
-        wit = lift(reduce(rec.poly), triple)
+        wit = lift(_REDUCTIONS[key], triple)
         _need(evaluate(rec.poly, wit) == n, "lift", f"witness {wit} does not evaluate to {n}")
     except ConstructionError as e:
         e.clause, e.n, e.pre = rec.id, n, pre

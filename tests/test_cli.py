@@ -172,6 +172,15 @@ def test_cli_survey(capsys):
     assert "(2,3,7)" in out
 
 
+@pytest.mark.parametrize("theorem", ["1.3", "remark1.3"])
+@pytest.mark.parametrize("bounds", ["5", "5,3,2"])
+def test_cli_survey_quadruple_bounds_need_lo_hi(capsys, theorem, bounds):
+    code, out, err = run(capsys, "survey", "--theorem", theorem, "--bounds", bounds)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --theorem {theorem} needs --bounds lo,hi\n"
+
+
 def test_cli_crosscheck(capsys):
     code, out, _ = run(capsys, "crosscheck", "--family", "gauss", "--limit", "2000")
     assert code == 0
@@ -217,3 +226,4 @@ def test_cli_usage_errors(capsys):
     assert run(capsys, "exceptions", "x^2+y^2", "--limit", "10")[0] == 2
     assert run(capsys, "represent", "x^2+y^2+w^2", "--n", "3")[0] == 2
     assert run(capsys, "scan-remark21", "--limit", "-1")[0] == 2
+    assert run(capsys, "survey", "--theorem", "1.3", "--n-limit", "-1")[0] == 2

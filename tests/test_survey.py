@@ -1,9 +1,13 @@
+import pytest
+
 import oracles
 from terna import (
     filter_universal_quadruples,
     filter_universal_triples,
+    quadruple_poly,
     represent,
     scan_5x2_5y2_4z2,
+    survey,
     triple_poly,
     verify_conjectured_triples,
 )
@@ -69,6 +73,30 @@ def test_quadruple_filter_monotone_in_n_limit():
     lo = set(filter_universal_quadruples((3, 6), 40))
     hi = set(filter_universal_quadruples((3, 6), 400))
     assert hi <= lo
+
+
+def _represent_every_n(a_range, n_limit):
+    # the filter's definition: one represent query per n <= n_limit
+    a_lo, a_hi = a_range
+    quads = [
+        (a, b, c, d)
+        for a in range(a_lo, a_hi + 1)
+        for b in range(a + 1)
+        for c in range(b, a + 1)
+        for d in range(c, a + 1)
+    ]
+    return [q for q in quads if all(represent(quadruple_poly(q), n) is not None for n in range(n_limit + 1))]
+
+
+@pytest.mark.parametrize("a_range", [(3, 6), (1, 2)])
+@pytest.mark.parametrize("n_limit", [0, 1, survey._SCAN_PREFIX - 1, survey._SCAN_PREFIX, survey._SCAN_PREFIX + 1, 40])
+@pytest.mark.parametrize("prefix", ["module", "none", "whole"])
+def test_quadruple_filter_scan_and_sieve_agree(monkeypatch, a_range, n_limit, prefix):
+    # "none" leaves n = 0 to the scan and everything else to the sieve;
+    # "whole" lets the scan decide every n <= n_limit
+    if prefix != "module":
+        monkeypatch.setattr(survey, "_SCAN_PREFIX", 0 if prefix == "none" else n_limit + 1)
+    assert filter_universal_quadruples(a_range, n_limit) == _represent_every_n(a_range, n_limit)
 
 
 def test_reverify_keeps_survivors():
