@@ -5,7 +5,9 @@ terms in the distinct variables x, y, z, each term either ``[k]v^2``
 (a square with optional integer coefficient) or ``v([a]v[+b])`` (one
 quadratic term, inner coefficient defaulting to 1, shift defaulting
 to 0).  Examples: ``21x^2+14y^2+6z^2``, ``x(2x+1)+y(3y+1)+z(6z+1)``,
-``x^2+y(3y+1)+z(3z+2)``.
+``x^2+y(3y+1)+z(3z+2)``.  ``parse_form`` returns the core types: a
+``DiagonalForm`` when every term is a square, else a ``PolySum``, terms
+in written order; ``str()`` of either is a text that parses back to it.
 
 Exit codes: 0 on success/agreement, 1 when a check reports findings
 (mismatches, discrepancies, nonempty scans, failed lemma searches),
@@ -20,7 +22,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .core import DiagonalForm, PolySum, Term, TernaError
 from .families import FAMILY_FORMS, crosscheck
@@ -64,38 +65,6 @@ class ArityError(TernaError):
     """A form expression does not use exactly the variables x, y, z once each."""
 
 
-@dataclass(frozen=True)
-class TermExpr:
-    """One parsed term: coeff*var^2 when square, else var*(a*var + b)."""
-
-    var: str
-    square: bool
-    a: int
-    b: int
-
-    def render(self) -> str:
-        if self.square:
-            return f"{self.a if self.a != 1 else ''}{self.var}^2"
-        inner = f"{self.a if self.a != 1 else ''}{self.var}"
-        tail = f"+{self.b}" if self.b else ""
-        return f"{self.var}({inner}{tail})"
-
-
-@dataclass(frozen=True)
-class FormExpr:
-    """Parsed form: three terms over distinct variables, in written order."""
-
-    terms: tuple[TermExpr, TermExpr, TermExpr]
-
-    def render(self) -> str:
-        return "+".join(t.render() for t in self.terms)
-
-    def to_object(self) -> DiagonalForm | PolySum:
-        if all(t.square for t in self.terms):
-            return DiagonalForm(tuple(t.a for t in self.terms))
-        return PolySum(tuple(Term(t.a, 0) if t.square else Term(t.a, t.b) for t in self.terms))
-
-
 _SQUARE_RE = re.compile(r"(\d*)([xyz])\^2$")
 _POLY_RE = re.compile(r"([xyz])\((\d*)([xyz])(?:\+(\d+))?\)$")
 
@@ -118,10 +87,10 @@ def _split_terms(text: str) -> list[tuple[str, int]]:
     return parts
 
 
-def parse_form(text: str) -> FormExpr:
+def parse_form(text: str) -> DiagonalForm | PolySum:
     """Parse a three-variable form expression; see the module docstring."""
     squeezed = "".join(text.split())
-    terms = []
+    used, terms, squares = [], [], 0
     for chunk, pos in _split_terms(squeezed):
         if not chunk:
             raise FormParseError("empty term", pos)
@@ -130,7 +99,9 @@ def parse_form(text: str) -> FormExpr:
             coeff = int(m.group(1)) if m.group(1) else 1
             if coeff < 1:
                 raise FormParseError("square coefficient must be positive", pos)
-            terms.append(TermExpr(m.group(2), True, coeff, 0))
+            used.append(m.group(2))
+            terms.append(Term(coeff, 0))
+            squares += 1
             continue
         m = _POLY_RE.match(chunk)
         if m and m.end() == len(chunk):
@@ -140,15 +111,17 @@ def parse_form(text: str) -> FormExpr:
             a = int(coeff) if coeff else 1
             if a < 1:
                 raise FormParseError("quadratic coefficient must be positive", pos)
-            terms.append(TermExpr(outer, False, a, int(shift) if shift else 0))
+            used.append(outer)
+            terms.append(Term(a, int(shift) if shift else 0))
             continue
         raise FormParseError(f"cannot parse term {chunk!r}", pos)
     if len(terms) != 3:
         raise ArityError(f"need exactly 3 terms, got {len(terms)}")
-    used = [t.var for t in terms]
     if sorted(used) != ["x", "y", "z"]:
         raise ArityError(f"need each of x, y, z exactly once, got {used}")
-    return FormExpr(tuple(terms))
+    if squares == 3:
+        return DiagonalForm(tuple(t.a for t in terms))
+    return PolySum(tuple(terms))
 
 
 # --- report serialization ---------------------------------------------------
@@ -165,16 +138,6 @@ def sieve_report_to_json(report: SieveReport, with_timing: bool = True) -> str:
     )
 
 
-def sieve_report_from_json(text: str) -> SieveReport:
-    d = json.loads(text)
-    return SieveReport(
-        form=d["form"],
-        limit=d["limit"],
-        exceptions=tuple(d["exceptions"]),
-        elapsed_ms=d["elapsed_ms"],
-    )
-
-
 def sieve_report_to_csv(report: SieveReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -188,7 +151,7 @@ def sieve_report_to_csv(report: SieveReport) -> str:
 
 
 def _cmd_exceptions(args) -> int:
-    form = parse_form(args.form).to_object()
+    form = parse_form(args.form)
     report = exceptional_set(form, args.limit, workers=args.threads)
     if args.json:
         print(sieve_report_to_json(report, with_timing=not args.no_timing))
@@ -204,7 +167,7 @@ def _cmd_exceptions(args) -> int:
 
 
 def _cmd_represent(args) -> int:
-    obj = parse_form(args.form).to_object()
+    obj = parse_form(args.form)
     diagonal = isinstance(obj, DiagonalForm)
     if args.all:
         hits = (represent_diag_all if diagonal else represent_all)(obj, args.n)
@@ -220,8 +183,6 @@ def _cmd_represent(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    if (args.triple is None) == (args.quad is None):
-        raise TernaError("exactly one of --triple/--quad is required")
     if args.triple is not None:
         wit = triple_witness(tuple(args.triple), args.n, method=args.method)
     else:
@@ -232,6 +193,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_survey(args) -> int:
     if args.theorem == "1.1":
+        _expect(args.bounds is None or len(args.bounds) == 1, "--theorem 1.1 needs --bounds c_max")
         c_max = args.bounds[0] if args.bounds else 50
         rows = filter_universal_triples(c_max=c_max, test_values=DEFAULT_TEST_VALUES)
         print(f"universal-candidate triples with c <= {c_max} (test values {DEFAULT_TEST_VALUES}):")
@@ -241,6 +203,7 @@ def _cmd_survey(args) -> int:
         return 0
     # "1.3" or "remark1.3": argparse allows nothing else
     _expect(args.bounds is None or len(args.bounds) == 2, f"--theorem {args.theorem} needs --bounds lo,hi")
+    _expect(args.bounds is None or args.bounds[0] <= args.bounds[1], f"--theorem {args.theorem} needs lo <= hi in --bounds lo,hi")
     a_range = tuple(args.bounds) if args.bounds else ((3, 13) if args.theorem == "1.3" else (1, 2))
     rows = filter_universal_quadruples(a_range=a_range, n_limit=args.n_limit)
     print(f"surviving quadruples for a in {a_range}, n <= {args.n_limit}:")
@@ -341,66 +304,64 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="terna", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def threads(p):
         p.add_argument("--threads", type=int, default=None, help="sieve worker processes (default: TERNA_THREADS or machine parallelism)")
-        p.add_argument("--no-timing", action="store_true", help="suppress timing fields for byte-identical output")
 
     p = sub.add_parser("exceptions", help="exceptional set of a form up to a limit")
     p.add_argument("form")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    common(p)
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
+    p.add_argument("--no-timing", action="store_true", help="suppress timing fields for byte-identical output")
+    threads(p)
     p.set_defaults(func=_cmd_exceptions)
 
     p = sub.add_parser("represent", help="find witnesses of one value")
     p.add_argument("form")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--all", action="store_true", help="list every witness instead of the first")
-    common(p)
     p.set_defaults(func=_cmd_represent)
 
     p = sub.add_parser("witness", help="verified witness for a proven triple or quadruple")
-    p.add_argument("--triple", type=_int_list, default=None, metavar="a,b,c")
-    p.add_argument("--quad", type=_int_list, default=None, metavar="a,b,c,d")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--triple", type=_int_list, metavar="a,b,c")
+    which.add_argument("--quad", type=_int_list, metavar="a,b,c,d")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("constructive", "search"), default="constructive")
-    common(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("survey", help="coefficient-space searches")
     p.add_argument("--theorem", choices=("1.1", "1.3", "remark1.3"), required=True)
-    p.add_argument("--bounds", type=_int_list, default=None, metavar="lo[,hi]")
+    p.add_argument("--bounds", type=_int_list, default=None, metavar="c_max|lo,hi")
     p.add_argument("--n-limit", type=int, default=1000)
-    common(p)
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("conjecture", help="scan the six conjectured triples")
     p.add_argument("--limit", type=int, required=True)
-    common(p)
+    threads(p)
     p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser("scan-remark21", help="scan 20n+r against 5x^2+5y^2+(2z)^2")
     p.add_argument("--limit", type=int, required=True)
-    common(p)
+    threads(p)
     p.set_defaults(func=_cmd_scan_remark21)
 
     p = sub.add_parser("bridge", help="polynomial vs diagonal equivalence scan")
     p.add_argument("--remark12", action="store_true", required=True)
     p.add_argument("--limit", type=int, required=True)
-    common(p)
+    threads(p)
     p.set_defaults(func=_cmd_bridge)
 
     p = sub.add_parser("crosscheck", help="family formula vs sieve")
     p.add_argument("--family", choices=tuple(FAMILY_FORMS), required=True)
     p.add_argument("--limit", type=int, required=True)
-    common(p)
+    threads(p)
     p.set_defaults(func=_cmd_crosscheck)
 
     p = sub.add_parser("lemma", help="run one constructive decomposition")
     p.add_argument("--id", required=True, choices=("2.1", "2.2", "2.3i", "2.3ii", "2.3iii", "3.1"))
     p.add_argument("args", type=int, nargs="*")
-    common(p)
     p.set_defaults(func=_cmd_lemma)
 
     return parser
@@ -413,8 +374,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if getattr(args, "threads", None) is None:
-            # an unparseable TERNA_THREADS is a usage error here
+        if getattr(args, "threads", 0) is None:
+            # only the sieving commands read it; an unparseable value is a usage error
             args.threads = env_workers() or default_workers()
         return args.func(args)
     except _UsageError as e:

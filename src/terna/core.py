@@ -188,14 +188,6 @@ class ReductionData:
     constrained: ConstrainedForm
     source: PolySum
 
-    def __post_init__(self):
-        for i, t in enumerate(self.source.terms):
-            if self.constrained.form.coeffs[i] != self.L // t.a:
-                raise ValueError("coefficient does not match L/a")
-            cl = self.constrained.classes[i]
-            if cl.modulus != 2 * t.a or cl.residue != t.b % (2 * t.a):
-                raise ValueError("class does not match (b mod 2a)")
-
 
 def evaluate(p: PolySum, w) -> int:
     """Value of p at the integer triple w (exact)."""

@@ -3,16 +3,7 @@ import json
 import pytest
 
 from terna import DiagonalForm, PolySum, exceptional_set
-from terna.cli import (
-    ArityError,
-    FormExpr,
-    FormParseError,
-    TermExpr,
-    main,
-    parse_form,
-    sieve_report_from_json,
-    sieve_report_to_json,
-)
+from terna.cli import ArityError, FormParseError, main, parse_form
 
 
 def run(capsys, *argv):
@@ -22,18 +13,20 @@ def run(capsys, *argv):
 
 
 def test_parse_diagonal():
-    assert parse_form("x^2+y^2+z^2").to_object() == DiagonalForm((1, 1, 1))
-    assert parse_form("21x^2+14y^2+6z^2").to_object() == DiagonalForm((21, 14, 6))
+    assert parse_form("x^2+y^2+z^2") == DiagonalForm((1, 1, 1))
+    assert parse_form("21x^2+14y^2+6z^2") == DiagonalForm((21, 14, 6))
 
 
 def test_parse_polysum():
-    assert parse_form("x(2x+1)+y(3y+1)+z(6z+1)").to_object() == PolySum.of((2, 1), (3, 1), (6, 1))
-    assert parse_form("x(x+1)+y(2y+1)+z(3z+1)").to_object() == PolySum.of((1, 1), (2, 1), (3, 1))
-    assert parse_form("x(3x)+y(3y+1)+z(3z+2)").to_object() == PolySum.of((3, 0), (3, 1), (3, 2))
+    assert parse_form("x(2x+1)+y(3y+1)+z(6z+1)") == PolySum.of((2, 1), (3, 1), (6, 1))
+    assert parse_form("x(x+1)+y(2y+1)+z(3z+1)") == PolySum.of((1, 1), (2, 1), (3, 1))
+    assert parse_form("x(3x)+y(3y+1)+z(3z+2)") == PolySum.of((3, 0), (3, 1), (3, 2))
+    # a quadratic term without shift keeps the form a PolySum
+    assert parse_form("x(2x)+y(2y)+z(2z)") == PolySum.of((2, 0), (2, 0), (2, 0))
 
 
 def test_parse_mixed():
-    assert parse_form("x^2+y(3y+1)+z(3z+2)").to_object() == PolySum.of((1, 0), (3, 1), (3, 2))
+    assert parse_form("x^2+y(3y+1)+z(3z+2)") == PolySum.of((1, 0), (3, 1), (3, 2))
 
 
 def test_parse_whitespace_insensitive():
@@ -56,7 +49,7 @@ def test_parse_errors():
         parse_form("x^2+y^2+z^2+z^2")
 
 
-def test_parse_render_round_trip():
+def test_printed_form_parses_back():
     texts = [
         "x^2+y^2+z^2",
         "21x^2+14y^2+6z^2",
@@ -66,16 +59,8 @@ def test_parse_render_round_trip():
         "x(2x)+y(2y+1)+z(2z+2)",
     ]
     for text in texts:
-        expr = parse_form(text)
-        assert expr.render() == text
-        assert parse_form(expr.render()) == expr
-    expr = FormExpr((TermExpr("y", True, 3, 0), TermExpr("x", False, 1, 2), TermExpr("z", False, 4, 0)))
-    assert parse_form(expr.render()) == expr
-
-
-def test_sieve_report_json_round_trip():
-    report = exceptional_set(DiagonalForm((1, 1, 1)), 60)
-    assert sieve_report_from_json(sieve_report_to_json(report)) == report
+        form = parse_form(text)
+        assert parse_form(str(form)) == form
 
 
 def test_sieve_report_csv():
@@ -133,6 +118,9 @@ def test_cli_rejects_unparseable_terna_threads(capsys, monkeypatch):
     # an explicit --threads does not read the environment
     code, _, _ = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30", "--threads", "1")
     assert code == 0
+    # a command that does not sieve does not read it
+    code, out, err = run(capsys, "lemma", "--id", "2.1", "5", "5")
+    assert code == 0 and "7^2+1^2" in out and err == ""
     monkeypatch.setenv("TERNA_THREADS", "2")
     code, _, _ = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30")
     assert code == 0
@@ -181,6 +169,22 @@ def test_cli_survey_quadruple_bounds_need_lo_hi(capsys, theorem, bounds):
     assert err == f"usage error: --theorem {theorem} needs --bounds lo,hi\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--theorem", "1.1", "--bounds", "3,50,7"), "--theorem 1.1 needs --bounds c_max"),
+        (("--theorem", "1.3", "--bounds", "9,3"), "--theorem 1.3 needs lo <= hi in --bounds lo,hi"),
+        (("--theorem", "remark1.3", "--bounds", "2,1"), "--theorem remark1.3 needs lo <= hi in --bounds lo,hi"),
+    ],
+    ids=["1.1-three-values", "1.3-lo-above-hi", "remark1.3-lo-above-hi"],
+)
+def test_cli_survey_rejects_bounds_it_would_cut(capsys, argv, message):
+    code, out, err = run(capsys, "survey", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_cli_crosscheck(capsys):
     code, out, _ = run(capsys, "crosscheck", "--family", "gauss", "--limit", "2000")
     assert code == 0
@@ -227,3 +231,7 @@ def test_cli_usage_errors(capsys):
     assert run(capsys, "represent", "x^2+y^2+w^2", "--n", "3")[0] == 2
     assert run(capsys, "scan-remark21", "--limit", "-1")[0] == 2
     assert run(capsys, "survey", "--theorem", "1.3", "--n-limit", "-1")[0] == 2
+    # each subcommand takes only the options it reads
+    assert run(capsys, "represent", "x^2+y^2+z^2", "--n", "3", "--threads", "2")[0] == 2
+    assert run(capsys, "lemma", "--id", "2.1", "5", "5", "--no-timing")[0] == 2
+    assert run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30", "--json", "--csv")[0] == 2
