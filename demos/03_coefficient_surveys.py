@@ -4,8 +4,9 @@ A handful of small unattainable values prunes the infinite coefficient
 space down to finitely many candidates.  Since a failed represent() scan
 is exhaustive, every exclusion here is a proof, and every survivor is a
 candidate whose universality needs (and, for twelve of them, has) a
-separate argument.  A quadruple that survives a short represent() scan is
-confirmed by one exact sieve of the whole range [0, 1000].
+separate argument.  The quadruple filter is one exact sumset of term
+value masks over [0, 1000]; reverify_quadruples re-checks its survivors
+to 100000 with one sieve each, an independent engine.
 """
 
 from terna import filter_universal_quadruples, filter_universal_triples, represent, triple_poly

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 
@@ -35,7 +36,6 @@ from .lemmas import (
 )
 from .search import (
     SieveReport,
-    default_workers,
     env_workers,
     exceptional_set,
     represent,
@@ -195,6 +195,7 @@ def _cmd_survey(args) -> int:
     if args.theorem == "1.1":
         _expect(args.bounds is None or len(args.bounds) == 1, "--theorem 1.1 needs --bounds c_max")
         c_max = args.bounds[0] if args.bounds else 50
+        _expect(c_max >= 1, "--theorem 1.1 needs c_max >= 1 in --bounds c_max")
         rows = filter_universal_triples(c_max=c_max, test_values=DEFAULT_TEST_VALUES)
         print(f"universal-candidate triples with c <= {c_max} (test values {DEFAULT_TEST_VALUES}):")
         for t in rows:
@@ -204,6 +205,7 @@ def _cmd_survey(args) -> int:
     # "1.3" or "remark1.3": argparse allows nothing else
     _expect(args.bounds is None or len(args.bounds) == 2, f"--theorem {args.theorem} needs --bounds lo,hi")
     _expect(args.bounds is None or args.bounds[0] <= args.bounds[1], f"--theorem {args.theorem} needs lo <= hi in --bounds lo,hi")
+    _expect(args.bounds is None or args.bounds[0] >= 1, f"--theorem {args.theorem} needs lo >= 1 in --bounds lo,hi")
     a_range = tuple(args.bounds) if args.bounds else ((3, 13) if args.theorem == "1.3" else (1, 2))
     rows = filter_universal_quadruples(a_range=a_range, n_limit=args.n_limit)
     print(f"surviving quadruples for a in {a_range}, n <= {args.n_limit}:")
@@ -297,7 +299,7 @@ def _expect(cond: bool, message: str):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p != ""]
+    return [int(p) for p in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +378,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 0) is None:
             # only the sieving commands read it; an unparseable value is a usage error
-            args.threads = env_workers() or default_workers()
+            args.threads = env_workers() or os.cpu_count() or 1
         return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -451,16 +451,6 @@ def env_workers() -> Optional[int]:
         raise ValueError(f"TERNA_THREADS must be an integer, got {env!r}") from None
 
 
-def default_workers() -> int:
-    """TERNA_THREADS, or the machine's parallelism when it is unset or
-    invalid.  The CLI rejects an invalid value instead (env_workers)."""
-    try:
-        requested = env_workers()
-    except ValueError:
-        requested = None
-    return requested or os.cpu_count() or 1
-
-
 def exceptional_set(
     form: Form,
     limit: int,

@@ -11,10 +11,11 @@ of what the scan demonstrates.
 
 ``filter_universal_quadruples`` does the analogue for x(ax+b)+y(ay+c)+
 z(az+d) with 0 <= b <= c <= d <= a, keeping quadruples with no
-counterexample n <= n_limit.  It works in two stages, both exact: a
-``represent`` scan of a short prefix of [0, n_limit] refutes (nearly
-every quadruple fails at a small n), and one sieve of [0, n_limit] per
-remaining candidate (``reverify_quadruples``) confirms.
+counterexample n <= n_limit.  It is one exact sumset: every term value is
+>= 0, so n is a value exactly when it is a sum of three term values <= n,
+and each a's term value masks are built once and shared by its
+quadruples.  ``reverify_quadruples`` answers the same question by one
+sieve per quadruple, an independent second engine.
 
 ``verify_conjectured_triples`` and ``scan_5x2_5y2_4z2`` are pure range
 scans with no filtering: they report exceptional sets that are expected
@@ -23,11 +24,10 @@ scans with no filtering: they report exceptional sets that are expected
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .core import DiagonalForm
-from .search import SieveReport, attainable, exceptional_set, represent
+from .core import CongruenceClass, DiagonalForm
+from .search import SieveReport, _bits, _or_shifts, _square_slot, attainable, exceptional_set, represent
 from .witnesses import CONJECTURED_TRIPLES, quadruple_poly, triple_poly
 
 #: counterexample values that already pin the triple list down
@@ -52,17 +52,6 @@ def filter_universal_triples(
     return out
 
 
-# Quadruple filter: scan n <= _SCAN_PREFIX with represent, then sieve what
-# the scan keeps to n_limit.  Every quadruple with a <= 13 that has a
-# counterexample n <= 1000 has one at n <= 17 (1 820 of the 2 367 at n = 1),
-# and one sieve of [0, 1000] costs about as much as 6-10 represent calls
-# (0.12-0.18 ms against 19-22 us), so the scan refutes and the sieve only
-# confirms the survivors.  The a in [3, 13] filter takes 0.07-0.09 s with
-# any prefix from 8 to 64 and 0.41 s with none (Python 3.11, 2-core x86-64
-# VM); 32 leaves room past 17 for other ranges.
-_SCAN_PREFIX = 32
-
-
 def filter_universal_quadruples(
     a_range: tuple[int, int] = (3, 13),
     n_limit: int = 1000,
@@ -70,22 +59,29 @@ def filter_universal_quadruples(
     """All (a, b, c, d), a in a_range and 0 <= b <= c <= d <= a, with no
     counterexample n <= n_limit.
 
-    A quadruple is refuted by the first n <= min(n_limit, _SCAN_PREFIX)
-    that ``represent`` proves unattainable; the rest are confirmed by one
-    exact sieve of [0, n_limit] each (``reverify_quadruples``)."""
+    Exact: x(ax+b) >= 0 for every integer x when 0 <= b <= a, so n is a
+    value exactly when it is a sum of three term values <= n.  The values
+    <= n_limit of x(ax+b) are (w^2 - b^2)/4a over w >= 0 with w = +-b
+    (mod 2a).  Each (b, c) pair's sums are folded once, and (a, b, c, d)
+    is kept when folding the values of d into them sets every bit of
+    [0, n_limit]."""
     if n_limit < 0:
         raise ValueError("n_limit must be >= 0")
-    a_lo, a_hi = a_range
-    prefix = range(min(n_limit, _SCAN_PREFIX) + 1)
-    candidates = []
-    for a in range(a_lo, a_hi + 1):
-        for b in range(0, a + 1):
+    if a_range[0] < 1:
+        raise ValueError(f"a_range must start at a >= 1, got {a_range}")
+    width = n_limit + 1
+    full = (1 << width) - 1
+    out = []
+    for a in range(a_range[0], a_range[1] + 1):
+        values = [
+            [(v - b * b) // (4 * a) for v in _square_slot(1, 4 * a * n_limit + b * b, CongruenceClass(2 * a, b))]
+            for b in range(a + 1)
+        ]
+        for b in range(a + 1):
             for c in range(b, a + 1):
-                for d in range(c, a + 1):
-                    poly = quadruple_poly((a, b, c, d))
-                    if all(represent(poly, n) is not None for n in prefix):
-                        candidates.append((a, b, c, d))
-    return reverify_quadruples(candidates, n_limit)
+                pair = _or_shifts(_bits(values[b], width), values[c], width)
+                out.extend((a, b, c, d) for d in range(c, a + 1) if _or_shifts(pair, values[d], width) == full)
+    return out
 
 
 def reverify_quadruples(
@@ -95,8 +91,8 @@ def reverify_quadruples(
 ) -> list[tuple[int, int, int, int]]:
     """The subset of quads, in order, with no counterexample n <= n_limit:
     one exact sieve (``exceptional_set``) of [0, n_limit] per quadruple.
-    It confirms the survivors of the filter's scan, and re-checks filter
-    survivors at larger bounds."""
+    It re-checks filter survivors at larger bounds, and is an engine
+    independent of the filter's sumset."""
     return [q for q in quads if exceptional_set(quadruple_poly(q), n_limit, workers=workers).is_empty()]
 
 
@@ -121,16 +117,13 @@ class EvenSquareScanReport:
 
     limit: int
     exceptions: dict[int, tuple[int, ...]]
-    elapsed_ms: int
 
 
 def scan_5x2_5y2_4z2(limit: int, workers: int = 1) -> EvenSquareScanReport:
     """Scan 20n+r against 5x^2+5y^2+4z^2 for r in {6, 14}, n <= limit: one
     sieve of the form on each progression 20n+r, limit + 1 bits wide."""
-    t0 = time.perf_counter()
     exceptions = {
         r: tuple(attainable(DiagonalForm((5, 5, 4)), limit, workers=workers, progression=(20, r)).missing())
         for r in (6, 14)
     }
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return EvenSquareScanReport(limit, exceptions, elapsed_ms)
+    return EvenSquareScanReport(limit, exceptions)

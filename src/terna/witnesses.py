@@ -19,7 +19,6 @@ falsify the clause, so it must never trigger.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .core import (
@@ -401,7 +400,6 @@ class BridgeReport:
     mismatches: tuple[tuple[int, bool, bool], ...]
     poly_exceptions: tuple[int, ...]
     diagonal_failures: tuple[int, ...]
-    elapsed_ms: int
 
     def agrees(self) -> bool:
         return not self.mismatches
@@ -412,7 +410,6 @@ def diagonal_bridge(limit: int, workers: int = 1) -> BridgeReport:
     The right side sieves 21x^2+14y^2+6z^2 on the progression 168n+41
     alone, with x, y, z unconstrained: the classes that reduce() would
     derive are not used, so the two sides stay independent."""
-    t0 = time.perf_counter()
     poly = triple_poly((2, 3, 7))
     lhs_missing = frozenset(exceptional_set(poly, limit, workers=workers).exceptions)
     rhs_failures = tuple(attainable(DiagonalForm((21, 14, 6)), limit, workers=workers, progression=(168, 41)).missing())
@@ -421,5 +418,4 @@ def diagonal_bridge(limit: int, workers: int = 1) -> BridgeReport:
         (n, n not in lhs_missing, n not in rhs_missing)
         for n in sorted(lhs_missing ^ rhs_missing)
     )
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return BridgeReport(limit, mismatches, tuple(sorted(lhs_missing)), rhs_failures, elapsed_ms)
+    return BridgeReport(limit, mismatches, tuple(sorted(lhs_missing)), rhs_failures)

@@ -175,8 +175,11 @@ def test_cli_survey_quadruple_bounds_need_lo_hi(capsys, theorem, bounds):
         (("--theorem", "1.1", "--bounds", "3,50,7"), "--theorem 1.1 needs --bounds c_max"),
         (("--theorem", "1.3", "--bounds", "9,3"), "--theorem 1.3 needs lo <= hi in --bounds lo,hi"),
         (("--theorem", "remark1.3", "--bounds", "2,1"), "--theorem remark1.3 needs lo <= hi in --bounds lo,hi"),
+        (("--theorem", "1.1", "--bounds", "0"), "--theorem 1.1 needs c_max >= 1 in --bounds c_max"),
+        (("--theorem", "1.3", "--bounds=-3,-1"), "--theorem 1.3 needs lo >= 1 in --bounds lo,hi"),
+        (("--theorem", "remark1.3", "--bounds", "0,2"), "--theorem remark1.3 needs lo >= 1 in --bounds lo,hi"),
     ],
-    ids=["1.1-three-values", "1.3-lo-above-hi", "remark1.3-lo-above-hi"],
+    ids=["1.1-three-values", "1.3-lo-above-hi", "remark1.3-lo-above-hi", "1.1-c_max-0", "1.3-negative", "remark1.3-lo-0"],
 )
 def test_cli_survey_rejects_bounds_it_would_cut(capsys, argv, message):
     code, out, err = run(capsys, "survey", *argv)
@@ -235,3 +238,6 @@ def test_cli_usage_errors(capsys):
     assert run(capsys, "represent", "x^2+y^2+z^2", "--n", "3", "--threads", "2")[0] == 2
     assert run(capsys, "lemma", "--id", "2.1", "5", "5", "--no-timing")[0] == 2
     assert run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30", "--json", "--csv")[0] == 2
+    # an empty field in a comma list is an error, not a skipped value
+    assert run(capsys, "witness", "--triple", "1,,2,3", "--n", "9")[0] == 2
+    assert run(capsys, "survey", "--theorem", "1.3", "--bounds", "3,,5")[0] == 2

@@ -196,14 +196,17 @@ def test_sieve_report_fields():
 
 
 def test_worker_default_env_fallback(monkeypatch):
-    from terna.search import default_workers
+    from terna.search import env_workers
 
     monkeypatch.setenv("TERNA_THREADS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("TERNA_THREADS", "junk")
-    assert default_workers() >= 1
+    assert env_workers() == 3
+    monkeypatch.setenv("TERNA_THREADS", "")
+    assert env_workers() is None
     monkeypatch.delenv("TERNA_THREADS")
-    assert default_workers() >= 1
+    assert env_workers() is None
+    monkeypatch.setenv("TERNA_THREADS", "junk")
+    with pytest.raises(ValueError, match="TERNA_THREADS"):
+        env_workers()
 
 
 def test_exact_arithmetic_beyond_word_sizes():
