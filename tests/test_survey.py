@@ -96,9 +96,13 @@ def test_quadruple_filter_matches_represent_every_n(a_range, n_limit):
     assert filter_universal_quadruples(a_range, n_limit) == _represent_every_n(a_range, n_limit)
 
 
-@pytest.mark.parametrize("a_range, n_limit", [((3, 6), 200), ((1, 2), 1000)])
+@pytest.mark.parametrize(
+    "a_range, n_limit",
+    [((3, 6), 200), ((1, 2), 1000), ((3, 13), 1000), ((1, 13), 60), ((7, 7), 0)],
+)
 def test_quadruple_filter_matches_one_sieve_per_quadruple(a_range, n_limit):
-    # the sumset filter against the independent sieve engine
+    # the sumset filter against the independent sieve engine, on the
+    # paper's range too: every one of its quadruples, not only survivors
     assert filter_universal_quadruples(a_range, n_limit) == reverify_quadruples(_quadruples(a_range), n_limit)
 
 
