@@ -6,7 +6,9 @@ inputs it must agree with brute force: ``represent_all`` with the box of
 ``oracles.naive_all_witnesses``, the constrained scan with a plain triple
 loop in ``class_members`` order, and each lemma searcher that is now an
 engine call with the first decomposition, in its documented order, among
-the ones ``oracles.two_square_reps``/``three_square_reps`` list.
+the ones ``oracles.two_square_reps``/``three_square_reps`` list.  The
+residue test that lets the scan skip w3 rows is checked the same way, on
+cases where it skips some, and its tables against one period of each class.
 """
 
 import random
@@ -78,12 +80,15 @@ def box_hits(cf: ConstrainedForm, m: int) -> list[tuple[int, int, int]]:
     def members(k, c):
         return list(search.class_members(k.modulus, k.residue, isqrt(m // c)))
 
+    # the w1 of each value c1*w1^2, in class_members order
+    by_value: dict[int, list[int]] = {}
+    for w1 in members(k1, c1):
+        by_value.setdefault(c1 * w1 * w1, []).append(w1)
     return [
         (w1, w2, w3)
         for w3 in members(k3, c3)
         for w2 in members(k2, c2)
-        for w1 in members(k1, c1)
-        if c1 * w1 * w1 + c2 * w2 * w2 + c3 * w3 * w3 == m
+        for w1 in by_value.get(m - c2 * w2 * w2 - c3 * w3 * w3, ())
     ]
 
 
@@ -97,11 +102,84 @@ def random_constrained(seed: int, count: int) -> list[tuple[ConstrainedForm, int
     return cases
 
 
-@pytest.mark.parametrize("cf, m", random_constrained(20261019, 150))
+def period(c: int, k: CongruenceClass) -> set[int]:
+    # c*w^2 mod Q over one period of the class
+    Q = search._Q
+    return {c * w * w % Q for w in range(k.residue, k.residue + k.modulus * Q, k.modulus)}
+
+
+def brute_residues(coeffs, classes) -> set[int]:
+    # every (c1*w1^2 + c2*w2^2) mod Q, each wi in its class
+    return {(a + b) % search._Q for a in period(coeffs[0], classes[0]) for b in period(coeffs[1], classes[1])}
+
+
+def residue_cases(seed: int, count: int) -> list[tuple[ConstrainedForm, int]]:
+    # class moduli sharing factors with the residue test's modulus, a w3
+    # walk of several steps and residues some w3 rows cannot reach, so the
+    # scan skips rows; half of the m are values of the form
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        coeffs = tuple(rng.randint(1, 12) for _ in range(3))
+        classes = tuple(CongruenceClass(k, rng.randrange(k)) for k in (rng.choice((2, 3, 4, 6, 8, 12, 16, 24)) for _ in range(3)))
+        ws = [k.residue + k.modulus * rng.randint(-4, 3) for k in classes]
+        m = rng.randint(0, 3000) if rng.random() < 0.5 else sum(c * w * w for c, w in zip(coeffs, ws))
+        k3 = classes[2]
+        if m > 3000 or isqrt(m // coeffs[2]) < 2 * k3.modulus:
+            continue
+        reached = brute_residues(coeffs, classes)
+        rows = [w for w in range(isqrt(m // coeffs[2]) + 1) if k3.residue in (w % k3.modulus, -w % k3.modulus)]
+        if any((m - coeffs[2] * w3 * w3) % search._Q not in reached for w3 in rows):
+            cases.append((ConstrainedForm(DiagonalForm(coeffs), classes), m))
+    return cases
+
+
+RESIDUE_CASES = residue_cases(20261021, 60)
+
+
+@pytest.mark.parametrize("cf, m", random_constrained(20261019, 150) + RESIDUE_CASES)
 def test_constrained_scan_matches_box_order(cf, m):
     expected = box_hits(cf, m)
     assert represent_constrained(cf, m) == (expected[0] if expected else None)
     assert list(search._scan_all(cf, m)) == expected
+
+
+def test_residue_tables_match_brute_force():
+    Q = search._Q
+    full = (1 << Q) - 1
+    periods = {}
+    for c in range(1, 31):
+        for modulus in range(1, 25):
+            for r in range(modulus):
+                k = CongruenceClass(modulus, r)
+                key = search._slot_key(c, k)
+                assert search._slot_residues(*key) == period(c, k)
+                periods[key] = period(c, k)
+    keys = sorted(periods)
+    rng = random.Random(20261022)
+    for k1, k2 in [(k, k) for k in keys] + [(rng.choice(keys), rng.choice(keys)) for _ in range(3000)]:
+        sums = {(a + b) % Q for a in periods[k1] for b in periods[k2]}
+        assert (search._row_test(k1, k2) or full) == sum(1 << v for v in sums)
+
+
+@pytest.mark.parametrize("cf, m", RESIDUE_CASES[:20])
+def test_residue_cases_take_the_residue_test(monkeypatch, cf, m):
+    tables = []
+    real = search._row_test
+    monkeypatch.setattr(search, "_row_test", lambda *slots: tables.append(real(*slots)) or tables[-1])
+    list(search._scan_all(cf, m))
+    assert tables and all(tables)
+    c3, k3 = cf.form.coeffs[2], cf.classes[2]
+    rows = search.class_members(k3.modulus, k3.residue, isqrt(m // c3))
+    assert any(not tables[0] >> (m - c3 * w3 * w3) % search._Q & 1 for w3 in rows)
+
+
+def test_residue_table_missing_a_residue_breaks_a_case(monkeypatch):
+    cf, m, hits = next((cf, m, box_hits(cf, m)) for cf, m in RESIDUE_CASES if box_hits(cf, m))
+    gone = (m - cf.form.coeffs[2] * hits[0][2] ** 2) % search._Q
+    real = search._row_test
+    monkeypatch.setattr(search, "_row_test", lambda *slots: real(*slots) & ~(1 << gone))
+    assert any(list(search._scan_all(cf, m)) != box_hits(cf, m) for cf, m in RESIDUE_CASES)
 
 
 def test_count_representations_matches_box():

@@ -102,6 +102,24 @@ def test_set_bits():
         assert search._set_bits(x) == [k for k in range(width) if x >> k & 1]
 
 
+P = search._PIECE
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, P - 1, P, P + 1, 3 * P + 5])
+def test_or_shifts_matches_naive_or(width):
+    # a bitset of one piece is shifted whole, a wider one piece by piece;
+    # both must be the OR of base << s over the shifts s < width
+    rng = random.Random(width)
+    base = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width) if width else 0
+    ones = [k for k, bit in enumerate(reversed(bin(base)[2:])) if bit == "1"]
+    spread = rng.sample(range(2 * width + 2), min(6, 2 * width + 2))
+    for shifts in ([], [0], [width, width + 1, 3 * width + 8], [0, 1, width - 1, width, P, P + 3], spread):
+        raw = bytearray((width + 7) // 8)
+        for k in (p + s for p in ones for s in shifts if 0 <= s and p + s < width):
+            raw[k >> 3] |= 1 << (k & 7)
+        assert search._or_shifts(base, [s for s in shifts if s >= 0], width) == int.from_bytes(raw, "little")
+
+
 # --- progression sieve ------------------------------------------------------
 #
 # value_mask/attainable with progression (M, C): bit n stands for M*n + C.

@@ -1,10 +1,14 @@
 import hashlib
+import random
 
 import pytest
 
 import oracles
 from terna import (
+    CongruenceClass,
+    ConstrainedForm,
     ConstructionError,
+    DiagonalForm,
     Witness,
     all_recipes,
     diagonal_bridge,
@@ -24,7 +28,7 @@ from terna import (
     triple_witness,
     verify,
 )
-from terna import lemmas
+from terna import lemmas, search
 from terna.witnesses import _BUILDERS, PROVEN_QUADRUPLES, PROVEN_TRIPLES
 
 
@@ -142,6 +146,27 @@ def test_pinned_witnesses():
     ]
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "54b2c11a258decb58d3450464494c25843bcc46a212a41df066466c3acd7bd79"
+
+
+def test_pinned_scan_order():
+    # every hit of _scan_all, in order, for 300 seeded constrained forms
+    # (coefficients <= 30, class moduli <= 24, m <= 20 000; half of the m
+    # values of the form), as the scan gave them before its residue test
+    rng = random.Random(20261020)
+    rows = []
+    while len(rows) < 300:
+        coeffs = tuple(rng.randint(1, 30) for _ in range(3))
+        classes = tuple(CongruenceClass(k, rng.randrange(k)) for k in (rng.randint(1, 24) for _ in range(3)))
+        if rng.random() < 0.5:
+            m = rng.randint(0, 20000)
+        else:
+            m = sum(c * (k.residue + k.modulus * rng.randint(-3, 3)) ** 2 for c, k in zip(coeffs, classes))
+            if m > 20000:
+                continue
+        cf = ConstrainedForm(DiagonalForm(coeffs), classes)
+        rows.append((cf, m, list(search._scan_all(cf, m))))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "bada73a4a583ba675734b57a834e2f8e20e46e1a25be6a6425693f9bde5155c9"
 
 
 def test_broken_builder_names_clause_n_step_and_pre(monkeypatch):
