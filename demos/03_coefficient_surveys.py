@@ -1,12 +1,13 @@
 """Coefficient-space surveys: which coefficient tuples give universal sums.
 
 A handful of small unattainable values prunes the infinite coefficient
-space down to finitely many candidates.  Since a failed represent() scan
-is exhaustive, every exclusion here is a proof, and every survivor is a
-candidate whose universality needs (and, for twelve of them, has) a
-separate argument.  The quadruple filter is one exact sumset of term
-value masks over [0, 1000]; reverify_quadruples re-checks its survivors
-to 100000 with one sieve each, an independent engine.
+space down to finitely many candidates.  Both filters are exact sumsets
+of term values (every term value is >= 0, so n is a value exactly when
+it is a sum of three term values <= n), so every exclusion here is a
+proof, and every survivor is a candidate whose universality needs (and,
+for twelve of them, has) a separate argument.  represent() confirms each
+triple survivor with a witness; reverify_quadruples re-checks the
+quadruple survivors to 100000 with one sieve each, an independent engine.
 """
 
 from terna import filter_universal_quadruples, filter_universal_triples, represent, triple_poly
@@ -18,6 +19,8 @@ for t in survivors:
     print(f"  {t}")
 print(f"{len(survivors)} survivors with c up to 50")
 print(f"(2,3,6) is out because represent(..., 48) = {represent(triple_poly((2, 3, 6)), 48)}")
+same = filter_universal_triples(c_max=200) == survivors
+print(f"c up to 200 (evidence past the paper's range, not proof): the same {len(survivors)} survivors: {same}")
 
 print()
 print("== quadruples (a, b, c, d): x(ax+b)+y(ay+c)+z(az+d), a in [3, 13] ==")

@@ -194,6 +194,7 @@ def _cmd_witness(args) -> int:
 def _cmd_survey(args) -> int:
     if args.theorem == "1.1":
         _expect(args.bounds is None or len(args.bounds) == 1, "--theorem 1.1 needs --bounds c_max")
+        _expect(args.n_limit is None, "--theorem 1.1 takes no --n-limit; its test values are fixed")
         c_max = args.bounds[0] if args.bounds else 50
         _expect(c_max >= 1, "--theorem 1.1 needs c_max >= 1 in --bounds c_max")
         rows = filter_universal_triples(c_max=c_max, test_values=DEFAULT_TEST_VALUES)
@@ -207,8 +208,9 @@ def _cmd_survey(args) -> int:
     _expect(args.bounds is None or args.bounds[0] <= args.bounds[1], f"--theorem {args.theorem} needs lo <= hi in --bounds lo,hi")
     _expect(args.bounds is None or args.bounds[0] >= 1, f"--theorem {args.theorem} needs lo >= 1 in --bounds lo,hi")
     a_range = tuple(args.bounds) if args.bounds else ((3, 13) if args.theorem == "1.3" else (1, 2))
-    rows = filter_universal_quadruples(a_range=a_range, n_limit=args.n_limit)
-    print(f"surviving quadruples for a in {a_range}, n <= {args.n_limit}:")
+    n_limit = 1000 if args.n_limit is None else args.n_limit
+    rows = filter_universal_quadruples(a_range=a_range, n_limit=n_limit)
+    print(f"surviving quadruples for a in {a_range}, n <= {n_limit}:")
     for q in rows:
         print("  ({},{},{},{})".format(*q))
     print(f"total: {len(rows)}")
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="coefficient-space searches")
     p.add_argument("--theorem", choices=("1.1", "1.3", "remark1.3"), required=True)
     p.add_argument("--bounds", type=_int_list, default=None, metavar="c_max|lo,hi")
-    p.add_argument("--n-limit", type=int, default=1000)
+    p.add_argument("--n-limit", type=int, default=None, help="quadruple surveys only (default 1000)")
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("conjecture", help="scan the six conjectured triples")

@@ -1,21 +1,17 @@
 """Finite coefficient searches and range scans.
 
 ``filter_universal_triples`` reproduces the candidate list for
-x(ax+1)+y(by+1)+z(cz+1): it keeps every 1 <= a <= b <= c <= c_max whose
-polynomial represents each value in a small counterexample test set.
-Membership tests go through ``represent`` and its complete search bound,
-so a failure at some n is definitive, not heuristic.  The coefficient
-space is unbounded in c; c_max defaults to 50, far past where the test
-values already cut the survivors down, so stability of the list is part
-of what the scan demonstrates.
+x(ax+1)+y(by+1)+z(cz+1): every 1 <= a <= b <= c <= c_max (default 50,
+far past where the list stops changing) whose polynomial represents each
+value of a small counterexample test set.  ``filter_universal_quadruples``
+does the analogue for x(ax+b)+y(ay+c)+z(az+d), 0 <= b <= c <= d <= a,
+keeping quadruples with no counterexample n <= n_limit.
 
-``filter_universal_quadruples`` does the analogue for x(ax+b)+y(ay+c)+
-z(az+d) with 0 <= b <= c <= d <= a, keeping quadruples with no
-counterexample n <= n_limit.  It is one exact sumset: every term value is
->= 0, so n is a value exactly when it is a sum of three term values <= n,
-and each a's term value masks are built once and shared by its
-quadruples.  ``reverify_quadruples`` answers the same question by one
-sieve per quadruple, an independent second engine.
+Both filters are one exact sumset, so every exclusion is a proof: term
+values are >= 0, so n is a value exactly when it is a sum of three term
+values <= n.  ``represent`` confirms each triple survivor with a witness;
+``reverify_quadruples`` re-checks quadruples by one sieve each, an
+independent second engine.
 
 ``verify_conjectured_triples`` and ``scan_5x2_5y2_4z2`` are pure range
 scans with no filtering: they report exceptional sets that are expected
@@ -34,22 +30,31 @@ from .witnesses import CONJECTURED_TRIPLES, quadruple_poly, triple_poly
 DEFAULT_TEST_VALUES = (1, 2, 4, 5, 9, 48)
 
 
+def _term_values(a: int, b: int, top: int) -> list[int]:
+    # values <= top of x(ax+b), all >= 0 for 0 <= b <= a: (w^2 - b^2)/4a, w >= 0, w = +-b (mod 2a)
+    return [(v - b * b) // (4 * a) for v in _square_slot(1, 4 * a * top + b * b, CongruenceClass(2 * a, b))]
+
+
 def filter_universal_triples(
     c_max: int = 50,
     test_values: tuple[int, ...] = DEFAULT_TEST_VALUES,
 ) -> list[tuple[int, int, int]]:
-    """All 1 <= a <= b <= c <= c_max representing every test value."""
-    tests = sorted(test_values)
-    out = []
+    """All 1 <= a <= b <= c <= c_max representing every test value: (a, b, c)
+    survives when folding the values of c into the (a, b) pair's sums sets
+    every test value's bit, and ``represent`` then finds a witness for each."""
+    if any(n < 0 for n in test_values):  # no triple has a negative value
+        return []
+    width = max(test_values, default=0) + 1
+    need = _bits(test_values, width)
+    values = [[]] + [_term_values(a, 1, width - 1) for a in range(1, c_max + 1)]
+    kept = []
     for a in range(1, c_max + 1):
         for b in range(a, c_max + 1):
-            for c in range(b, c_max + 1):
-                poly = triple_poly((a, b, c))
-                if all(represent(poly, n) is not None for n in tests):
-                    out.append((a, b, c))
-    # with 1 representable, a nonzero term must contribute a - 1 <= 1
-    assert all(t[0] <= 2 for t in out), "a survivor has a > 2"
-    return out
+            pair = _or_shifts(_bits(values[a], width), values[b], width)
+            missing = need & ~pair  # nonzero x(cx+1) >= c - 1, so only c <= n + 1 fill the lowest missing test value n
+            c_top = min(c_max, (missing & -missing).bit_length() or c_max)
+            kept.extend((a, b, c) for c in range(b, c_top + 1) if _or_shifts(pair, values[c], width) & need == need)
+    return [t for t in kept if all(represent(triple_poly(t), n) is not None for n in test_values)]
 
 
 def filter_universal_quadruples(
@@ -59,12 +64,8 @@ def filter_universal_quadruples(
     """All (a, b, c, d), a in a_range and 0 <= b <= c <= d <= a, with no
     counterexample n <= n_limit.
 
-    Exact: x(ax+b) >= 0 for every integer x when 0 <= b <= a, so n is a
-    value exactly when it is a sum of three term values <= n.  The values
-    <= n_limit of x(ax+b) are (w^2 - b^2)/4a over w >= 0 with w = +-b
-    (mod 2a).  Each (b, c) pair's sums are folded once, and (a, b, c, d)
-    is kept when folding the values of d into them sets every bit of
-    [0, n_limit]."""
+    Each (b, c) pair's sums are folded once, and (a, b, c, d) is kept when
+    folding the values of d into them sets every bit of [0, n_limit]."""
     if n_limit < 0:
         raise ValueError("n_limit must be >= 0")
     if a_range[0] < 1:
@@ -73,10 +74,7 @@ def filter_universal_quadruples(
     full = (1 << width) - 1
     out = []
     for a in range(a_range[0], a_range[1] + 1):
-        values = [
-            [(v - b * b) // (4 * a) for v in _square_slot(1, 4 * a * n_limit + b * b, CongruenceClass(2 * a, b))]
-            for b in range(a + 1)
-        ]
+        values = [_term_values(a, b, n_limit) for b in range(a + 1)]
         for b in range(a + 1):
             for c in range(b, a + 1):
                 pair = _or_shifts(_bits(values[b], width), values[c], width)

@@ -158,6 +158,10 @@ def test_cli_survey(capsys):
     code, out, _ = run(capsys, "survey", "--theorem", "1.1", "--bounds", "8")
     assert code == 0
     assert "(2,3,7)" in out
+    # --n-limit defaults to 1000 for the quadruple surveys
+    code, out, _ = run(capsys, "survey", "--theorem", "remark1.3")
+    assert code == 0
+    assert "n <= 1000:" in out and "total: 7" in out
 
 
 @pytest.mark.parametrize("theorem", ["1.3", "remark1.3"])
@@ -178,8 +182,10 @@ def test_cli_survey_quadruple_bounds_need_lo_hi(capsys, theorem, bounds):
         (("--theorem", "1.1", "--bounds", "0"), "--theorem 1.1 needs c_max >= 1 in --bounds c_max"),
         (("--theorem", "1.3", "--bounds=-3,-1"), "--theorem 1.3 needs lo >= 1 in --bounds lo,hi"),
         (("--theorem", "remark1.3", "--bounds", "0,2"), "--theorem remark1.3 needs lo >= 1 in --bounds lo,hi"),
+        (("--theorem", "1.1", "--n-limit", "100"), "--theorem 1.1 takes no --n-limit; its test values are fixed"),
     ],
-    ids=["1.1-three-values", "1.3-lo-above-hi", "remark1.3-lo-above-hi", "1.1-c_max-0", "1.3-negative", "remark1.3-lo-0"],
+    ids=["1.1-three-values", "1.3-lo-above-hi", "remark1.3-lo-above-hi", "1.1-c_max-0", "1.3-negative", "remark1.3-lo-0",
+         "1.1-n-limit"],
 )
 def test_cli_survey_rejects_bounds_it_would_cut(capsys, argv, message):
     code, out, err = run(capsys, "survey", *argv)

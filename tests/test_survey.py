@@ -1,3 +1,6 @@
+import random
+from functools import lru_cache
+
 import pytest
 
 import oracles
@@ -10,7 +13,8 @@ from terna import (
     triple_poly,
     verify_conjectured_triples,
 )
-from terna.survey import reverify_quadruples
+from terna import survey
+from terna.survey import DEFAULT_TEST_VALUES, reverify_quadruples
 
 SEVENTEEN = [
     (1, 1, 2), (1, 2, 2), (1, 2, 3), (1, 2, 4), (1, 2, 5),
@@ -45,6 +49,50 @@ def test_filter_monotone_in_test_set():
     base = set(filter_universal_triples(6, test_values=(1, 2)))
     more = set(filter_universal_triples(6, test_values=(1, 2, 4, 5)))
     assert more <= base
+
+
+_rng = random.Random(13)
+TRIPLE_TEST_SETS = [(), (0,), (1,), (2,), (1, 2), (48,), (-1, 1), (3, 7, 100), DEFAULT_TEST_VALUES] + [
+    tuple(_rng.sample(range(201), k)) for k in (1, 2, 4, 6)
+]
+TRIPLE_C_MAXES = [0, 1, 2, 6, 12]
+
+
+@lru_cache(maxsize=None)
+def _represent_every_test_value(c_max, tests):
+    # the filter's definition: one represent query per triple per test value
+    return [
+        (a, b, c)
+        for a in range(1, c_max + 1)
+        for b in range(a, c_max + 1)
+        for c in range(b, c_max + 1)
+        if all(represent(triple_poly((a, b, c)), n) is not None for n in tests)
+    ]
+
+
+@pytest.mark.parametrize("tests", TRIPLE_TEST_SETS)
+@pytest.mark.parametrize("c_max", TRIPLE_C_MAXES)
+def test_triple_filter_matches_represent_every_test_value(c_max, tests):
+    assert filter_universal_triples(c_max, tests) == _represent_every_test_value(c_max, tests)
+
+
+def test_triple_filter_comparison_catches_a_dropped_term_value(monkeypatch):
+    # mutation check: without x(2x+1) = 1 at x = -1 the sumset misses
+    # triples that the restated definition keeps, and some case shows it
+    term_values = survey._term_values
+    monkeypatch.setattr(survey, "_term_values", lambda a, b, top: [v for v in term_values(a, b, top) if (a, v) != (2, 1)])
+    assert any(
+        filter_universal_triples(c_max, tests) != _represent_every_test_value(c_max, tests)
+        for c_max in TRIPLE_C_MAXES
+        for tests in TRIPLE_TEST_SETS
+    )
+
+
+@pytest.mark.parametrize("tests", [t for t in TRIPLE_TEST_SETS if 1 in t])
+def test_triple_survivors_have_a_at_most_2_when_1_is_tested(tests):
+    # 1 is a sum of term values >= 0 only if some x(kx+1) = 1, which needs
+    # k = 2 (x = -1); a is the smallest coefficient
+    assert all(t[0] <= 2 for t in filter_universal_triples(12, tests))
 
 
 def test_quadruple_filter_main_range():
