@@ -31,22 +31,33 @@ Two complementary engines:
   (4*L*M, 4*L*C + C'), and a DiagonalForm gets trivial classes.  Each
   variable's values c*w^2 over its class are enumerated with an early
   cutoff and bucketed by residue mod M, keeping the quotients.  Each
-  residue pair of the two shorter lists is folded word-parallel into a
-  quotient bitset B_s for the pair residue s, carry added, by OR-ing
-  shifted copies of 2^17-bit pieces; B_s goes with the longest list's
-  quotients v of residue C - s (mod M).  On (1, 0) there is one group
-  (B, v), for a PolySum too: its values less their minima are multiples
-  of 4L.  The v are then folded into their B smallest first, a batch at
-  a time, counting the still-missing bits after each batch.  Once few
-  are missing, folding stops: each missing bit k is tested against B's
-  bytes for the remaining v, up to the first k - v in B.  Forms whose
-  exceptional sets stay dense (Gauss, Dickson) finish the fold instead.
-  The exceptions are then read off the complemented bitset, with zero
-  bytes skipped at C speed.  Work is O(values enumerated) plus
-  O(shifts * N/wordsize), far below one search per n.  A dense finish
-  may split the remaining values into chunks for worker processes and
-  merge their masks by bitwise OR, which is associative and
-  commutative, so worker count never changes the result.
+  residue pair of the two shorter lists, short and middle, sums into a
+  quotient bitset B_s for the pair residue s, carry added, which goes
+  with the longest list's quotients v of residue C - s (mod M).  On
+  (1, 0) there is one group (B, v), for a PolySum too: its values less
+  their minima are multiples of 4L.  Every sumset is an OR of shifted
+  copies of 2^17-bit pieces of one operand, the one spanning fewer
+  pieces per shift.
+
+  The first width/64 bits are sieved exactly first.  When more than one
+  in _BITS_PER_CANDIDATE of their upper half is missing (Gauss, Dickson:
+  about one in six), the form is dense and B is folded whole.  A sparse
+  form builds B_K from its first K short values only, K = isqrt(width)/4.
+  The v are folded into B_K (B on the dense path) smallest first, a
+  batch at a time, counting the still-missing bits after each batch; a
+  sparse form doubles K while too many are missing after 64 v.  Once
+  few are, folding stops: each missing bit k is tested against B_K's
+  bytes for the remaining v, up to the first k - v in B_K.  The bits
+  still unreached are tested against the short values past K, with B
+  cut to the largest of them, which makes the result exact: none is left
+  for the conjectured triples to 10^6 or (2,3,7) to 10^7, and 48 is the
+  one for x(2x+1)+y(3y+1)+z(6z+1).  A dense form that still misses many
+  bits finishes the fold instead, perhaps split into chunks for worker
+  processes whose masks merge by bitwise OR, which is associative and
+  commutative, so worker count never changes the result.  The exceptions
+  are then read off the bitset's clear bits, with zero bytes skipped at
+  C speed.  Work is O(values enumerated) plus
+  O(shifts * N/wordsize), far below one search per n.
 
 Enumeration cutoffs use math.isqrt throughout; no floating point.
 """
@@ -56,6 +67,7 @@ from __future__ import annotations
 import os
 import re
 import time
+from bisect import bisect_left
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
@@ -106,7 +118,7 @@ class ValueMask:
     def missing(self) -> list[int]:
         """The n in [0, limit] not in the set, ascending."""
         present = self.mask >> -self.offset if self.offset <= 0 else self.mask << self.offset
-        return _set_bits(~present & ((1 << (self.limit + 1)) - 1))
+        return _set_bits(present ^ ((1 << (self.limit + 1)) - 1))
 
 
 def class_members(modulus: int, residue: int, bound: int) -> Iterator[int]:
@@ -290,6 +302,18 @@ _BATCH = 16
 _PROBE_SHIFTS = 64
 _BITS_PER_CANDIDATE = 4096
 
+# Truncated pair fold (value_mask): a sparse form's pair level starts from
+# the first isqrt(width) // _START_SHARE short values, doubled while the
+# probe leaves too many bits missing.  At isqrt(width)/16, /8, /4, /2 and
+# /1, (2,3,7) to 10^7 took 543, 436, 428, 880 and 1 096 ms and the six
+# conjectured triples to 10^6 together 271, 254, 122, 207 and 285 ms
+# (medians of 7, interleaved; Python 3.11, 2-core x86-64 VM).  Below /4
+# the first K leaves too many bits missing and is doubled once.
+_START_SHARE = 4
+# A form is dense when the exact sieve of its first width // _PREFIX bits
+# misses too many bits of their upper half (_dense).
+_PREFIX = 64
+
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 
@@ -328,13 +352,15 @@ def _or_shifts(base: int, shifts: Iterable[int], width: int) -> int:
         return acc & (1 << width) - 1
     size = _PIECE // 8
     n = -(-width // _PIECE)
-    raw = memoryview(base.to_bytes(n * size, "little"))
-    pieces = [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(n)]
+    # a base narrower than width has fewer pieces to shift
+    nb = min(n, -(-base.bit_length() // _PIECE))
+    raw = memoryview(base.to_bytes(nb * size, "little"))
+    pieces = [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(nb)]
     del raw
     acc = [0] * n
     for s in shifts:
         q, r = divmod(s, _PIECE)
-        for i in range(n - q):
+        for i in range(min(n - q, nb)):
             acc[i + q] |= pieces[i] << r
     del pieces
     # each block takes the spill of the one below it, then the top is cut
@@ -390,11 +416,18 @@ def _buckets(values: list[int], modulus: int) -> dict[int, list[int]]:
     return out
 
 
-def _levels(form: Form, limit: int, max_bits: int, progression: tuple[int, int]) -> tuple[int, int, list[tuple[int, list[int]]]]:
+# (middle quotients, short shifts) of one residue pair, both ascending
+Part = tuple[list[int], list[int]]
+# (parts of B_s, longest-slot shifts)
+Group = tuple[list[Part], list[int]]
+
+
+def _levels(form: Form, limit: int, max_bits: int, progression: tuple[int, int]) -> tuple[int, int, list[Group]]:
     """(offset, width, groups) for progression = (M, C): M*(k + offset) + C
-    is a value of form iff bit k - s of base is set for some (base, shifts)
-    in groups and shift s: the B_s and longest-slot quotients of the module
-    docstring, over each slot's values less its minimum."""
+    is a value of form iff bit k - s of _pairs(parts, ...) is set for some
+    (parts, shifts) in groups and shift s: the parts of B_s and the
+    longest-slot quotients of the module docstring, over each slot's values
+    less its minimum."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if progression[0] < 1:
@@ -408,19 +441,52 @@ def _levels(form: Form, limit: int, max_bits: int, progression: tuple[int, int])
         raise ResourceLimitError(f"sieve needs {width} bits, cap is {max_bits}")
     (_, short), (_, middle), (_, longest) = slots
     middles = _buckets(middle, M)
-    pairs: dict[int, int] = {}
+    pairs: dict[int, list[Part]] = {}
     for a, shifts in _buckets(short, M).items():
         for b, quotients in middles.items():
             carry, s = divmod(a + b, M)
-            pairs[s] = pairs.get(s, 0) | _or_shifts(_bits(quotients, width), [q + carry for q in shifts], width)
+            pairs.setdefault(s, []).append((quotients, [q + carry for q in shifts]))
     thirds = _buckets(longest, M)
     groups = []
-    for s, base in sorted(pairs.items()):
+    for s, parts in sorted(pairs.items()):
         quotients = thirds.get((dr - s) % M)
         if quotients:
             carry = int(s > dr)
-            groups.append((base, [q + carry for q in quotients]))
+            groups.append((parts, [q + carry for q in quotients]))
     return -dq, width, groups
+
+
+def _pairs(parts: list[Part], width: int, lo: int = 0, hi: Optional[int] = None) -> int:
+    # B_s cut to width bits, from the short shifts in [lo, hi) alone
+    acc = 0
+    for middle, short in parts:
+        shifts = short[bisect_left(short, lo) : bisect_left(short, width if hi is None else min(hi, width))]
+        if not shifts:
+            continue
+        middle = middle[: bisect_left(middle, width)]
+        # each shift costs a pass over the base's pieces, so the operand
+        # that spans fewer pieces per shift is the base
+        if len(shifts) * -(-width // _PIECE) > len(middle) * (1 + (shifts[-1] - shifts[0]) // _PIECE):
+            first = shifts[0]
+            fold = _or_shifts(_bits([q - first for q in shifts], width), [m + first for m in middle], width)
+        else:
+            fold = _or_shifts(_bits(middle, width), shifts, width)
+        acc |= fold
+    return acc
+
+
+def _exact(groups: list[Group], width: int, workers: int = 1) -> int:
+    # every shift of every level folded, cut to width bits
+    return _fold([(_pairs(parts, width), longest) for parts, longest in groups], width, workers)
+
+
+def _dense(groups: list[Group], width: int) -> bool:
+    # True when the exact sieve of the first width/_PREFIX bits misses more
+    # than one bit in _BITS_PER_CANDIDATE of its upper half
+    w = width // _PREFIX
+    half = w - w // 2
+    missed = half - (_exact(groups, w) >> w // 2).bit_count()
+    return missed * _BITS_PER_CANDIDATE > half
 
 
 def value_mask(
@@ -430,20 +496,49 @@ def value_mask(
     iff bit n - offset of mask is set, n <= limit.  offset is the least n
     with M*n + C at least the form's smallest value; for the default
     (1, 0), that value itself: 0 for a diagonal form, the sum of the terms'
-    minima (possibly negative) for a PolySum.  Once few bits are missing,
-    the last fold level gives way to testing those few directly."""
+    minima (possibly negative) for a PolySum.  A sparse form folds only a
+    prefix of the pair level and tests the few bits it leaves missing."""
     offset, width, groups = _levels(form, limit, max_bits, progression)
-    acc = 0
-    for done in range(_BATCH, _PROBE_SHIFTS + 1, _BATCH):
-        for base, shifts in groups:
-            acc |= _or_shifts(base, shifts[done - _BATCH : done], width)
+    values = sorted({q for parts, _ in groups for _, short in parts for q in short})
+    k = len(values) if _dense(groups, width) else max(isqrt(width) // _START_SHARE, 1)
+    bases = [0] * len(groups)
+    acc = done = cut = 0
+    while True:
+        # B_K: the short shifts below cut, the first k values
+        lo, cut = cut, values[k] if k < len(values) else None
+        for i, (parts, longest) in enumerate(groups):
+            more = _pairs(parts, width, lo, cut)
+            if more:
+                if done:
+                    acc |= _or_shifts(more, longest[:done], width)
+                bases[i] |= more
+            del more
+        # one batch at least, then on while too many bits are missing
+        while done < _PROBE_SHIFTS and (not done or (width - acc.bit_count()) * _BITS_PER_CANDIDATE > width):
+            for base, (_, longest) in zip(bases, groups):
+                acc |= _or_shifts(base, longest[done : done + _BATCH], width)
+            done += _BATCH
         if (width - acc.bit_count()) * _BITS_PER_CANDIDATE <= width:
-            keep = (1 << width) - 1
-            unreached = _set_bits(keep ^ acc)
-            for base, shifts in groups:
-                unreached = _unreached(unreached, base, width, shifts[done:])
-            return keep ^ _bits(unreached, width), offset
-    return acc | _fold([(base, shifts[_PROBE_SHIFTS:]) for base, shifts in groups], width, workers), offset
+            unreached = _set_bits(acc ^ ((1 << width) - 1))
+            del acc
+            for base, (_, longest) in zip(bases, groups):
+                unreached = _unreached(unreached, base, width, longest[done:])
+            del bases
+            if unreached and cut is not None:
+                unreached = _complete(unreached, groups, cut)
+            return ((1 << width) - 1) ^ _bits(unreached, width), offset
+        if cut is None:
+            return acc | _fold([(base, longest[done:]) for base, (_, longest) in zip(bases, groups)], width, workers), offset
+        k *= 2
+
+
+def _complete(unreached: list[int], groups: list[Group], cut: int) -> list[int]:
+    # the bits B_K left unreached that the short shifts from cut on do not
+    # reach either; each is at most unreached[-1], so B is cut there
+    width = unreached[-1] + 1
+    for parts, longest in groups:
+        unreached = _unreached(unreached, _pairs(parts, width, cut), width, longest)
+    return unreached
 
 
 def _unreached(candidates: list[int], base: int, width: int, shifts: list[int]) -> list[int]:
@@ -466,7 +561,7 @@ def _unreached(candidates: list[int], base: int, width: int, shifts: list[int]) 
 def _dense_value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> tuple[int, int]:
     # reference engine for the tests: value_mask with every shift folded
     offset, width, groups = _levels(form, limit, DEFAULT_MAX_BITS, progression)
-    return _fold(groups, width, workers), offset
+    return _exact(groups, width, workers), offset
 
 
 def attainable(

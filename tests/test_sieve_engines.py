@@ -4,8 +4,9 @@ On seeded random small forms, the residual-candidate sieve
 (``value_mask``) must give the same attainable-value bitset as the dense
 fold it replaces (``_dense_value_mask``, kept as the reference), and
 ``exceptional_set`` the same exceptional set as the brute-force triple
-loop of ``oracles.naive_exceptions``, for any worker count and wherever
-the residual sieve switches to testing candidates.
+loop of ``oracles.naive_exceptions``, for any worker count, wherever
+the residual sieve switches to testing candidates and whichever path
+(residual, exact completion, dense) it takes.
 """
 
 import random
@@ -69,7 +70,8 @@ def test_dense_reference_independent_of_workers():
 
 def test_candidate_stage_keeps_48(monkeypatch):
     # at the module's switch point the sieve of (2,3,6) to 10^5 stops
-    # folding with 48 still a candidate, and 48 stays an exception
+    # folding with 48 among the first candidates; the exact completion
+    # tests 48 alone, and 48 stays the one exception
     seen = []
     unreached = search._unreached
 
@@ -80,7 +82,7 @@ def test_candidate_stage_keeps_48(monkeypatch):
     monkeypatch.setattr(search, "_unreached", spy)
     form = PolySum.of((2, 1), (3, 1), (6, 1))
     report = exceptional_set(form, 10**5)
-    assert len(seen) == 1 and 48 in seen[0]  # offset 0: bit n is value n
+    assert 48 in seen[0] and seen[-1] == [48]  # offset 0: bit n is value n
     assert value_mask(form, 10**5) == _dense_value_mask(form, 10**5)
     assert report.exceptions == (48,)
 
@@ -232,3 +234,133 @@ def test_sieve_rejects_negative_limit():
 def test_value_mask_repr_leaves_out_the_mask():
     # the mask of 10^5 bits has more decimal digits than str() allows
     assert repr(attainable(DiagonalForm((1, 1, 1)), 10**5)) == "ValueMask(offset=0, limit=100000)"
+
+
+# --- truncated pair fold ------------------------------------------------------
+#
+# value_mask takes one of three paths.  A sparse form folds the first K
+# short values into B_K and tests the bits left missing (residual); the
+# bits B_K leaves unreached are then tested against the short values past
+# K (completion).  A dense form folds B whole and finishes the fold.  Each
+# path is forced here and checked against the dense reference and the
+# brute-force oracles, at one and two workers.
+
+PATHS = {
+    # candidates tested after the first batch, from the module's K
+    "residual": {"_BITS_PER_CANDIDATE": 0},
+    # the same from K = 1: B_1 leaves bits that only later short values reach
+    "completion": {"_BITS_PER_CANDIDATE": 0, "_START_SHARE": 1 << 30},
+    "dense": {"_dense": lambda groups, width: True},
+}
+
+# sparse triples, so the module's own K takes the residual path
+PATH_POLYSUMS = CASES + [(((2, 1), (3, 1), (6, 1)), 3000), (((2, 1), (3, 1), (7, 1)), 3000)]
+
+# several fold groups, some of several parts (one per residue pair of
+# the short and middle slots)
+MULTI_GROUP = [
+    ((1, 1, 1), ((1, 0), (1, 0), (1, 0)), (20, 1), 150),
+    ((1, 1, 1), ((2, 1), (3, 0), (1, 0)), (7, 3), 400),
+    ((1, 1, 1), ((4, 1), (2, 1), (3, 1)), (5, 1), 600),
+    ((1, 2, 3), ((2, 1), (3, 0), (1, 0)), (5, 1), 600),
+]
+
+
+def force(monkeypatch, path):
+    for name, value in PATHS[path].items():
+        monkeypatch.setattr(search, name, value)
+
+
+def assert_engines_agree(form, limit, progression, expected):
+    mask = value_mask(form, limit, workers=1, progression=progression)
+    assert value_mask(form, limit, workers=2, progression=progression) == mask
+    assert _dense_value_mask(form, limit, progression=progression) == mask
+    for workers in (1, 2):
+        assert attainable(form, limit, workers=workers, progression=progression).missing() == expected
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("pairs,limit", PATH_POLYSUMS, ids=[f"{p}@{n}" for p, n in PATH_POLYSUMS])
+def test_paths_agree_polysum(monkeypatch, pairs, limit, path):
+    force(monkeypatch, path)
+    assert_engines_agree(PolySum.of(*pairs), limit, (1, 0), oracles.naive_exceptions(pairs, limit))
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize(
+    "coeffs,classes,progression,limit",
+    PROGRESSION_CASES[:12] + MULTI_GROUP,
+    ids=[f"{c}{k}{p}@{n}" for c, k, p, n in PROGRESSION_CASES[:12] + MULTI_GROUP],
+)
+def test_paths_agree_progression(monkeypatch, coeffs, classes, progression, limit, path):
+    force(monkeypatch, path)
+    modulus, constant = progression
+    reach = oracles.naive_class_values(coeffs, classes, modulus * limit + constant)
+    expected = [n for n in range(limit + 1) if not reach[modulus * n + constant]]
+    assert_engines_agree(constrained(coeffs, classes), limit, progression, expected)
+
+
+def test_multi_group_cases_have_groups_of_parts():
+    for coeffs, classes, progression, limit in MULTI_GROUP:
+        _, _, groups = search._levels(constrained(coeffs, classes), limit, search.DEFAULT_MAX_BITS, progression)
+        assert len(groups) > 1 and max(len(parts) for parts, _ in groups) > 1
+
+
+def paths_taken(monkeypatch, form, limit) -> set[str]:
+    # "dense" when the prefix sieve says so, "residual" when missing bits
+    # are tested, "completion" when B_K leaves some unreached
+    taken = set()
+    dense, complete, unreached = search._dense, search._complete, search._unreached
+
+    def spy_dense(groups, width):
+        if dense(groups, width):
+            taken.add("dense")
+            return True
+        return False
+
+    def spy_complete(*args):
+        taken.add("completion")
+        return complete(*args)
+
+    def spy_unreached(*args):
+        taken.add("residual")
+        return unreached(*args)
+
+    monkeypatch.setattr(search, "_dense", spy_dense)
+    monkeypatch.setattr(search, "_complete", spy_complete)
+    monkeypatch.setattr(search, "_unreached", spy_unreached)
+    value_mask(form, limit)
+    return taken
+
+
+SIX = ((2, 1), (3, 1), (6, 1))
+SEVEN = ((2, 1), (3, 1), (7, 1))
+GAUSS = ((1, 0), (1, 0), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "path,pairs,limit,taken",
+    [
+        # the module's own constants
+        (None, SEVEN, 10**4, {"residual"}),
+        (None, SIX, 10**4, {"residual", "completion"}),
+        (None, GAUSS, 3000, {"dense"}),
+        # forced
+        ("residual", GAUSS, 3000, {"residual", "completion"}),
+        ("completion", SEVEN, 3000, {"residual", "completion"}),
+        ("dense", SEVEN, 3000, {"dense", "residual"}),
+    ],
+)
+def test_each_path_is_taken(monkeypatch, path, pairs, limit, taken):
+    if path:
+        force(monkeypatch, path)
+    assert paths_taken(monkeypatch, PolySum.of(*pairs), limit) == taken
+
+
+def test_skipping_completion_is_caught(monkeypatch):
+    # mutation check: with the completion step skipped, the bits B_1 leaves
+    # unreached stay missing, and the masks differ from the reference
+    force(monkeypatch, "completion")
+    monkeypatch.setattr(search, "_complete", lambda unreached, groups, cut: unreached)
+    cases = [(PolySum.of(*pairs), limit) for pairs, limit in PATH_POLYSUMS]
+    assert any(value_mask(form, limit) != _dense_value_mask(form, limit) for form, limit in cases)
