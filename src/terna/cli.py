@@ -381,6 +381,8 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 0) is None:
             # only the sieving commands read it; an unparseable value is a usage error
             args.threads = env_workers() or os.cpu_count() or 1
+        threads = getattr(args, "threads", 1)
+        _expect(threads >= 1, f"--threads must be >= 1, got {threads}")
         return args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

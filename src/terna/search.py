@@ -39,25 +39,23 @@ Two complementary engines:
   copies of 2^17-bit pieces of one operand, the one spanning fewer
   pieces per shift.
 
-  The first width/64 bits are sieved exactly first.  When more than one
-  in _BITS_PER_CANDIDATE of their upper half is missing (Gauss, Dickson:
-  about one in six), the form is dense and B is folded whole.  A sparse
-  form builds B_K from its first K short values only, K = isqrt(width)/4.
-  The v are folded into B_K (B on the dense path) smallest first, a
-  batch at a time, counting the still-missing bits after each batch; a
-  sparse form doubles K while too many are missing after 64 v.  Once
-  few are, folding stops: each missing bit k is tested against B_K's
-  bytes for the remaining v, up to the first k - v in B_K.  The bits
-  still unreached are tested against the short values past K, with B
-  cut to the largest of them, which makes the result exact: none is left
-  for the conjectured triples to 10^6 or (2,3,7) to 10^7, and 48 is the
-  one for x(2x+1)+y(3y+1)+z(6z+1).  A dense form that still misses many
-  bits finishes the fold instead, perhaps split into chunks for worker
+  A form's pair level starts as B_K, built from its first K short
+  values only, K = isqrt(width)/4.  Each new slice of B_K is folded once
+  with the first 64 v into a probe, and the probe's missing bits decide
+  what follows.  When at most one bit in 4096 is missing, folding stops:
+  each missing bit k is tested against B_K's bytes for the remaining v,
+  up to the first k - v in B_K.  The bits still unreached are tested
+  against the short values past K, with B cut to the largest of them,
+  which makes the result exact: none is left for the conjectured triples
+  to 10^6 or (2,3,7) to 10^7, and 48 is the one for
+  x(2x+1)+y(3y+1)+z(6z+1).  When more are missing, K doubles.  A form
+  that still misses many bits once B_K is all of B (Gauss, Dickson: about
+  one in six) finishes the fold, perhaps split into chunks for worker
   processes whose masks merge by bitwise OR, which is associative and
   commutative, so worker count never changes the result.  The exceptions
-  are then read off the bitset's clear bits, with zero bytes skipped at
-  C speed.  Work is O(values enumerated) plus
-  O(shifts * N/wordsize), far below one search per n.
+  are then read off the bitset's clear bits, with zero bytes skipped at C
+  speed.  Work is O(values enumerated) plus O(shifts * N/wordsize), far
+  below one search per n.
 
 Enumeration cutoffs use math.isqrt throughout; no floating point.
 """
@@ -87,7 +85,9 @@ from .core import (
 
 Form = Union[PolySum, DiagonalForm, ConstrainedForm]
 
-# 2**31 sieve bits = 256 MiB; overridable per call.
+# The cap counts one bitset: 2**31 sieve bits = 256 MiB, overridable per
+# call.  A sieve's peak is several bitsets: the traced peak of (2,3,7) to
+# 10^7 is 4.62 of them (perfbench search.peak_over_bitset, Python 3.11).
 DEFAULT_MAX_BITS = 1 << 31
 
 _UNCONSTRAINED = CongruenceClass(1, 0)
@@ -290,29 +290,26 @@ def _constrained(form: Form, progression: tuple[int, int]) -> tuple[ConstrainedF
     raise TypeError(f"cannot sieve {type(form).__name__}")
 
 
-# Residual fold (value_mask): fold the longest slot's shifts in batches of
-# _BATCH, and stop once missing * _BITS_PER_CANDIDATE <= width.  Testing
-# one candidate against every remaining shift costs about as much as
-# folding one shift over 2 000-5 600 bits: 0.13-0.22 us per test step
-# against 7 us, 40 us and 0.38 ms per shift over 10^5, 10^6 and 10^7 bits
-# (Python 3.11, 2-core x86-64 VM).  Within _PROBE_SHIFTS shifts every
-# conjectured triple to 10^7 gets there, while the Gauss and Dickson forms
-# still miss about one value in six: those finish the fold densely.
-_BATCH = 16
+# Residual fold (value_mask): each slice of B_K is folded with the first
+# _PROBE_SHIFTS longest-slot shifts, and folding stops once missing *
+# _BITS_PER_CANDIDATE <= width.  Testing one candidate against every
+# remaining shift costs about as much as folding one shift over 2 000-5 600
+# bits: 0.13-0.22 us per test step against 7 us, 40 us and 0.38 ms per
+# shift over 10^5, 10^6 and 10^7 bits (Python 3.11, 2-core x86-64 VM).
+# Within _PROBE_SHIFTS shifts every conjectured triple to 10^7 gets there,
+# while the Gauss and Dickson forms still miss about one value in six:
+# those finish the fold densely.
 _PROBE_SHIFTS = 64
 _BITS_PER_CANDIDATE = 4096
 
-# Truncated pair fold (value_mask): a sparse form's pair level starts from
-# the first isqrt(width) // _START_SHARE short values, doubled while the
-# probe leaves too many bits missing.  At isqrt(width)/16, /8, /4, /2 and
-# /1, (2,3,7) to 10^7 took 543, 436, 428, 880 and 1 096 ms and the six
-# conjectured triples to 10^6 together 271, 254, 122, 207 and 285 ms
-# (medians of 7, interleaved; Python 3.11, 2-core x86-64 VM).  Below /4
-# the first K leaves too many bits missing and is doubled once.
+# Truncated pair fold (value_mask): the pair level starts from the first
+# isqrt(width) // _START_SHARE short values, doubled while the probe leaves
+# too many bits missing.  At isqrt(width)/16, /8, /4, /2 and /1, (2,3,7) to
+# 10^7 took 543, 436, 428, 880 and 1 096 ms and the six conjectured triples
+# to 10^6 together 271, 254, 122, 207 and 285 ms (medians of 7,
+# interleaved; Python 3.11, 2-core x86-64 VM).  Below /4 the first K leaves
+# too many bits missing and is doubled once.
 _START_SHARE = 4
-# A form is dense when the exact sieve of its first width // _PREFIX bits
-# misses too many bits of their upper half (_dense).
-_PREFIX = 64
 
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
@@ -475,20 +472,6 @@ def _pairs(parts: list[Part], width: int, lo: int = 0, hi: Optional[int] = None)
     return acc
 
 
-def _exact(groups: list[Group], width: int, workers: int = 1) -> int:
-    # every shift of every level folded, cut to width bits
-    return _fold([(_pairs(parts, width), longest) for parts, longest in groups], width, workers)
-
-
-def _dense(groups: list[Group], width: int) -> bool:
-    # True when the exact sieve of the first width/_PREFIX bits misses more
-    # than one bit in _BITS_PER_CANDIDATE of its upper half
-    w = width // _PREFIX
-    half = w - w // 2
-    missed = half - (_exact(groups, w) >> w // 2).bit_count()
-    return missed * _BITS_PER_CANDIDATE > half
-
-
 def value_mask(
     form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS, progression: tuple[int, int] = (1, 0)
 ) -> tuple[int, int]:
@@ -500,35 +483,30 @@ def value_mask(
     prefix of the pair level and tests the few bits it leaves missing."""
     offset, width, groups = _levels(form, limit, max_bits, progression)
     values = sorted({q for parts, _ in groups for _, short in parts for q in short})
-    k = len(values) if _dense(groups, width) else max(isqrt(width) // _START_SHARE, 1)
+    k = max(isqrt(width) // _START_SHARE, 1)
     bases = [0] * len(groups)
-    acc = done = cut = 0
+    acc = cut = 0
     while True:
-        # B_K: the short shifts below cut, the first k values
+        # B_K: the short shifts below cut, the first k values; the new
+        # slice goes through the probe once
         lo, cut = cut, values[k] if k < len(values) else None
         for i, (parts, longest) in enumerate(groups):
             more = _pairs(parts, width, lo, cut)
             if more:
-                if done:
-                    acc |= _or_shifts(more, longest[:done], width)
+                acc |= _or_shifts(more, longest[:_PROBE_SHIFTS], width)
                 bases[i] |= more
             del more
-        # one batch at least, then on while too many bits are missing
-        while done < _PROBE_SHIFTS and (not done or (width - acc.bit_count()) * _BITS_PER_CANDIDATE > width):
-            for base, (_, longest) in zip(bases, groups):
-                acc |= _or_shifts(base, longest[done : done + _BATCH], width)
-            done += _BATCH
         if (width - acc.bit_count()) * _BITS_PER_CANDIDATE <= width:
             unreached = _set_bits(acc ^ ((1 << width) - 1))
             del acc
             for base, (_, longest) in zip(bases, groups):
-                unreached = _unreached(unreached, base, width, longest[done:])
+                unreached = _unreached(unreached, base, width, longest[_PROBE_SHIFTS:])
             del bases
             if unreached and cut is not None:
                 unreached = _complete(unreached, groups, cut)
             return ((1 << width) - 1) ^ _bits(unreached, width), offset
         if cut is None:
-            return acc | _fold([(base, longest[done:]) for base, (_, longest) in zip(bases, groups)], width, workers), offset
+            return acc | _fold([(base, longest[_PROBE_SHIFTS:]) for base, (_, longest) in zip(bases, groups)], width, workers), offset
         k *= 2
 
 
@@ -561,7 +539,7 @@ def _unreached(candidates: list[int], base: int, width: int, shifts: list[int]) 
 def _dense_value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> tuple[int, int]:
     # reference engine for the tests: value_mask with every shift folded
     offset, width, groups = _levels(form, limit, DEFAULT_MAX_BITS, progression)
-    return _exact(groups, width, workers), offset
+    return _fold([(_pairs(parts, width), longest) for parts, longest in groups], width, workers), offset
 
 
 def attainable(

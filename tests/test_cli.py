@@ -110,6 +110,14 @@ def test_cli_threads_do_not_change_output(capsys):
     assert solo == duo
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_cli_rejects_threads_below_one(capsys, threads):
+    code, out, err = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30", "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --threads must be >= 1, got {threads}\n"
+
+
 def test_cli_rejects_unparseable_terna_threads(capsys, monkeypatch):
     monkeypatch.setenv("TERNA_THREADS", "junk")
     code, out, err = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30")

@@ -19,7 +19,7 @@ from terna import search
 from terna.search import _dense_value_mask, attainable, exceptional_set, value_mask
 
 # switch points: the module's own, one that tests candidates after the
-# first batch, and one that never leaves the fold while a value is missing
+# first probe, and one that never leaves the fold while a value is missing
 SWITCHES = {"default": search._BITS_PER_CANDIDATE, "candidates": 0, "fold": 1 << 62}
 
 
@@ -159,9 +159,9 @@ def constrained(coeffs, classes) -> ConstrainedForm:
     return ConstrainedForm(DiagonalForm(coeffs), tuple(CongruenceClass(m, r) for m, r in classes))
 
 
-# (batch, probe): the module's own, and one that leaves the probe after
-# four shifts of each group, so that the fold finishes through the pool
-PROBES = ((search._BATCH, search._PROBE_SHIFTS), (2, 4))
+# probe shifts: the module's own, and four shifts of each group, so that
+# the fold finishes through the pool
+PROBES = (search._PROBE_SHIFTS, 4)
 
 
 @pytest.mark.parametrize("probe", PROBES)
@@ -173,8 +173,7 @@ PROBES = ((search._BATCH, search._PROBE_SHIFTS), (2, 4))
 )
 def test_progression_sieve(monkeypatch, coeffs, classes, progression, limit, switch, probe):
     monkeypatch.setattr(search, "_BITS_PER_CANDIDATE", SWITCHES[switch])
-    monkeypatch.setattr(search, "_BATCH", probe[0])
-    monkeypatch.setattr(search, "_PROBE_SHIFTS", probe[1])
+    monkeypatch.setattr(search, "_PROBE_SHIFTS", probe)
     form = constrained(coeffs, classes)
     modulus, constant = progression
     top = modulus * limit + constant
@@ -241,16 +240,19 @@ def test_value_mask_repr_leaves_out_the_mask():
 # value_mask takes one of three paths.  A sparse form folds the first K
 # short values into B_K and tests the bits left missing (residual); the
 # bits B_K leaves unreached are then tested against the short values past
-# K (completion).  A dense form folds B whole and finishes the fold.  Each
-# path is forced here and checked against the dense reference and the
-# brute-force oracles, at one and two workers.
+# K (completion).  A form that leaves too many bits missing doubles K,
+# and once B_K is all of B finishes the fold (dense).  Each path is forced
+# here and checked against the dense reference and the brute-force
+# oracles, at one and two workers.
 
 PATHS = {
-    # candidates tested after the first batch, from the module's K
+    # candidates tested after the first probe, from the module's K
     "residual": {"_BITS_PER_CANDIDATE": 0},
     # the same from K = 1: B_1 leaves bits that only later short values reach
     "completion": {"_BITS_PER_CANDIDATE": 0, "_START_SHARE": 1 << 30},
-    "dense": {"_dense": lambda groups, width: True},
+    # a probe of no shifts leaves every bit missing: K doubles until B_K
+    # is all of B, and every shift goes to the fold
+    "dense": {"_PROBE_SHIFTS": 0},
 }
 
 # sparse triples, so the module's own K takes the residual path
@@ -307,16 +309,15 @@ def test_multi_group_cases_have_groups_of_parts():
 
 
 def paths_taken(monkeypatch, form, limit) -> set[str]:
-    # "dense" when the prefix sieve says so, "residual" when missing bits
-    # are tested, "completion" when B_K leaves some unreached
+    # "dense" when the fold is finished, "residual" when missing bits are
+    # tested, "completion" when B_K leaves some unreached, "doubled" when
+    # the probe folds a slice of B_K past its first K values
     taken = set()
-    dense, complete, unreached = search._dense, search._complete, search._unreached
+    fold, complete, unreached, pairs = search._fold, search._complete, search._unreached, search._pairs
 
-    def spy_dense(groups, width):
-        if dense(groups, width):
-            taken.add("dense")
-            return True
-        return False
+    def spy_fold(*args):
+        taken.add("dense")
+        return fold(*args)
 
     def spy_complete(*args):
         taken.add("completion")
@@ -326,9 +327,16 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
         taken.add("residual")
         return unreached(*args)
 
-    monkeypatch.setattr(search, "_dense", spy_dense)
+    def spy_pairs(parts, width, lo=0, hi=None):
+        # the completion, which comes last, reads the short values past K too
+        if lo and "completion" not in taken:
+            taken.add("doubled")
+        return pairs(parts, width, lo, hi)
+
+    monkeypatch.setattr(search, "_fold", spy_fold)
     monkeypatch.setattr(search, "_complete", spy_complete)
     monkeypatch.setattr(search, "_unreached", spy_unreached)
+    monkeypatch.setattr(search, "_pairs", spy_pairs)
     value_mask(form, limit)
     return taken
 
@@ -336,6 +344,8 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
 SIX = ((2, 1), (3, 1), (6, 1))
 SEVEN = ((2, 1), (3, 1), (7, 1))
 GAUSS = ((1, 0), (1, 0), (1, 0))
+# x(x+1)+y(2y+1)+z(4z+1): the module's first K leaves too many bits missing
+DOUBLING = ((1, 1), (2, 1), (4, 1))
 
 
 @pytest.mark.parametrize(
@@ -344,11 +354,12 @@ GAUSS = ((1, 0), (1, 0), (1, 0))
         # the module's own constants
         (None, SEVEN, 10**4, {"residual"}),
         (None, SIX, 10**4, {"residual", "completion"}),
-        (None, GAUSS, 3000, {"dense"}),
+        (None, GAUSS, 3000, {"doubled", "dense"}),
+        (None, DOUBLING, 10**6, {"doubled", "residual"}),
         # forced
         ("residual", GAUSS, 3000, {"residual", "completion"}),
         ("completion", SEVEN, 3000, {"residual", "completion"}),
-        ("dense", SEVEN, 3000, {"dense", "residual"}),
+        ("dense", SEVEN, 3000, {"doubled", "dense"}),
     ],
 )
 def test_each_path_is_taken(monkeypatch, path, pairs, limit, taken):
