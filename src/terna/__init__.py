@@ -54,15 +54,7 @@ from .lemmas import (
     rep_x2_3y2_6z2,
     rep_x2_y2_2z2_coprime3,
 )
-from .search import (
-    count_representations,
-    exceptional_set,
-    represent,
-    represent_all,
-    represent_constrained,
-    represent_diag,
-    represent_diag_all,
-)
+from .search import exceptional_set, represent, represent_all
 from .survey import (
     filter_universal_quadruples,
     filter_universal_triples,

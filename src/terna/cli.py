@@ -34,15 +34,7 @@ from .lemmas import (
     rep_x2_3y2_6z2,
     rep_x2_y2_2z2_coprime3,
 )
-from .search import (
-    SieveReport,
-    env_workers,
-    exceptional_set,
-    represent,
-    represent_all,
-    represent_diag,
-    represent_diag_all,
-)
+from .search import SieveReport, env_workers, exceptional_set, represent, represent_all
 from .survey import (
     DEFAULT_TEST_VALUES,
     filter_universal_quadruples,
@@ -167,12 +159,11 @@ def _cmd_exceptions(args) -> int:
 
 
 def _cmd_represent(args) -> int:
-    obj = parse_form(args.form)
-    diagonal = isinstance(obj, DiagonalForm)
+    form = parse_form(args.form)
     if args.all:
-        hits = (represent_diag_all if diagonal else represent_all)(obj, args.n)
+        hits = represent_all(form, args.n)
     else:
-        hit = (represent_diag if diagonal else represent)(obj, args.n)
+        hit = represent(form, args.n)
         hits = [] if hit is None else [hit]
     if not hits:
         print(f"{args.n}: no representation")

@@ -4,7 +4,7 @@ Each function either follows an explicit descent/rewrite procedure
 (``five_descent``, ``rep_5x2_5y2_z2_odd``) or is a deterministic
 exhaustive search for a decomposition whose existence is imported as a
 numerically verified fact (the ``rep_*`` searchers).  Every search is one
-call into the search engine (``search.represent_constrained``), with each
+call into the search engine (``search.represent``), with each
 constraint held up to sign by a single residue class: the |w| of the
 members of 3k+1 are the integers prime to 3 in ascending order, those of
 6k+1 the odd ones among them, those of 6k+2 the even ones.  A search over
@@ -28,7 +28,7 @@ from .core import (
     PreconditionError,
     TernaError,
 )
-from .search import _UNCONSTRAINED, _set_bits, represent_constrained, value_mask
+from .search import _UNCONSTRAINED, _set_bits, represent, value_mask
 
 _ODD = CongruenceClass(2, 1)
 # the |w| of its members run through the integers prime to 3, ascending
@@ -100,7 +100,7 @@ def _pair(c1: int, k1: CongruenceClass, c2: int, k2: CongruenceClass, m: int) ->
     # first (w1, w2) with c1*w1^2 + c2*w2^2 = m, m >= 0, in search order:
     # w2 through its class, w1 solved; a third coefficient m + 1 holds the
     # third coordinate at 0
-    hit = represent_constrained(ConstrainedForm(DiagonalForm((c1, c2, m + 1)), (k1, k2, _UNCONSTRAINED)), m)
+    hit = represent(ConstrainedForm(DiagonalForm((c1, c2, m + 1)), (k1, k2, _UNCONSTRAINED)), m)
     return None if hit is None else hit[:2]
 
 
@@ -230,7 +230,7 @@ def rep_x2_3y2_6z2(n: int, parity: int) -> tuple[int, int, int]:
     if _is_square(t):
         raise PreconditionError(f"{t} is a perfect square")
     form = ConstrainedForm(DiagonalForm((3, 6, 1)), (_UNCONSTRAINED, _UNCONSTRAINED, CongruenceClass(2, parity)))
-    hit = represent_constrained(form, t)
+    hit = represent(form, t)
     if hit is not None:
         y, z, x = hit
         return x, y, z
@@ -244,7 +244,7 @@ def rep_x2_y2_2z2_coprime3(n: int) -> tuple[int, int, int]:
     if n < 1:
         raise PreconditionError("n must be positive")
     t = 6 * n + 1
-    hit = represent_constrained(ConstrainedForm(DiagonalForm((1, 1, 2)), (_PRIME_TO_3,) * 3), t)
+    hit = represent(ConstrainedForm(DiagonalForm((1, 1, 2)), (_PRIME_TO_3,) * 3), t)
     if hit is not None:
         return tuple(abs(w) for w in hit)
     raise ConstructionError("exhausted", f"no x^2+y^2+2z^2 = {t} with 3 coprime to xyz")

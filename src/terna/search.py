@@ -2,11 +2,15 @@
 
 Two complementary engines:
 
-* ``represent`` / ``represent_diag`` / ``represent_constrained`` answer a
-  single query "is n a value?" by an exhaustive scan of the bounded
-  coordinate space, so an empty answer is a proof of non-representability.
-  One loop, ``_scan_all``, does every exhaustive search in the package,
-  the lemma and witness searches included: it walks w3 and then w2 in
+* ``represent`` and ``represent_all`` answer a single query "is n a
+  value?" for any form by an exhaustive scan of the bounded coordinate
+  space, so an empty answer is a proof of non-representability.  The form
+  is first made one constrained form on one progression, as for the sieve
+  below (``_constrained``), and n is scanned at M*n + C, so a PolySum
+  with a term x(ax+b), b > a, answers for negative n too; a PolySum's
+  hits are lifted back to Witnesses, the others stay triples.  One loop,
+  ``_scan_all``, does every exhaustive search in the package, the lemma
+  and witness searches included: it walks w3 and then w2 in
   ``class_members`` order and solves w1 by exact square root, yielding
   every hit lazily, so a first-hit query stops at its first hit.  A
   sign-symmetric class ((-r) % m == r: trivial, odd, residue 0) is walked
@@ -77,6 +81,7 @@ from .core import (
     ConstrainedForm,
     DiagonalForm,
     PolySum,
+    ReductionData,
     ResourceLimitError,
     Witness,
     lift,
@@ -174,8 +179,10 @@ def _row_test(slot1: tuple[int, int, int], slot2: tuple[int, int, int]) -> int:
 
 
 def _scan_all(cf: ConstrainedForm, m: int) -> Iterator[tuple[int, int, int]]:
-    # Every (w1, w2, w3) with c1*w1^2 + c2*w2^2 + c3*w3^2 == m >= 0, in the
-    # scan order and with the sign mirroring the module docstring states.
+    # Every (w1, w2, w3) with c1*w1^2 + c2*w2^2 + c3*w3^2 == m, in the scan
+    # order and with the sign mirroring the module docstring states.
+    if m < 0:
+        return
     c1, c2, c3 = cf.form.coeffs
     k1, k2, k3 = cf.classes
     mirror2 = (-k2.residue) % k2.modulus == k2.residue
@@ -206,51 +213,36 @@ def _scan_all(cf: ConstrainedForm, m: int) -> Iterator[tuple[int, int, int]]:
                 yield (w1, w2, -w3)
 
 
-def represent(p: PolySum, n: int) -> Optional[Witness]:
-    """First witness of n under p in the deterministic scan order, or None.
+def represent(form: Form, n: int) -> Union[Witness, tuple[int, int, int], None]:
+    """First hit of n under form in the deterministic scan order, or None:
+    a Witness for a PolySum, a triple for a diagonal or constrained form.
 
-    The scan covers every constrained triple with sum at most 4*L*n + C,
-    which is exhaustive, so None is a proof that n is not represented.
+    The scan covers every constrained triple with sum at most M*n + C, the
+    image of n under ``_constrained``, which is exhaustive, so None is a
+    proof that n is not represented.
     """
-    if n < 0:
-        return None
-    rd = reduce(p)
-    triple = next(_scan_all(rd.constrained, 4 * rd.L * n + rd.C), None)
-    return None if triple is None else lift(rd, triple)
+    return next(_hits(form, n), None)
 
 
+# the names the witness layer calls, which the benchmark traces
 def represent_diag(f: DiagonalForm, m: int) -> Optional[tuple[int, int, int]]:
-    """First unconstrained triple with sum of weighted squares m, or None."""
-    return represent_constrained(ConstrainedForm(f, (_UNCONSTRAINED,) * 3), m)
+    return represent(f, m)
 
 
 def represent_constrained(cf: ConstrainedForm, m: int) -> Optional[tuple[int, int, int]]:
-    """Like represent_diag with each coordinate held to its class."""
-    if m < 0:
-        return None
-    return next(_scan_all(cf, m), None)
+    return represent(cf, m)
 
 
-def represent_all(p: PolySum, n: int) -> list[Witness]:
-    """Every witness of n under p, in scan order."""
-    if n < 0:
-        return []
-    rd = reduce(p)
-    return [lift(rd, t) for t in _scan_all(rd.constrained, 4 * rd.L * n + rd.C)]
+def represent_all(form: Form, n: int) -> list:
+    """Every hit of n under form, in scan order; its length is the number
+    of representations (signs and order distinct)."""
+    return list(_hits(form, n))
 
 
-def represent_diag_all(f: DiagonalForm, m: int) -> list[tuple[int, int, int]]:
-    """Every triple representing m under f, in scan order."""
-    if m < 0:
-        return []
-    return list(_scan_all(ConstrainedForm(f, (_UNCONSTRAINED,) * 3), m))
-
-
-def count_representations(f: DiagonalForm, m: int) -> int:
-    """Number of integer triples (signs and order distinct) representing m."""
-    if m < 0:
-        return 0
-    return sum(1 for _ in _scan_all(ConstrainedForm(f, (_UNCONSTRAINED,) * 3), m))
+def _hits(form: Form, n: int) -> Iterator:
+    cf, M, C, rd = _constrained(form, (1, 0))
+    hits = _scan_all(cf, M * n + C)
+    return hits if rd is None else (lift(rd, t) for t in hits)
 
 
 # --- value slots -----------------------------------------------------------
@@ -276,18 +268,19 @@ def _slots(cf: ConstrainedForm, limit: int) -> list[tuple[int, list[int]]]:
     return [(m, _square_slot(c, limit - (total_min - m), cl)) for m, c, cl in zip(mins, cf.form.coeffs, cf.classes)]
 
 
-def _constrained(form: Form, progression: tuple[int, int]) -> tuple[ConstrainedForm, int, int]:
-    # (cf, M', C') with M*n + C a value of form iff M'*n + C' is a value of
-    # cf: completing the square takes a PolySum value n to 4*L*n + C'
+def _constrained(form: Form, progression: tuple[int, int]) -> tuple[ConstrainedForm, int, int, Optional[ReductionData]]:
+    # (cf, M', C', rd) with M*n + C a value of form iff M'*n + C' is a value
+    # of cf: completing the square (rd, None for a diagonal or constrained
+    # form) takes a PolySum value n to 4*L*n + C'
     M, C = progression
+    if isinstance(form, ConstrainedForm):
+        return form, M, C, None
+    if isinstance(form, DiagonalForm):
+        return ConstrainedForm(form, (_UNCONSTRAINED,) * 3), M, C, None
     if isinstance(form, PolySum):
         rd = reduce(form)
-        return rd.constrained, 4 * rd.L * M, 4 * rd.L * C + rd.C
-    if isinstance(form, DiagonalForm):
-        return ConstrainedForm(form, (_UNCONSTRAINED,) * 3), M, C
-    if isinstance(form, ConstrainedForm):
-        return form, M, C
-    raise TypeError(f"cannot sieve {type(form).__name__}")
+        return rd.constrained, 4 * rd.L * M, 4 * rd.L * C + rd.C, rd
+    raise TypeError(f"not a form: {type(form).__name__}")
 
 
 # Residual fold (value_mask): each slice of B_K is folded with the first
@@ -429,7 +422,7 @@ def _levels(form: Form, limit: int, max_bits: int, progression: tuple[int, int])
         raise ValueError("limit must be >= 0")
     if progression[0] < 1:
         raise ValueError(f"progression modulus must be >= 1, got {progression[0]}")
-    cf, M, C = _constrained(form, progression)
+    cf, M, C, _ = _constrained(form, progression)
     slots = sorted(((m, sorted({v - m for v in vals})) for m, vals in _slots(cf, M * limit + C)), key=lambda s: len(s[1]))
     # with the minima taken out, the sums are M*k + dr over bits k >= 0
     dq, dr = divmod(C - sum(m for m, _ in slots), M)
@@ -553,14 +546,18 @@ def attainable(
 
 def env_workers() -> Optional[int]:
     """The worker count TERNA_THREADS asks for, or None when it is unset or
-    empty.  Raises ValueError when it is set to anything but an integer."""
+    empty.  Raises ValueError when it is set to anything but an integer
+    of at least 1."""
     env = os.environ.get("TERNA_THREADS")
     if not env:
         return None
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
         raise ValueError(f"TERNA_THREADS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"TERNA_THREADS must be >= 1, got {env!r}")
+    return workers
 
 
 def exceptional_set(

@@ -111,11 +111,16 @@ def test_cli_threads_do_not_change_output(capsys):
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
-def test_cli_rejects_threads_below_one(capsys, threads):
+def test_cli_rejects_threads_below_one(capsys, monkeypatch, threads):
     code, out, err = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30", "--threads", threads)
     assert code == 2
     assert out == ""
     assert err == f"usage error: --threads must be >= 1, got {threads}\n"
+    monkeypatch.setenv("TERNA_THREADS", threads)
+    code, out, err = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: TERNA_THREADS must be >= 1, got '{threads}'\n"
 
 
 def test_cli_rejects_unparseable_terna_threads(capsys, monkeypatch):
@@ -141,6 +146,10 @@ def test_cli_represent(capsys):
     code, out, _ = run(capsys, "represent", "x^2+y^2+z^2", "--n", "2", "--all")
     assert code == 0
     assert len(out.strip().splitlines()) == 12
+    # a term x(ax+b) with b > a takes negative values: (-1, 0, 0) gives -3
+    code, out, _ = run(capsys, "represent", "x(x+4)+y^2+z^2", "--n", "-3")
+    assert code == 0
+    assert out == "-3 <- (-1, 0, 0)\n"
 
 
 def test_cli_witness(capsys):

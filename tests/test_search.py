@@ -8,16 +8,12 @@ from terna import (
     PolySum,
     ResourceLimitError,
     Witness,
-    count_representations,
     evaluate,
     exceptional_set,
     represent,
     represent_all,
-    represent_constrained,
-    represent_diag,
-    represent_diag_all,
 )
-from terna.search import class_members
+from terna.search import class_members, represent_constrained, represent_diag
 
 
 def cf(coeffs, classes):
@@ -62,15 +58,15 @@ def test_represent_constrained_examples():
 
 def test_count_representations():
     f = DiagonalForm((1, 1, 1))
-    assert count_representations(f, 0) == 1
-    assert count_representations(f, 1) == 6
-    assert count_representations(f, 2) == 12
+    assert len(represent_all(f, 0)) == 1
+    assert len(represent_all(f, 1)) == 6
+    assert len(represent_all(f, 2)) == 12
     # against the nonnegative-octant oracle with sign multiplicities
     for m in range(60):
         expected = 0
         for (u, v, w) in oracles.three_square_reps(m):
             expected += (1 if u == 0 else 2) * (1 if v == 0 else 2) * (1 if w == 0 else 2)
-        assert count_representations(f, m) == expected
+        assert len(represent_all(f, m)) == expected
 
 
 def test_exceptional_set_gauss_legendre_100():
@@ -182,9 +178,9 @@ def test_represent_all_matches_box_enumeration():
 
 
 def test_represent_diag_all():
-    hits = represent_diag_all(DiagonalForm((1, 1, 1)), 1)
+    hits = represent_all(DiagonalForm((1, 1, 1)), 1)
     assert set(hits) == {(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)}
-    assert len(represent_diag_all(DiagonalForm((1, 1, 1)), 2)) == 12
+    assert len(represent_all(DiagonalForm((1, 1, 1)), 2)) == 12
 
 
 def test_sieve_report_fields():
@@ -204,9 +200,10 @@ def test_worker_default_env_fallback(monkeypatch):
     assert env_workers() is None
     monkeypatch.delenv("TERNA_THREADS")
     assert env_workers() is None
-    monkeypatch.setenv("TERNA_THREADS", "junk")
-    with pytest.raises(ValueError, match="TERNA_THREADS"):
-        env_workers()
+    for bad in ("junk", "0"):
+        monkeypatch.setenv("TERNA_THREADS", bad)
+        with pytest.raises(ValueError, match="TERNA_THREADS"):
+            env_workers()
 
 
 def test_exact_arithmetic_beyond_word_sizes():

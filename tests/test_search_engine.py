@@ -25,16 +25,15 @@ from terna import (
     NotRepresentableError,
     PolySum,
     check_3x2_6y2,
-    count_representations,
     represent,
     represent_all,
-    represent_constrained,
     rep_x2_2y2_odd,
     rep_x2_3y2_6z2,
     rep_x2_y2_2z2_coprime3,
 )
 from terna import search, witnesses
 from terna.lemmas import _is_square
+from terna.search import represent_constrained
 
 
 def random_polys(seed: int, count: int, spread: int) -> list[tuple[tuple, int]]:
@@ -47,7 +46,20 @@ def random_polys(seed: int, count: int, spread: int) -> list[tuple[tuple, int]]:
     ]
 
 
-@pytest.mark.parametrize("pairs, n", random_polys(20261018, 40, 1) + random_polys(20261019, 40, 3))
+def negative_values(polys: list[tuple[tuple, int]]) -> list[tuple[tuple, int]]:
+    # every n from the least value of each b > a draw up to -1
+    return [
+        (pairs, n)
+        for pairs, _ in polys
+        if any(b > a for a, b in pairs)
+        for n in range(sum(oracles.term_min(a, b) for a, b in pairs), 0)
+    ]
+
+
+@pytest.mark.parametrize(
+    "pairs, n",
+    random_polys(20261018, 40, 1) + random_polys(20261019, 40, 3) + negative_values(random_polys(20261019, 40, 3)),
+)
 def test_represent_all_matches_box(pairs, n):
     p = PolySum.of(*pairs)
     hits = [tuple(w) for w in represent_all(p, n)]
@@ -142,6 +154,7 @@ def test_constrained_scan_matches_box_order(cf, m):
     expected = box_hits(cf, m)
     assert represent_constrained(cf, m) == (expected[0] if expected else None)
     assert list(search._scan_all(cf, m)) == expected
+    assert represent_all(cf, m) == expected
 
 
 def test_residue_tables_match_brute_force():
@@ -183,12 +196,13 @@ def test_residue_table_missing_a_residue_breaks_a_case(monkeypatch):
 
 
 def test_count_representations_matches_box():
+    # a count is the length of represent_all
     rng = random.Random(20261020)
     for _ in range(40):
         f = DiagonalForm(tuple(rng.randint(1, 5) for _ in range(3)))
         m = rng.randint(0, 300)
         trivial = ConstrainedForm(f, (CongruenceClass(1, 0),) * 3)
-        assert count_representations(f, m) == len(box_hits(trivial, m))
+        assert len(represent_all(f, m)) == len(box_hits(trivial, m))
 
 
 def test_rep_x2_2y2_odd_is_smallest_odd_v():

@@ -183,7 +183,7 @@ def test_broken_builder_names_clause_n_step_and_pre(monkeypatch):
 
 
 def test_lemma_errors_name_the_clause_only_inside_a_pipeline(monkeypatch):
-    monkeypatch.setattr(lemmas, "represent_constrained", lambda form, t: None)
+    monkeypatch.setattr(lemmas, "represent", lambda form, t: None)
     with pytest.raises(ConstructionError) as info:
         rep_x2_3y2_6z2(10, 0)
     assert (info.value.step, info.value.clause, info.value.n, info.value.pre) == ("exhausted", None, None, None)
