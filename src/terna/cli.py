@@ -17,8 +17,6 @@ Exit codes: 0 on success/agreement, 1 when a check reports findings
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import re
@@ -131,12 +129,8 @@ def sieve_report_to_json(report: SieveReport, with_timing: bool = True) -> str:
 
 
 def sieve_report_to_csv(report: SieveReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["exception"])
-    for n in report.exceptions:
-        writer.writerow([n])
-    return buf.getvalue()
+    # one integer per row needs no quoting: the text csv.writer would write
+    return "\n".join(["exception", *map(str, report.exceptions)]) + "\n"
 
 
 # --- subcommands ------------------------------------------------------------

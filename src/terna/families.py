@@ -5,17 +5,18 @@ of scaled arithmetic progressions {s^k * (m*l + r) : k, l >= 0} plus a
 finite explicit set.  The three built-in families are the classically
 known exceptional sets E(x^2+y^2+z^2), E(x^2+y^2+3z^2) and
 E(10x^2+5y^2+2z^2).  ``membership`` writes a family out as one byte per
-n, and ``crosscheck`` compares that with a fresh sieve of its form and
-reports every disagreement.
+n, and ``crosscheck`` compares that, byte for byte, with the missing
+values of a fresh sieve of its form and reports every disagreement.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .core import DiagonalForm
-from .search import exceptional_set
+from .search import attainable, exceptional_set  # noqa: F401  perfbench/spans.py traces exceptional_set here
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,11 @@ def crosscheck(fam: ExceptionalFamily, f: DiagonalForm, limit: int, workers: int
     """All n <= limit where membership in fam disagrees with the sieve of f."""
     t0 = time.perf_counter()
     expected = membership(fam, limit)
-    sieved = bytearray(limit + 1)
-    for n in exceptional_set(f, limit, workers=workers).exceptions:
-        sieved[n] = 1
-    bad = () if sieved == expected else tuple(n for n in range(limit + 1) if sieved[n] != expected[n])
+    sieved = attainable(f, limit, workers=workers).missing_flags()
+    bad = ()
+    if sieved != expected:
+        # one byte per n, so the nonzero bytes of the XOR are the n that differ
+        diff = int.from_bytes(sieved, "little") ^ int.from_bytes(expected, "little")
+        bad = tuple(compress(range(limit + 1), diff.to_bytes(limit + 1, "little")))
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return CrosscheckReport(fam.label, str(f), limit, bad, elapsed_ms)

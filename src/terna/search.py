@@ -57,9 +57,10 @@ Two complementary engines:
   one in six) finishes the fold, perhaps split into chunks for worker
   processes whose masks merge by bitwise OR, which is associative and
   commutative, so worker count never changes the result.  The exceptions
-  are then read off the bitset's clear bits, with zero bytes skipped at C
-  speed.  Work is O(values enumerated) plus O(shifts * N/wordsize), far
-  below one search per n.
+  are then read off the bitset's clear bits at C speed: a few by a regex
+  skip of zero bytes, many (Gauss, Dickson) by eight byte-table bit planes
+  spread to one byte per bit and ``compress``.  Work is O(values
+  enumerated) plus O(shifts * N/wordsize), far below one search per n.
 
 Enumeration cutoffs use math.isqrt throughout; no floating point.
 """
@@ -73,6 +74,7 @@ from bisect import bisect_left
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import compress
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Union
 
@@ -93,6 +95,8 @@ Form = Union[PolySum, DiagonalForm, ConstrainedForm]
 # The cap counts one bitset: 2**31 sieve bits = 256 MiB, overridable per
 # call.  A sieve's peak is several bitsets: the traced peak of (2,3,7) to
 # 10^7 is 4.62 of them (perfbench search.peak_over_bitset, Python 3.11).
+# Reading a dense set (_flags) adds one byte per bit, 8 bitsets, where the
+# list of at least width/_DENSE_SHARE 40-byte positions is over 3 already.
 DEFAULT_MAX_BITS = 1 << 31
 
 _UNCONSTRAINED = CongruenceClass(1, 0)
@@ -122,8 +126,15 @@ class ValueMask:
 
     def missing(self) -> list[int]:
         """The n in [0, limit] not in the set, ascending."""
+        return _set_bits(self._absent())
+
+    def missing_flags(self) -> bytearray:
+        """Byte n is 1 iff n is not in the set, for 0 <= n <= limit."""
+        return _flags(self._absent(), self.limit + 1)
+
+    def _absent(self) -> int:
         present = self.mask >> -self.offset if self.offset <= 0 else self.mask << self.offset
-        return _set_bits(present ^ ((1 << (self.limit + 1)) - 1))
+        return present ^ ((1 << (self.limit + 1)) - 1)
 
 
 def class_members(modulus: int, residue: int, bound: int) -> Iterator[int]:
@@ -306,6 +317,15 @@ _START_SHARE = 4
 
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
+_PLANES = [bytes(b >> j & 1 for b in range(256)) for j in range(8)]
+
+# _set_bits reads x through _flags when one bit in _DENSE_SHARE is set.
+# Regex skip against flags and compress, random 10^6-bit ints of density
+# 1/8, 1/10, 1/12, 1/14, 1/16: 40.0/35.2, 34.0/32.1, 30.2/29.9, 28.8/30.0,
+# 24.8/30.5 ms; the exceptional sets of x^2+y^2+z^2, x^2+y^2+3z^2 and
+# 10x^2+5y^2+2z^2 to 10^6: 62.5/35.7, 49.2/33.6, 83.9/44.6 ms (medians of
+# 15, interleaved; Python 3.11, 2-core x86-64 VM).
+_DENSE_SHARE = 12
 
 
 def _bits(positions: Iterable[int], width: int) -> int:
@@ -315,10 +335,23 @@ def _bits(positions: Iterable[int], width: int) -> int:
     return int.from_bytes(raw, "little")
 
 
+def _flags(x: int, width: int) -> bytearray:
+    # byte k is bit k of x < 2**width: bit plane j of x's bytes to bytes j::8
+    raw = x.to_bytes((width + 7) // 8, "little")
+    out = bytearray(8 * len(raw))
+    for j, plane in enumerate(_PLANES):
+        out[j::8] = raw.translate(plane)
+    del out[width:]
+    return out
+
+
 def _set_bits(x: int) -> list[int]:
-    # positions of the set bits of x >= 0, ascending; zero bytes are
-    # skipped by the regex engine
-    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    # positions of the set bits of x >= 0, ascending; a sparse x has its
+    # zero bytes skipped by the regex engine
+    width = x.bit_length()
+    if x.bit_count() * _DENSE_SHARE >= width:
+        return list(compress(range(width), _flags(x, width)))
+    raw = x.to_bytes((width + 7) // 8, "little")
     return [8 * i + j for i in (m.start() for m in _NONZERO_BYTE.finditer(raw)) for j in _BYTE_BITS[raw[i]]]
 
 
@@ -527,12 +560,6 @@ def _unreached(candidates: list[int], base: int, width: int, shifts: list[int]) 
         else:
             out.append(k)
     return out
-
-
-def _dense_value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> tuple[int, int]:
-    # reference engine for the tests: value_mask with every shift folded
-    offset, width, groups = _levels(form, limit, DEFAULT_MAX_BITS, progression)
-    return _fold([(_pairs(parts, width), longest) for parts, longest in groups], width, workers), offset
 
 
 def attainable(

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -68,6 +70,16 @@ def test_sieve_report_csv():
 
     report = exceptional_set(DiagonalForm((1, 1, 1)), 30)
     assert sieve_report_to_csv(report) == "exception\n7\n15\n23\n28\n"
+    # the text csv.writer writes, on an empty set and on a dense one
+    empty = exceptional_set(PolySum.of((2, 1), (3, 1), (7, 1)), 1000)
+    dense = exceptional_set(DiagonalForm((10, 5, 2)), 25000)
+    assert not empty.exceptions and len(dense.exceptions) >= 10**4
+    for report in (empty, dense):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["exception"])
+        writer.writerows([n] for n in report.exceptions)
+        assert sieve_report_to_csv(report) == buf.getvalue()
 
 
 def test_cli_exceptions_human(capsys):

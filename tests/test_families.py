@@ -88,7 +88,21 @@ def test_crosscheck_agrees_to_1e4(key):
     assert report.family == fam.label
 
 
+def discrepancies(fam, coeffs, limit):
+    missing = set(oracles.naive_diag_exceptions(coeffs, limit))
+    return tuple(n for n in range(limit + 1) if member(fam, n) != (n in missing))
+
+
+# 203 is 3 mod 8, so the last byte of the sieve's bitset is partial
 def test_crosscheck_detects_wrong_pairing():
-    # deliberately mismatched family/form must produce discrepancies
-    report = crosscheck(GAUSS_LEGENDRE, DiagonalForm((1, 1, 3)), 200)
+    # deliberately mismatched family and form
+    report = crosscheck(GAUSS_LEGENDRE, DiagonalForm((1, 1, 3)), 203)
     assert not report.agrees()
+    assert report.discrepancies == discrepancies(GAUSS_LEGENDRE, (1, 1, 3), 203)
+
+
+def test_crosscheck_detects_wrong_extra():
+    # the right patterns with two wrong extra values, one past the limit
+    fam = ExceptionalFamily("gauss+5", GAUSS_LEGENDRE.patterns, frozenset({5, 204}))
+    report = crosscheck(fam, DiagonalForm((1, 1, 1)), 203)
+    assert report.discrepancies == discrepancies(fam, (1, 1, 1), 203) == (5,)

@@ -2,7 +2,7 @@
 
 On seeded random small forms, the residual-candidate sieve
 (``value_mask``) must give the same attainable-value bitset as the dense
-fold it replaces (``_dense_value_mask``, kept as the reference), and
+fold it replaces (``_dense_value_mask``, kept here as the reference), and
 ``exceptional_set`` the same exceptional set as the brute-force triple
 loop of ``oracles.naive_exceptions``, for any worker count, wherever
 the residual sieve switches to testing candidates and whichever path
@@ -16,7 +16,14 @@ import pytest
 import oracles
 from terna import CongruenceClass, ConstrainedForm, DiagonalForm, PolySum
 from terna import search
-from terna.search import _dense_value_mask, attainable, exceptional_set, value_mask
+from terna.search import DEFAULT_MAX_BITS, _fold, _levels, _pairs, attainable, exceptional_set, value_mask
+
+
+def _dense_value_mask(form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> tuple[int, int]:
+    # reference engine: value_mask with every shift folded
+    offset, width, groups = _levels(form, limit, DEFAULT_MAX_BITS, progression)
+    return _fold([(_pairs(parts, width), longest) for parts, longest in groups], width, workers), offset
+
 
 # switch points: the module's own, one that tests candidates after the
 # first probe, and one that never leaves the fold while a value is missing
@@ -95,13 +102,69 @@ def test_dense_forms_finish_the_fold(monkeypatch):
     assert list(report.exceptions) == [n for n in range(3001) if oracles.gauss_legendre_excluded(n)]
 
 
+def naive_set_bits(x: int) -> list[int]:
+    return [k for k in range(x.bit_length()) if x >> k & 1]
+
+
 def test_set_bits():
     assert search._set_bits(0) == []
     assert search._set_bits(1) == [0]
     rng = random.Random(7)
     for width in (9, 64, 1000, 5000):
         x = rng.getrandbits(width)
-        assert search._set_bits(x) == [k for k in range(width) if x >> k & 1]
+        assert search._set_bits(x) == naive_set_bits(x)
+    # every width across the first byte boundaries: all ones, the top bit
+    # alone and a random int, which take both regimes
+    for width in range(1, 71):
+        for x in ((1 << width) - 1, 1 << width - 1, rng.getrandbits(width) | 1 << width - 1):
+            assert search._set_bits(x) == naive_set_bits(x)
+
+
+def random_bits(rng: random.Random, width: int, count: int) -> int:
+    # count set bits, the top one at width - 1
+    return sum(1 << k for k in rng.sample(range(width - 1), count - 1)) | 1 << width - 1
+
+
+# W a multiple of the cutoff, so that CUT bits sit exactly on it
+W = search._DENSE_SHARE << 12
+CUT = W // search._DENSE_SHARE  # the fewest set bits read as dense
+
+
+@pytest.mark.parametrize(
+    "count,dense",
+    [(W // 4096, False), (CUT - 1, False), (CUT, True), (W // 2, True), (W, True)],
+    ids=["1/4096", "below-cutoff", "at-cutoff", "1/2", "all-ones"],
+)
+def test_set_bits_regimes(monkeypatch, count, dense):
+    # each regime gives the naive positions, and the cutoff decides which
+    # one reads x
+    spread = []
+    flags = search._flags
+    monkeypatch.setattr(search, "_flags", lambda x, width: spread.append(width) or flags(x, width))
+    x = random_bits(random.Random(count), W, count)
+    assert x.bit_count() == count
+    assert search._set_bits(x) == naive_set_bits(x)
+    assert spread == ([W] if dense else [])
+
+
+def test_missing_flags_match_missing():
+    # x(x+4)+y^2+z^2 = (x+2)^2+y^2+z^2-4: offset -4, about one value in
+    # six missing, so missing() reads the dense regime
+    pairs, limit = ((1, 4), (1, 0), (1, 0)), 2003
+    mask = attainable(PolySum.of(*pairs), limit)
+    expected = oracles.naive_exceptions(pairs, limit)
+    assert mask.offset == -4
+    assert len(expected) * search._DENSE_SHARE >= limit + 1
+    assert mask.missing() == expected
+    assert mask.missing_flags() == bytearray(n in expected for n in range(limit + 1))
+    # x^2+y^2+z^2 at 4n - 37, a value from n = 10 on: offset 10
+    limit = 501
+    mask = attainable(DiagonalForm((1, 1, 1)), limit, progression=(4, -37))
+    reach = oracles.naive_class_values((1, 1, 1), [(1, 0)] * 3, 4 * limit - 37)
+    expected = [n for n in range(limit + 1) if n < 10 or not reach[4 * n - 37]]
+    assert mask.offset == 10
+    assert mask.missing() == expected
+    assert mask.missing_flags() == bytearray(n in expected for n in range(limit + 1))
 
 
 P = search._PIECE
