@@ -44,23 +44,32 @@ Two complementary engines:
   pieces per shift.
 
   A form's pair level starts as B_K, built from its first K short
-  values only, K = isqrt(width)/4.  Each new slice of B_K is folded once
-  with the first 64 v into a probe, and the probe's missing bits decide
-  what follows.  When at most one bit in 4096 is missing, folding stops:
-  each missing bit k is tested against B_K's bytes for the remaining v,
-  up to the first k - v in B_K.  The bits still unreached are tested
-  against the short values past K, with B cut to the largest of them,
-  which makes the result exact: none is left for the conjectured triples
-  to 10^6 or (2,3,7) to 10^7, and 48 is the one for
-  x(2x+1)+y(3y+1)+z(6z+1).  When more are missing, K doubles.  A form
-  that still misses many bits once B_K is all of B (Gauss, Dickson: about
-  one in six) finishes the fold, perhaps split into chunks for worker
-  processes whose masks merge by bitwise OR, which is associative and
-  commutative, so worker count never changes the result.  The exceptions
-  are then read off the bitset's clear bits at C speed: a few by a regex
-  skip of zero bytes, many (Gauss, Dickson) by eight byte-table bit planes
-  spread to one byte per bit and ``compress``.  Work is O(values
-  enumerated) plus O(shifts * N/wordsize), far below one search per n.
+  values only, and is folded with the first P v into a probe, P = 64 at
+  first.  K starts at isqrt(width)/4 and is halved while the cost model
+  of the pair fold says that B_K costs more than twice B_{K/2} plus the
+  wider probe the halving plans for: only where the short values c*w^2
+  spread B_K over many pieces, as (2,3,7) to 10^7 does, which starts at
+  isqrt(width)/8.  The probe's missing bits decide what follows.  When
+  at most one bit in 4096 is missing, folding stops: each missing bit k
+  is tested against B_K's bytes for the v past P, up to the first k - v
+  in B_K.  The bits still unreached are tested against the short values
+  past K, with B cut to the largest of them, which makes the result
+  exact: none is left for the conjectured triples to 10^6 or (2,3,7) to
+  10^7, and 48 is the one for x(2x+1)+y(3y+1)+z(6z+1).  When more are
+  missing, P doubles while every probe has shown a sparse form (at most
+  one bit in 16 missing, and at most half as many after each P step):
+  all of B_K is folded with the next P v, the fold a new slice's probe
+  would cost, without the slice.  Otherwise K doubles and the new slice
+  of B_K is folded with the first P v, so that no slice meets a v twice.
+  A form that still misses many bits once B_K is all of B (Gauss,
+  Dickson: about one in six) finishes the fold, perhaps split into
+  chunks for worker processes whose masks merge by bitwise OR, which is
+  associative and commutative, so worker count never changes the result.
+  The exceptions are then read off the bitset's clear bits at C speed: a
+  few by a regex skip of zero bytes, many (Gauss, Dickson) by eight
+  byte-table bit planes spread to one byte per bit and ``compress``.
+  Work is O(values enumerated) plus O(shifts * N/wordsize), far below one
+  search per n.
 
 Enumeration cutoffs use math.isqrt throughout; no floating point.
 """
@@ -94,7 +103,8 @@ Form = Union[PolySum, DiagonalForm, ConstrainedForm]
 
 # The cap counts one bitset: 2**31 sieve bits = 256 MiB, overridable per
 # call.  A sieve's peak is several bitsets: the traced peak of (2,3,7) to
-# 10^7 is 4.62 of them (perfbench search.peak_over_bitset, Python 3.11).
+# 10^7 is 5.65 of them (perfbench search.peak_over_bitset, Python 3.11),
+# in the P step of value_mask, which folds all of B_K beside the probe.
 # Reading a dense set (_flags) adds one byte per bit, 8 bitsets, where the
 # list of at least width/_DENSE_SHARE 40-byte positions is over 3 already.
 DEFAULT_MAX_BITS = 1 << 31
@@ -294,25 +304,38 @@ def _constrained(form: Form, progression: tuple[int, int]) -> tuple[ConstrainedF
     raise TypeError(f"not a form: {type(form).__name__}")
 
 
-# Residual fold (value_mask): each slice of B_K is folded with the first
-# _PROBE_SHIFTS longest-slot shifts, and folding stops once missing *
-# _BITS_PER_CANDIDATE <= width.  Testing one candidate against every
-# remaining shift costs about as much as folding one shift over 2 000-5 600
-# bits: 0.13-0.22 us per test step against 7 us, 40 us and 0.38 ms per
-# shift over 10^5, 10^6 and 10^7 bits (Python 3.11, 2-core x86-64 VM).
-# Within _PROBE_SHIFTS shifts every conjectured triple to 10^7 gets there,
-# while the Gauss and Dickson forms still miss about one value in six:
-# those finish the fold densely.
+# Residual fold (value_mask): the probe folds B_K with the first P
+# longest-slot shifts, P = _PROBE_SHIFTS at first, and folding stops once
+# missing * _BITS_PER_CANDIDATE <= width.  Testing one candidate against
+# every remaining shift costs about as much as folding one shift over
+# 2 000-5 600 bits: 0.13-0.22 us per test step against 7 us, 40 us and
+# 0.38 ms per shift over 10^5, 10^6 and 10^7 bits (Python 3.11, 2-core
+# x86-64 VM).
+# P doubles while every probe shows a sparse form: at most one bit in
+# _SPARSE_SHARE missing, and _SPARSE_DROP times fewer after each P step.
+# Bits missing at P = 64 and 128 from K = isqrt(width)/8, and at P = 64
+# from /4: (2,3,7) to 10^7 43 690, 786 and 871; to 10^6 3 718, 61 and 68;
+# x(x+1)+y(2y+1)+z(4z+1) to 10^6 14 981, 1 112 and 932 (11 from /4 at 128);
+# x^2+y^2+z^2 to 10^6 193 024, 179 841 and 170 903; 10x^2+5y^2+2z^2
+# 509 159, 494 081 and 493 992.  A sparse form misses at most one bit in
+# 67 and loses 13-85x of them when P doubles; Gauss and Dickson miss one
+# in six or more and never grow P.  x^2+y^2+11z^2 misses one value in 23:
+# its 52 523 missing bits from /4 fall to 44 523 at P = 128, and K doubles.
 _PROBE_SHIFTS = 64
 _BITS_PER_CANDIDATE = 4096
+_SPARSE_SHARE = 16
+_SPARSE_DROP = 2
 
 # Truncated pair fold (value_mask): the pair level starts from the first
-# isqrt(width) // _START_SHARE short values, doubled while the probe leaves
-# too many bits missing.  At isqrt(width)/16, /8, /4, /2 and /1, (2,3,7) to
-# 10^7 took 543, 436, 428, 880 and 1 096 ms and the six conjectured triples
-# to 10^6 together 271, 254, 122, 207 and 285 ms (medians of 7,
-# interleaved; Python 3.11, 2-core x86-64 VM).  Below /4 the first K leaves
-# too many bits missing and is doubled once.
+# isqrt(width) // _START_SHARE short values, halved where _start finds B_K
+# dear.  At isqrt(width)/16, /8, /4, /2 and /1, K doubling alone, (2,3,7)
+# to 10^7 took 543, 436, 428, 880 and 1 096 ms and the six conjectured
+# triples to 10^6 together 271, 254, 122, 207 and 285 ms (medians of 7,
+# interleaved; Python 3.11, 2-core x86-64 VM): below /4 the first K left
+# too many bits missing and was doubled once.  Growing P instead, (2,3,7)
+# to 10^7 starts at /8 and shifts 20 773 pieces against 37 053 from /4,
+# in 237 against 367 ms (medians of 7, interleaved); the six triples to
+# 10^6 stay at /4, where /8 would shift 12 144 pieces against 11 921.
 _START_SHARE = 4
 
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
@@ -479,17 +502,31 @@ def _levels(form: Form, limit: int, max_bits: int, progression: tuple[int, int])
     return -dq, width, groups
 
 
+def _cut(parts: list[Part], width: int, lo: int, hi: Optional[int]) -> Iterator[tuple[list[int], list[int]]]:
+    # each part's middle quotients below width, with its short shifts in
+    # [lo, hi) when there are any
+    top = width if hi is None else min(hi, width)
+    for middle, short in parts:
+        shifts = short[bisect_left(short, lo) : bisect_left(short, top)]
+        if shifts:
+            yield middle[: bisect_left(middle, width)], shifts
+
+
+def _costs(middle: list[int], shifts: list[int], width: int) -> tuple[int, int]:
+    # piece-operations of folding the middle bits once per short shift, and
+    # of folding the short shifts' bits, spanning fewer pieces, once per
+    # middle value
+    return len(shifts) * -(-width // _PIECE), len(middle) * (1 + (shifts[-1] - shifts[0]) // _PIECE)
+
+
 def _pairs(parts: list[Part], width: int, lo: int = 0, hi: Optional[int] = None) -> int:
     # B_s cut to width bits, from the short shifts in [lo, hi) alone
     acc = 0
-    for middle, short in parts:
-        shifts = short[bisect_left(short, lo) : bisect_left(short, width if hi is None else min(hi, width))]
-        if not shifts:
-            continue
-        middle = middle[: bisect_left(middle, width)]
+    for middle, shifts in _cut(parts, width, lo, hi):
         # each shift costs a pass over the base's pieces, so the operand
         # that spans fewer pieces per shift is the base
-        if len(shifts) * -(-width // _PIECE) > len(middle) * (1 + (shifts[-1] - shifts[0]) // _PIECE):
+        by_short, by_middle = _costs(middle, shifts, width)
+        if by_short > by_middle:
             first = shifts[0]
             fold = _or_shifts(_bits([q - first for q in shifts], width), [m + first for m in middle], width)
         else:
@@ -509,31 +546,71 @@ def value_mask(
     prefix of the pair level and tests the few bits it leaves missing."""
     offset, width, groups = _levels(form, limit, max_bits, progression)
     values = sorted({q for parts, _ in groups for _, short in parts for q in short})
-    k = max(isqrt(width) // _START_SHARE, 1)
+    k, p = _start(groups, values, width), _PROBE_SHIFTS
+    most = max((len(longest) for _, longest in groups), default=0)
     bases = [0] * len(groups)
     acc = cut = 0
+    grow_k, before = True, width
     while True:
-        # B_K: the short shifts below cut, the first k values; the new
-        # slice goes through the probe once
-        lo, cut = cut, values[k] if k < len(values) else None
-        for i, (parts, longest) in enumerate(groups):
-            more = _pairs(parts, width, lo, cut)
-            if more:
-                acc |= _or_shifts(more, longest[:_PROBE_SHIFTS], width)
-                bases[i] |= more
-            del more
-        if (width - acc.bit_count()) * _BITS_PER_CANDIDATE <= width:
+        # acc is B_K folded with the first p v of each group, each (slice,
+        # shift) pair once: a K step folds a new slice of B_K, the short
+        # shifts up to values[k], with the first p v; a P step folds all of
+        # B_K with the next p
+        if grow_k:
+            lo, cut = cut, values[k] if k < len(values) else None
+            for i, (parts, longest) in enumerate(groups):
+                more = _pairs(parts, width, lo, cut)
+                if more:
+                    acc |= _or_shifts(more, longest[:p], width)
+                    bases[i] |= more
+                del more
+        else:
+            for base, (_, longest) in zip(bases, groups):
+                if base:
+                    acc |= _or_shifts(base, longest[p : 2 * p], width)
+            p *= 2
+        missing = width - acc.bit_count()
+        if missing * _BITS_PER_CANDIDATE <= width:
             unreached = _set_bits(acc ^ ((1 << width) - 1))
             del acc
             for base, (_, longest) in zip(bases, groups):
-                unreached = _unreached(unreached, base, width, longest[_PROBE_SHIFTS:])
+                unreached = _unreached(unreached, base, width, longest[p:])
             del bases
             if unreached and cut is not None:
                 unreached = _complete(unreached, groups, cut)
             return ((1 << width) - 1) ^ _bits(unreached, width), offset
-        if cut is None:
-            return acc | _fold([(base, longest[_PROBE_SHIFTS:]) for base, (_, longest) in zip(bases, groups)], width, workers), offset
-        k *= 2
+        # a P step costs what a K step's fold costs, without building a
+        # slice, so P grows while every probe has shown a sparse form and
+        # some group has shifts past it; a probe of no shifts never grows
+        grow_k = not (p and p < most and missing * _SPARSE_SHARE <= width and missing * _SPARSE_DROP <= before)
+        before = 0 if grow_k else missing
+        if grow_k:
+            if cut is None:
+                return acc | _fold([(base, longest[p:]) for base, (_, longest) in zip(bases, groups)], width, workers), offset
+            k *= 2
+
+
+def _start(groups: list[Group], values: list[int], width: int) -> int:
+    # the first K: isqrt(width) // _START_SHARE, halved while, by the cost
+    # model of _pairs, B_K costs more than twice B_{K/2} plus the P step
+    # the halving plans for.  Halving saves a sparse form the top half of
+    # B_K for one P step, and costs a dense form, which never grows P, one
+    # more slice and its probe; the saving clearly wins only where B_K's
+    # cost grows faster than K, as the short values c*w^2 spread it over
+    # more pieces.  p is the probe the plan has reached.
+    k, p = max(isqrt(width) // _START_SHARE, 1), _PROBE_SHIFTS
+    pieces = -(-width // _PIECE)
+
+    def cost(k: int) -> int:
+        hi = values[k] if k < len(values) else None
+        return sum(min(_costs(m, s, width)) for parts, _ in groups for m, s in _cut(parts, width, 0, hi))
+
+    while p and k > 1:
+        step = pieces * sum(len(longest[p : 2 * p]) for _, longest in groups)
+        if not step or cost(k) <= 2 * cost(k // 2) + step:
+            break
+        k, p = k // 2, 2 * p
+    return k
 
 
 def _complete(unreached: list[int], groups: list[Group], cut: int) -> list[int]:

@@ -303,10 +303,11 @@ def test_value_mask_repr_leaves_out_the_mask():
 # value_mask takes one of three paths.  A sparse form folds the first K
 # short values into B_K and tests the bits left missing (residual); the
 # bits B_K leaves unreached are then tested against the short values past
-# K (completion).  A form that leaves too many bits missing doubles K,
-# and once B_K is all of B finishes the fold (dense).  Each path is forced
-# here and checked against the dense reference and the brute-force
-# oracles, at one and two workers.
+# K (completion).  A form that leaves too many bits missing grows the
+# probe P while it looks sparse and some longest-slot shifts are left, and
+# doubles K otherwise; once B_K is all of B it finishes the fold (dense).
+# Each path is forced here and checked against the dense reference and
+# the brute-force oracles, at one and two workers.
 
 PATHS = {
     # candidates tested after the first probe, from the module's K
@@ -316,6 +317,10 @@ PATHS = {
     # a probe of no shifts leaves every bit missing: K doubles until B_K
     # is all of B, and every shift goes to the fold
     "dense": {"_PROBE_SHIFTS": 0},
+    # a probe of one shift that every form grows, dense ones too, until one
+    # bit in 64 is missing or the shifts run out; then K doubles, each new
+    # slice folded with all the shifts taken so far
+    "probe": {"_PROBE_SHIFTS": 1, "_SPARSE_SHARE": 0, "_SPARSE_DROP": 0, "_BITS_PER_CANDIDATE": 64},
 }
 
 # sparse triples, so the module's own K takes the residual path
@@ -374,13 +379,20 @@ def test_multi_group_cases_have_groups_of_parts():
 def paths_taken(monkeypatch, form, limit) -> set[str]:
     # "dense" when the fold is finished, "residual" when missing bits are
     # tested, "completion" when B_K leaves some unreached, "doubled" when
-    # the probe folds a slice of B_K past its first K values
+    # the probe folds a slice of B_K past its first K values, "probe grown"
+    # when B_K is folded with longest-slot shifts past the probe's first P
     taken = set()
-    fold, complete, unreached, pairs = search._fold, search._complete, search._unreached, search._pairs
+    fold, complete, unreached, pairs, or_shifts = search._fold, search._complete, search._unreached, search._pairs, search._or_shifts
+    longest = [shifts for _, shifts in _levels(form, limit, DEFAULT_MAX_BITS, (1, 0))[2]]
+    nested = []
 
     def spy_fold(*args):
         taken.add("dense")
-        return fold(*args)
+        nested.append(1)
+        try:
+            return fold(*args)
+        finally:
+            nested.pop()
 
     def spy_complete(*args):
         taken.add("completion")
@@ -394,12 +406,24 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
         # the completion, which comes last, reads the short values past K too
         if lo and "completion" not in taken:
             taken.add("doubled")
-        return pairs(parts, width, lo, hi)
+        nested.append(1)
+        try:
+            return pairs(parts, width, lo, hi)
+        finally:
+            nested.pop()
+
+    def spy_or_shifts(base, shifts, width):
+        # value_mask's own folds take a group's longest shifts: a prefix of
+        # them in the probe of a new slice, later ones when P grows
+        if not nested and shifts and all(shifts != group[: len(shifts)] for group in longest):
+            taken.add("probe grown")
+        return or_shifts(base, shifts, width)
 
     monkeypatch.setattr(search, "_fold", spy_fold)
     monkeypatch.setattr(search, "_complete", spy_complete)
     monkeypatch.setattr(search, "_unreached", spy_unreached)
     monkeypatch.setattr(search, "_pairs", spy_pairs)
+    monkeypatch.setattr(search, "_or_shifts", spy_or_shifts)
     value_mask(form, limit)
     return taken
 
@@ -407,8 +431,12 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
 SIX = ((2, 1), (3, 1), (6, 1))
 SEVEN = ((2, 1), (3, 1), (7, 1))
 GAUSS = ((1, 0), (1, 0), (1, 0))
-# x(x+1)+y(2y+1)+z(4z+1): the module's first K leaves too many bits missing
-DOUBLING = ((1, 1), (2, 1), (4, 1))
+# x(x+1)+y(2y+1)+z(4z+1): the module's first probe leaves too many bits
+# missing, and the probe grows where K once doubled
+GROWING = ((1, 1), (2, 1), (4, 1))
+# x^2+y^2+z(4z+1) to 10^4: the probe takes all 101 longest-slot shifts and
+# still leaves too many bits missing, so K doubles
+EXHAUSTED = ((1, 0), (1, 0), (4, 1))
 
 
 @pytest.mark.parametrize(
@@ -418,17 +446,72 @@ DOUBLING = ((1, 1), (2, 1), (4, 1))
         (None, SEVEN, 10**4, {"residual"}),
         (None, SIX, 10**4, {"residual", "completion"}),
         (None, GAUSS, 3000, {"doubled", "dense"}),
-        (None, DOUBLING, 10**6, {"doubled", "residual"}),
+        (None, GROWING, 10**6, {"probe grown", "residual"}),
+        # B_K from isqrt(width) // 8 short values, the probe grown once
+        (None, SEVEN, 10**7, {"probe grown", "residual"}),
+        (None, EXHAUSTED, 10**4, {"probe grown", "doubled", "residual"}),
         # forced
         ("residual", GAUSS, 3000, {"residual", "completion"}),
         ("completion", SEVEN, 3000, {"residual", "completion"}),
         ("dense", SEVEN, 3000, {"doubled", "dense"}),
+        ("probe", GAUSS, 3000, {"probe grown", "doubled", "dense"}),
     ],
 )
 def test_each_path_is_taken(monkeypatch, path, pairs, limit, taken):
     if path:
         force(monkeypatch, path)
     assert paths_taken(monkeypatch, PolySum.of(*pairs), limit) == taken
+
+
+def fold_calls(monkeypatch, form, limit) -> list[tuple]:
+    # ("pairs", lo, hi) for each _pairs call and ("or", shifts) for each
+    # _or_shifts call, in order, at one worker
+    calls = []
+    pairs, or_shifts = search._pairs, search._or_shifts
+
+    def spy_pairs(parts, width, lo=0, hi=None):
+        calls.append(("pairs", lo, hi))
+        return pairs(parts, width, lo, hi)
+
+    def spy_or_shifts(base, shifts, width):
+        calls.append(("or", len(shifts)))
+        return or_shifts(base, shifts, width)
+
+    monkeypatch.setattr(search, "_pairs", spy_pairs)
+    monkeypatch.setattr(search, "_or_shifts", spy_or_shifts)
+    value_mask(form, limit)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "coeffs,calls",
+    [
+        # K from 79 doubles to all 317 squares, each slice through the first
+        # 64 shifts, and the other 253 finish the fold
+        (
+            (1, 1, 1),
+            [
+                ("pairs", 0, 6241), ("or", 79), ("or", 64),
+                ("pairs", 6241, 24964), ("or", 79), ("or", 64),
+                ("pairs", 24964, 99856), ("or", 158), ("or", 64),
+                ("pairs", 99856, None), ("or", 1), ("or", 64),
+                ("or", 253),
+            ],
+        ),
+        (
+            (10, 5, 2),
+            [
+                ("pairs", 0, 62410), ("or", 79), ("or", 64),
+                ("pairs", 62410, None), ("or", 22), ("or", 64),
+                ("or", 160),
+            ],
+        ),
+    ],
+)
+def test_dense_work_is_pinned(monkeypatch, coeffs, calls):
+    # a dense form never grows the probe: the fold to 10^5 does the work
+    # it did with K doubling alone, call for call
+    assert fold_calls(monkeypatch, DiagonalForm(coeffs), 10**5) == calls
 
 
 def test_skipping_completion_is_caught(monkeypatch):
