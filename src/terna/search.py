@@ -58,11 +58,11 @@ Two complementary engines:
   10^7, and 48 is the one for x(2x+1)+y(3y+1)+z(6z+1).  When more are
   missing, P doubles while every probe has shown a sparse form (at most
   one bit in 16 missing, and at most half as many after each P step):
-  all of B_K is folded with the next P v, the fold a new slice's probe
-  would cost, without the slice.  Otherwise K doubles and the new slice
-  of B_K is folded with the first P v, so that no slice meets a v twice.
-  A form that still misses many bits once B_K is all of B (Gauss,
-  Dickson: about one in six) finishes the fold, perhaps split into
+  B_K is folded with the next P v.  Otherwise the form is dense (Gauss,
+  Dickson: about one bit in six missing) and K goes to all of B at
+  once: the rest of B, the short values past K, is folded with the
+  first P v, and then all of B with the v past them, so that each
+  (slice, v) pair is folded once.  That last fold may be split into
   chunks for worker processes whose masks merge by bitwise OR, which is
   associative and commutative, so worker count never changes the result.
   The exceptions are then read off the bitset's clear bits at C speed: a
@@ -104,7 +104,7 @@ Form = Union[PolySum, DiagonalForm, ConstrainedForm]
 # The cap counts one bitset: 2**31 sieve bits = 256 MiB, overridable per
 # call.  A sieve's peak is several bitsets: the traced peak of (2,3,7) to
 # 10^7 is 5.65 of them (perfbench search.peak_over_bitset, Python 3.11),
-# in the P step of value_mask, which folds all of B_K beside the probe.
+# in the P step of value_mask, which folds B_K beside the probe.
 # Reading a dense set (_flags) adds one byte per bit, 8 bitsets, where the
 # list of at least width/_DENSE_SHARE 40-byte positions is over 3 already.
 DEFAULT_MAX_BITS = 1 << 31
@@ -320,7 +320,8 @@ def _constrained(form: Form, progression: tuple[int, int]) -> tuple[ConstrainedF
 # 509 159, 494 081 and 493 992.  A sparse form misses at most one bit in
 # 67 and loses 13-85x of them when P doubles; Gauss and Dickson miss one
 # in six or more and never grow P.  x^2+y^2+11z^2 misses one value in 23:
-# its 52 523 missing bits from /4 fall to 44 523 at P = 128, and K doubles.
+# its 52 523 missing bits from /4 fall to 44 523 at P = 128, and the rest
+# of B is built.
 _PROBE_SHIFTS = 64
 _BITS_PER_CANDIDATE = 4096
 _SPARSE_SHARE = 16
@@ -328,11 +329,12 @@ _SPARSE_DROP = 2
 
 # Truncated pair fold (value_mask): the pair level starts from the first
 # isqrt(width) // _START_SHARE short values, halved where _start finds B_K
-# dear.  At isqrt(width)/16, /8, /4, /2 and /1, K doubling alone, (2,3,7)
-# to 10^7 took 543, 436, 428, 880 and 1 096 ms and the six conjectured
-# triples to 10^6 together 271, 254, 122, 207 and 285 ms (medians of 7,
-# interleaved; Python 3.11, 2-core x86-64 VM): below /4 the first K left
-# too many bits missing and was doubled once.  Growing P instead, (2,3,7)
+# dear.  At isqrt(width)/16, /8, /4, /2 and /1, in an earlier engine that
+# doubled K instead of growing P, (2,3,7) to 10^7 took 543, 436, 428, 880
+# and 1 096 ms and the six conjectured triples to 10^6 together 271, 254,
+# 122, 207 and 285 ms (medians of 7, interleaved; Python 3.11, 2-core
+# x86-64 VM): below /4 the first K left too many bits missing and was
+# doubled once.  Growing P instead, (2,3,7)
 # to 10^7 starts at /8 and shifts 20 773 pieces against 37 053 from /4,
 # in 237 against 367 ms (medians of 7, interleaved); the six triples to
 # 10^6 stay at /4, where /8 would shift 12 144 pieces against 11 921.
@@ -546,29 +548,17 @@ def value_mask(
     prefix of the pair level and tests the few bits it leaves missing."""
     offset, width, groups = _levels(form, limit, max_bits, progression)
     values = sorted({q for parts, _ in groups for _, short in parts for q in short})
-    k, p = _start(groups, values, width), _PROBE_SHIFTS
+    k = _start(groups, values, width)
+    cut = values[k] if k < len(values) else None
+    bases = [_pairs(parts, width, 0, cut) for parts, _ in groups]
     most = max((len(longest) for _, longest in groups), default=0)
-    bases = [0] * len(groups)
-    acc = cut = 0
-    grow_k, before = True, width
+    acc, lo, p, before = 0, 0, _PROBE_SHIFTS, width
     while True:
-        # acc is B_K folded with the first p v of each group, each (slice,
-        # shift) pair once: a K step folds a new slice of B_K, the short
-        # shifts up to values[k], with the first p v; a P step folds all of
-        # B_K with the next p
-        if grow_k:
-            lo, cut = cut, values[k] if k < len(values) else None
-            for i, (parts, longest) in enumerate(groups):
-                more = _pairs(parts, width, lo, cut)
-                if more:
-                    acc |= _or_shifts(more, longest[:p], width)
-                    bases[i] |= more
-                del more
-        else:
-            for base, (_, longest) in zip(bases, groups):
-                if base:
-                    acc |= _or_shifts(base, longest[p : 2 * p], width)
-            p *= 2
+        # acc is B_K folded with the first p v of each group: each step
+        # folds B_K with the v in [lo, p)
+        for base, (_, longest) in zip(bases, groups):
+            if base:
+                acc |= _or_shifts(base, longest[lo:p], width)
         missing = width - acc.bit_count()
         if missing * _BITS_PER_CANDIDATE <= width:
             unreached = _set_bits(acc ^ ((1 << width) - 1))
@@ -579,25 +569,31 @@ def value_mask(
             if unreached and cut is not None:
                 unreached = _complete(unreached, groups, cut)
             return ((1 << width) - 1) ^ _bits(unreached, width), offset
-        # a P step costs what a K step's fold costs, without building a
-        # slice, so P grows while every probe has shown a sparse form and
-        # some group has shifts past it; a probe of no shifts never grows
-        grow_k = not (p and p < most and missing * _SPARSE_SHARE <= width and missing * _SPARSE_DROP <= before)
-        before = 0 if grow_k else missing
-        if grow_k:
-            if cut is None:
-                return acc | _fold([(base, longest[p:]) for base, (_, longest) in zip(bases, groups)], width, workers), offset
-            k *= 2
+        # P grows while every probe has shown a sparse form and some group
+        # has shifts past it; a probe of no shifts never grows
+        if not (p and p < most and missing * _SPARSE_SHARE <= width and missing * _SPARSE_DROP <= before):
+            break
+        lo, p, before = p, 2 * p, missing
+    # a dense form: the rest of B, the short shifts from cut on, meets the
+    # probe's v, and then all of B the v past them
+    if cut is not None:
+        for i, (parts, longest) in enumerate(groups):
+            rest = _pairs(parts, width, cut)
+            if rest:
+                acc |= _or_shifts(rest, longest[:p], width)
+                bases[i] |= rest
+            del rest
+    return acc | _fold([(base, longest[p:]) for base, (_, longest) in zip(bases, groups)], width, workers), offset
 
 
 def _start(groups: list[Group], values: list[int], width: int) -> int:
     # the first K: isqrt(width) // _START_SHARE, halved while, by the cost
     # model of _pairs, B_K costs more than twice B_{K/2} plus the P step
     # the halving plans for.  Halving saves a sparse form the top half of
-    # B_K for one P step, and costs a dense form, which never grows P, one
-    # more slice and its probe; the saving clearly wins only where B_K's
-    # cost grows faster than K, as the short values c*w^2 spread it over
-    # more pieces.  p is the probe the plan has reached.
+    # B_K for one P step, and moves a dense form's work from B_K to the
+    # rest of B, which meets the same probe; the saving clearly wins only
+    # where B_K's cost grows faster than K, as the short values c*w^2
+    # spread it over more pieces.  p is the probe the plan has reached.
     k, p = max(isqrt(width) // _START_SHARE, 1), _PROBE_SHIFTS
     pieces = -(-width // _PIECE)
 

@@ -149,3 +149,43 @@ def gauss_legendre_excluded(n: int) -> bool:
     while n and n % 4 == 0:
         n //= 4
     return n % 8 == 7
+
+
+def shifted_values_mask(terms, cap: int) -> tuple[int, int]:
+    """(mask, offset): bit v - offset of mask is set iff v <= cap is a sum
+    of one value of each term, offset being the sum of the terms' minima.
+    A term is (a, b) for x*(a*x+b) over every integer x, or (c, m, r) for
+    c*w^2 over every w = r (mod m).  The first two terms' value sums, less
+    their minima, are the bits of one int, and the mask is its OR over the
+    third term's values v of that whole int shifted by v less its minimum."""
+
+    def least(term) -> int:
+        if len(term) == 2:
+            return term_min(*term)
+        c, m, r = term
+        return c * min(w * w for w in range(-m, m + 1) if (w - r) % m == 0)
+
+    def values(term, top: int) -> set[int]:
+        if len(term) == 2:
+            a, b = term
+            lo, hi = term_range(a, b, top)
+            return {x * (a * x + b) for x in range(lo, hi + 1) if x * (a * x + b) <= top}
+        c, m, r = term
+        bound = isqrt(max(top, 0) // c)
+        return {c * w * w for w in range(-bound, bound + 1) if (w - r) % m == 0}
+
+    mins = [least(t) for t in terms]
+    offset = sum(mins)
+    # each term's values up to cap less the other terms' minima
+    v1, v2, v3 = (values(t, cap - offset + m) for t, m in zip(terms, mins))
+    width = max(cap - offset + 1, 0)
+    # the pair sums as a string of binary digits, bit 0 last
+    digits = bytearray(b"0" * (width + 1))
+    for s in {x - mins[0] + y - mins[1] for x in v1 for y in v2}:
+        if s < width:
+            digits[-1 - s] = ord("1")
+    pairs = int(digits, 2)
+    mask = 0
+    for z in v3:
+        mask |= pairs << z - mins[2]
+    return mask & (1 << width) - 1, offset

@@ -304,8 +304,8 @@ def test_value_mask_repr_leaves_out_the_mask():
 # short values into B_K and tests the bits left missing (residual); the
 # bits B_K leaves unreached are then tested against the short values past
 # K (completion).  A form that leaves too many bits missing grows the
-# probe P while it looks sparse and some longest-slot shifts are left, and
-# doubles K otherwise; once B_K is all of B it finishes the fold (dense).
+# probe P while it looks sparse and some longest-slot shifts are left;
+# otherwise it builds the rest of B and finishes the fold (dense).
 # Each path is forced here and checked against the dense reference and
 # the brute-force oracles, at one and two workers.
 
@@ -314,12 +314,12 @@ PATHS = {
     "residual": {"_BITS_PER_CANDIDATE": 0},
     # the same from K = 1: B_1 leaves bits that only later short values reach
     "completion": {"_BITS_PER_CANDIDATE": 0, "_START_SHARE": 1 << 30},
-    # a probe of no shifts leaves every bit missing: K doubles until B_K
-    # is all of B, and every shift goes to the fold
+    # a probe of no shifts leaves every bit missing and never grows: the
+    # rest of B is built at once, and every shift goes to the fold
     "dense": {"_PROBE_SHIFTS": 0},
     # a probe of one shift that every form grows, dense ones too, until one
-    # bit in 64 is missing or the shifts run out; then K doubles, each new
-    # slice folded with all the shifts taken so far
+    # bit in 64 is missing or the shifts run out; then the rest of B is
+    # folded with all the shifts taken so far
     "probe": {"_PROBE_SHIFTS": 1, "_SPARSE_SHARE": 0, "_SPARSE_DROP": 0, "_BITS_PER_CANDIDATE": 64},
 }
 
@@ -378,8 +378,7 @@ def test_multi_group_cases_have_groups_of_parts():
 
 def paths_taken(monkeypatch, form, limit) -> set[str]:
     # "dense" when the fold is finished, "residual" when missing bits are
-    # tested, "completion" when B_K leaves some unreached, "doubled" when
-    # the probe folds a slice of B_K past its first K values, "probe grown"
+    # tested, "completion" when B_K leaves some unreached, "probe grown"
     # when B_K is folded with longest-slot shifts past the probe's first P
     taken = set()
     fold, complete, unreached, pairs, or_shifts = search._fold, search._complete, search._unreached, search._pairs, search._or_shifts
@@ -403,9 +402,6 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
         return unreached(*args)
 
     def spy_pairs(parts, width, lo=0, hi=None):
-        # the completion, which comes last, reads the short values past K too
-        if lo and "completion" not in taken:
-            taken.add("doubled")
         nested.append(1)
         try:
             return pairs(parts, width, lo, hi)
@@ -414,7 +410,8 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
 
     def spy_or_shifts(base, shifts, width):
         # value_mask's own folds take a group's longest shifts: a prefix of
-        # them in the probe of a new slice, later ones when P grows
+        # them in the first probe and for the rest of B, later ones when P
+        # grows
         if not nested and shifts and all(shifts != group[: len(shifts)] for group in longest):
             taken.add("probe grown")
         return or_shifts(base, shifts, width)
@@ -432,10 +429,11 @@ SIX = ((2, 1), (3, 1), (6, 1))
 SEVEN = ((2, 1), (3, 1), (7, 1))
 GAUSS = ((1, 0), (1, 0), (1, 0))
 # x(x+1)+y(2y+1)+z(4z+1): the module's first probe leaves too many bits
-# missing, and the probe grows where K once doubled
+# missing, and the probe grows once
 GROWING = ((1, 1), (2, 1), (4, 1))
 # x^2+y^2+z(4z+1) to 10^4: the probe takes all 101 longest-slot shifts and
-# still leaves too many bits missing, so K doubles
+# still leaves too many bits missing, so the rest of B is built and the
+# fold finishes with no shifts left
 EXHAUSTED = ((1, 0), (1, 0), (4, 1))
 
 
@@ -445,16 +443,16 @@ EXHAUSTED = ((1, 0), (1, 0), (4, 1))
         # the module's own constants
         (None, SEVEN, 10**4, {"residual"}),
         (None, SIX, 10**4, {"residual", "completion"}),
-        (None, GAUSS, 3000, {"doubled", "dense"}),
+        (None, GAUSS, 3000, {"dense"}),
         (None, GROWING, 10**6, {"probe grown", "residual"}),
         # B_K from isqrt(width) // 8 short values, the probe grown once
         (None, SEVEN, 10**7, {"probe grown", "residual"}),
-        (None, EXHAUSTED, 10**4, {"probe grown", "doubled", "residual"}),
+        (None, EXHAUSTED, 10**4, {"probe grown", "dense"}),
         # forced
         ("residual", GAUSS, 3000, {"residual", "completion"}),
         ("completion", SEVEN, 3000, {"residual", "completion"}),
-        ("dense", SEVEN, 3000, {"doubled", "dense"}),
-        ("probe", GAUSS, 3000, {"probe grown", "doubled", "dense"}),
+        ("dense", SEVEN, 3000, {"dense"}),
+        ("probe", GAUSS, 3000, {"probe grown", "dense"}),
     ],
 )
 def test_each_path_is_taken(monkeypatch, path, pairs, limit, taken):
@@ -486,15 +484,14 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
 @pytest.mark.parametrize(
     "coeffs,calls",
     [
-        # K from 79 doubles to all 317 squares, each slice through the first
-        # 64 shifts, and the other 253 finish the fold
+        # Gauss never grows the probe: B_K of the first 79 squares meets the
+        # first 64 shifts, the rest of B (238 squares) meets them too, and
+        # all of B the other 253
         (
             (1, 1, 1),
             [
                 ("pairs", 0, 6241), ("or", 79), ("or", 64),
-                ("pairs", 6241, 24964), ("or", 79), ("or", 64),
-                ("pairs", 24964, 99856), ("or", 158), ("or", 64),
-                ("pairs", 99856, None), ("or", 1), ("or", 64),
+                ("pairs", 6241, None), ("or", 238), ("or", 64),
                 ("or", 253),
             ],
         ),
@@ -506,12 +503,28 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
                 ("or", 160),
             ],
         ),
+        # x^2+y^2+11z^2 grows the probe once, to 128 shifts, and then the
+        # rest of B meets all of them
+        (
+            (1, 1, 11),
+            [
+                ("pairs", 0, 68651), ("or", 79), ("or", 64), ("or", 64),
+                ("pairs", 68651, None), ("or", 17), ("or", 128),
+                ("or", 189),
+            ],
+        ),
     ],
 )
 def test_dense_work_is_pinned(monkeypatch, coeffs, calls):
-    # a dense form never grows the probe: the fold to 10^5 does the work
-    # it did with K doubling alone, call for call
+    # the fold to 10^5 folds each (slice of B, shift) pair once, call for
+    # call
     assert fold_calls(monkeypatch, DiagonalForm(coeffs), 10**5) == calls
+
+
+def test_sparse_work_is_pinned(monkeypatch):
+    # (2,3,7), a form of the sparse sieve workload, to 10^6: B_K, one
+    # probe of 64 shifts, then the residual test
+    assert fold_calls(monkeypatch, PolySum.of(*SEVEN), 10**6) == [("pairs", 0, 109500), ("or", 1155), ("or", 64)]
 
 
 def test_skipping_completion_is_caught(monkeypatch):
@@ -521,3 +534,46 @@ def test_skipping_completion_is_caught(monkeypatch):
     monkeypatch.setattr(search, "_complete", lambda unreached, groups, cut: unreached)
     cases = [(PolySum.of(*pairs), limit) for pairs, limit in PATH_POLYSUMS]
     assert any(value_mask(form, limit) != _dense_value_mask(form, limit) for form, limit in cases)
+
+
+# --- whole-range reference ----------------------------------------------------
+#
+# value_mask against oracles.shifted_values_mask, which ORs whole-int
+# shifts over the literal term values and shares nothing with the pieces,
+# residue buckets and carries of _levels, _pairs and _or_shifts.
+
+REFERENCE_FORMS = [
+    (PolySum.of(*SEVEN), SEVEN),
+    (PolySum.of(*SIX), SIX),
+    (DiagonalForm((1, 1, 1)), ((1, 1, 0),) * 3),
+    (DiagonalForm((10, 5, 2)), ((10, 1, 0), (5, 1, 0), (2, 1, 0))),
+    (DiagonalForm((1, 1, 11)), ((1, 1, 0), (1, 1, 0), (11, 1, 0))),
+]
+
+
+def reference_mask(terms, limit: int, progression: tuple[int, int]) -> tuple[int, int]:
+    # the reference over [0, M*limit + C], read at every M*n + C
+    modulus, constant = progression
+    whole, low = oracles.shifted_values_mask(terms, modulus * limit + constant)
+    offset = -((constant - low) // modulus)  # the least n with M*n + C >= low
+    mask = sum(1 << n - offset for n in range(offset, limit + 1) if whole >> modulus * n + constant - low & 1)
+    return mask, offset
+
+
+@pytest.mark.parametrize("form,terms", REFERENCE_FORMS, ids=[str(f) for f, _ in REFERENCE_FORMS])
+def test_value_mask_matches_whole_range_reference(form, terms):
+    expected = oracles.shifted_values_mask(terms, 10**5)
+    for workers in (1, 2):
+        assert value_mask(form, 10**5, workers=workers) == expected
+
+
+@pytest.mark.parametrize(
+    "form,terms,progression,limit",
+    [(*REFERENCE_FORMS[0], (5, 3), 2000), (*REFERENCE_FORMS[4], (7, 2), 1500)],
+    ids=["237-mod5", "x2+y2+11z2-mod7"],
+)
+def test_progressions_match_whole_range_reference(form, terms, progression, limit):
+    # several residue pairs per progression, whose sums carry past M
+    expected = reference_mask(terms, limit, progression)
+    for workers in (1, 2):
+        assert value_mask(form, limit, workers=workers, progression=progression) == expected
