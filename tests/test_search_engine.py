@@ -7,12 +7,15 @@ inputs it must agree with brute force: ``represent_all`` with the box of
 loop in ``class_members`` order, and each lemma searcher that is now an
 engine call with the first decomposition, in its documented order, among
 the ones ``oracles.two_square_reps``/``three_square_reps`` list.  The
-residue test that lets the scan skip w3 rows is checked the same way, on
-cases where it skips some, and its tables against one period of each class.
+residue test that lets the scan skip w3 rows and w2 columns is checked the
+same way, on cases where it skips some, and its tables against one period
+of each class, and at m up to 10^6, where the column flags wrap many
+times, against the plain triple loop.
 """
 
 import random
-from math import isqrt
+from itertools import compress, cycle
+from math import gcd, isqrt
 
 import pytest
 
@@ -149,6 +152,36 @@ def residue_cases(seed: int, count: int) -> list[tuple[ConstrainedForm, int]]:
 RESIDUE_CASES = residue_cases(20261021, 60)
 
 
+def large_m_cases(seed: int, count: int) -> list[tuple[ConstrainedForm, int]]:
+    # m in [10^5, 10^6], half of them values of the form, and a
+    # sign-symmetric w2 class whose walk at w3 = 0 is at least two periods
+    # of its column flags long
+    Q = search._Q
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        coeffs = tuple(rng.randint(1, 30) for _ in range(3))
+        m2 = rng.randint(1, 24)
+        k2 = CongruenceClass(m2, rng.choice([0, m2 // 2] if m2 % 2 == 0 else [0]))
+        k1, k3 = (CongruenceClass(k, rng.randrange(k)) for k in (rng.randint(1, 24), rng.randint(1, 24)))
+        classes = (k1, k2, k3)
+        if rng.random() < 0.5:
+            m = rng.randint(10**5, 10**6)
+        else:
+            m = sum(
+                c * (k.residue + k.modulus * rng.randint(-s, s)) ** 2
+                for c, k in zip(coeffs, classes)
+                for s in [isqrt(10**6 // (3 * c)) // k.modulus]
+            )
+        if not 10**5 <= m <= 10**6 or isqrt(m // coeffs[1]) < 2 * m2 * (Q // gcd(m2, Q)):
+            continue
+        cases.append((ConstrainedForm(DiagonalForm(coeffs), classes), m))
+    return cases
+
+
+LARGE_M_CASES = large_m_cases(20261023, 60)
+
+
 @pytest.mark.parametrize("cf, m", random_constrained(20261019, 150) + RESIDUE_CASES)
 def test_constrained_scan_matches_box_order(cf, m):
     expected = box_hits(cf, m)
@@ -193,6 +226,53 @@ def test_residue_table_missing_a_residue_breaks_a_case(monkeypatch):
     real = search._row_test
     monkeypatch.setattr(search, "_row_test", lambda *slots: real(*slots) & ~(1 << gone))
     assert any(list(search._scan_all(cf, m)) != box_hits(cf, m) for cf, m in RESIDUE_CASES)
+
+
+def test_column_flags_match_brute_force():
+    # every coefficient <= 30 and class modulus <= 24 on both sides, paired
+    # at random, at every row remainder t: the walk over two periods of the
+    # flags keeps the w2 for which some w1 in its class makes
+    # c1*w1^2 + c2*w2^2 = t (mod Q)
+    Q = search._Q
+    rng = random.Random(20261023)
+    pairs = [(c, rng.randint(1, 24)) for c in range(1, 31)] + [(rng.randint(1, 30), m) for m in range(1, 25)]
+    for i, (c2, m2) in enumerate(pairs + [(rng.randint(1, 30), rng.randint(1, 24)) for _ in range(40)]):
+        k2 = CongruenceClass(m2, rng.choice([0, m2 // 2] if m2 % 2 == 0 else [0]))
+        c1, k1 = i % 30 + 1, CongruenceClass(i % 24 + 1, rng.randrange(i % 24 + 1))
+        column = (search._slot_key(c1, k1), c2 % Q, m2 % Q, k2.residue % Q)
+        walk = range(k2.residue, k2.residue + 2 * m2 * Q, m2)
+        values = period(c1, k1)
+        for t in range(Q):
+            flags = search._column_flags(*column, t)
+            assert len(flags) == Q // gcd(m2, Q)
+            expected = [w2 for w2 in walk if (t - c2 * w2 * w2) % Q in values]
+            assert list(compress(walk, cycle(flags))) == expected
+
+
+def test_column_flag_cleared_breaks_a_case(monkeypatch):
+    # the flag of the first hit's w2 column, cleared, loses that hit
+    cf, m, hit = next((cf, m, hits[0]) for cf, m in LARGE_M_CASES for hits in [box_hits(cf, m)] if hits)
+    (c1, c2, c3), (k1, k2, _) = cf.form.coeffs, cf.classes
+    Q = search._Q
+    row = (search._slot_key(c1, k1), c2 % Q, k2.modulus % Q, k2.residue % Q, (m - c3 * hit[2] ** 2) % Q)
+    j = (abs(hit[1]) - k2.residue) // k2.modulus % (Q // gcd(k2.modulus, Q))
+    real = search._column_flags
+
+    def cleared(*key):
+        flags = bytearray(real(*key))
+        if key == row:
+            assert flags[j]
+            flags[j] = 0
+        return bytes(flags)
+
+    monkeypatch.setattr(search, "_column_flags", cleared)
+    hits = list(search._scan_all(cf, m))
+    assert hit not in hits and hits != box_hits(cf, m)
+
+
+@pytest.mark.parametrize("cf, m", LARGE_M_CASES)
+def test_large_m_scan_matches_box_order(cf, m):
+    assert list(search._scan_all(cf, m)) == box_hits(cf, m)
 
 
 def test_count_representations_matches_box():
