@@ -5,9 +5,13 @@ space down to finitely many candidates.  Both filters are exact sumsets
 of term values (every term value is >= 0, so n is a value exactly when
 it is a sum of three term values <= n), so every exclusion here is a
 proof, and every survivor is a candidate whose universality needs (and,
-for twelve of them, has) a separate argument.  represent() confirms each
-triple survivor with a witness; reverify_quadruples re-checks the
-quadruple survivors to 100000 with one sieve each, an independent engine.
+for twelve of them, has) a separate argument.  Each sum is first folded on
+its low 64 bits, which refute every sum rejected here (the first value a
+rejected sum misses is at most 48 for the triples and 17 for the
+quadruples); only the sums that pass get the full-width fold.
+represent() confirms each triple survivor with a witness;
+reverify_quadruples re-checks the quadruple survivors to 100000 with one
+sieve each, an independent engine.
 """
 
 from terna import filter_universal_quadruples, filter_universal_triples, represent, triple_poly

@@ -193,6 +193,13 @@ def test_cli_survey(capsys):
     assert "n <= 1000:" in out and "total: 7" in out
 
 
+def test_cli_survey_refuses_a_width_past_the_bit_cap(capsys):
+    code, out, err = run(capsys, "survey", "--theorem", "1.3", "--n-limit", "10000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: survey needs 10000000001 bits")
+
+
 @pytest.mark.parametrize("theorem", ["1.3", "remark1.3"])
 @pytest.mark.parametrize("bounds", ["5", "5,3,2"])
 def test_cli_survey_quadruple_bounds_need_lo_hi(capsys, theorem, bounds):

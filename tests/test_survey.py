@@ -13,7 +13,8 @@ from terna import (
     triple_poly,
     verify_conjectured_triples,
 )
-from terna import survey
+from terna import ResourceLimitError, survey
+from terna.search import DEFAULT_MAX_BITS
 from terna.survey import DEFAULT_TEST_VALUES, reverify_quadruples
 
 SEVENTEEN = [
@@ -88,6 +89,21 @@ def test_triple_filter_comparison_catches_a_dropped_term_value(monkeypatch):
     )
 
 
+# prefixes of bit 0 alone, of one byte, and past every width; the default
+# prefix is the case above
+STAGE_PREFIXES = [1, 8, 1 << 40]
+
+
+@pytest.mark.parametrize("tests", TRIPLE_TEST_SETS)
+@pytest.mark.parametrize("c_max", TRIPLE_C_MAXES)
+@pytest.mark.parametrize("prefix", STAGE_PREFIXES)
+def test_triple_filter_stages_match_represent_every_test_value(monkeypatch, prefix, c_max, tests):
+    # whatever the prefix, the prefix stage refutes only sums that miss a
+    # test value, and the full-width stage decides the rest
+    monkeypatch.setattr(survey, "_PREFIX", prefix)
+    assert filter_universal_triples(c_max, tests) == _represent_every_test_value(c_max, tests)
+
+
 @pytest.mark.parametrize("tests", [t for t in TRIPLE_TEST_SETS if 1 in t])
 def test_triple_survivors_have_a_at_most_2_when_1_is_tested(tests):
     # 1 is a sum of term values >= 0 only if some x(kx+1) = 1, which needs
@@ -133,15 +149,35 @@ def _quadruples(a_range):
     ]
 
 
+@lru_cache(maxsize=None)
 def _represent_every_n(a_range, n_limit):
     # the filter's definition: one represent query per n <= n_limit
     return [q for q in _quadruples(a_range) if all(represent(quadruple_poly(q), n) is not None for n in range(n_limit + 1))]
 
 
-@pytest.mark.parametrize("a_range", [(3, 6), (1, 2), (4, 4), (5, 4)])
-@pytest.mark.parametrize("n_limit", [0, 1, 2, 31, 32, 33, 40])
+# 63, 64 and 65 straddle the default prefix
+QUADRUPLE_A_RANGES = [(3, 6), (1, 2), (4, 4), (5, 4)]
+QUADRUPLE_N_LIMITS = [0, 1, 2, 31, 32, 33, 40, 63, 64, 65, 200]
+
+
+@pytest.mark.parametrize("a_range", QUADRUPLE_A_RANGES)
+@pytest.mark.parametrize("n_limit", QUADRUPLE_N_LIMITS)
 def test_quadruple_filter_matches_represent_every_n(a_range, n_limit):
     assert filter_universal_quadruples(a_range, n_limit) == _represent_every_n(a_range, n_limit)
+
+
+@pytest.mark.parametrize("a_range", QUADRUPLE_A_RANGES)
+@pytest.mark.parametrize("n_limit", QUADRUPLE_N_LIMITS)
+@pytest.mark.parametrize("prefix", STAGE_PREFIXES)
+def test_quadruple_filter_stages_match_represent_every_n(monkeypatch, prefix, a_range, n_limit):
+    monkeypatch.setattr(survey, "_PREFIX", prefix)
+    assert filter_universal_quadruples(a_range, n_limit) == _represent_every_n(a_range, n_limit)
+
+
+def test_quadruple_filter_range_to_10_4():
+    # the seven a <= 2 survivors, then the five of a in [3, 13]
+    seven = sorted(LISTED_SMALL_QUADRUPLES + [(2, 0, 1, 2), (2, 1, 1, 2)])
+    assert filter_universal_quadruples((1, 13), 10**4) == seven + FIVE_QUADRUPLES
 
 
 @pytest.mark.parametrize(
@@ -159,6 +195,14 @@ def test_quadruple_filter_rejects_bad_ranges():
         filter_universal_quadruples((3, 4), -1)
     with pytest.raises(ValueError, match="a >= 1"):
         filter_universal_quadruples((0, 2), 10)
+
+
+def test_surveys_refuse_a_width_past_the_bit_cap():
+    # the check comes before any term value or bitset is built
+    with pytest.raises(ResourceLimitError, match=str(DEFAULT_MAX_BITS)):
+        filter_universal_quadruples((3, 3), 2**31)
+    with pytest.raises(ResourceLimitError, match=str(DEFAULT_MAX_BITS)):
+        filter_universal_triples(5, (2**31,))
 
 
 def test_reverify_keeps_survivors():
