@@ -10,26 +10,26 @@ Two complementary engines:
   with a term x(ax+b), b > a, answers for negative n too; a PolySum's
   hits are lifted back to Witnesses, the others stay triples.  One loop,
   ``_scan_all``, does every exhaustive search in the package, the lemma
-  and witness searches included: it walks w3 and then w2 in
-  ``class_members`` order and solves w1 by exact square root, yielding
-  every hit lazily, so a first-hit query stops at its first hit.  A
-  sign-symmetric class ((-r) % m == r: trivial, odd, residue 0) is walked
-  over its members w >= 0 only, and each hit is replayed at -w where
-  ``class_members`` would visit -w: right after +w at the w2 level, after
-  the whole +w3 block at the w3 level.  The hit order is unchanged, and a
-  first hit never needs the mirrored half.
+  and witness searches included: it walks w3 and then w2 and solves w1
+  by exact square root, yielding every hit lazily, so a first-hit query
+  stops at its first hit.  Both levels walk through ``_walk``: a class's
+  members in the order 0 (when a member), then positives ascending
+  interleaved with negatives descending.  A sign-symmetric class
+  ((-r) % m == r: trivial, odd, residue 0) is walked over its members
+  w >= 0 only, and each hit is replayed at -w where that order would
+  visit -w: right after +w at the w2 level, after the whole +w3 block at
+  the w3 level.  The hit order is unchanged, and a first hit never needs
+  the mirrored half.
 
-  A scan whose w3 walk takes more than one step first tests each row:
-  m - c3*w3^2 mod 144 must be a residue that c1*w1^2 + c2*w2^2 takes
-  with each wi in its class.  A row that fails holds no hit and is
-  skipped, so the test is exact and the hit order is unchanged.  The
-  same test is applied to each column of a sign-symmetric w2 walk: with
-  t the row's remainder mod 144, w2 is admitted only when t - c2*w2^2
-  mod 144 is a residue of c1*w1^2, w1 in its class.  These flags repeat
-  with period 144/gcd(modulus, 144) along the walk, so they are built
-  once per (slot, class, t) as bytes and the walk is ``compress``ed by
-  their ``cycle``: a column ruled out costs no Python step, and a skipped
-  w2 holds no hit.
+  Each w2 walk is ``compress``ed by flags in walk order: with t the
+  row's remainder m - c3*w3^2 mod 144, the flag of w2 is 1 iff t -
+  c2*w2^2 mod 144 is a residue of c1*w1^2, w1 in its class.  The flags
+  repeat along the walk with period 144/gcd(modulus, 144) members each
+  way, so they are built once per (slot, class, t) as bytes and
+  ``cycle``d: a column ruled out costs no Python step, and a skipped w2
+  holds no hit.  A row whose flags hold no 1 holds no hit either, and is
+  skipped before its walk is built.  The w3 walk takes flags that are
+  all 1.
 
 * ``exceptional_set`` computes E(f) = {n <= N : n is not a value of f}
   for a whole range at once, from the attainable-value bitset built by
@@ -90,7 +90,7 @@ from bisect import bisect_left
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress, cycle
+from itertools import chain, compress, cycle
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Union
 
@@ -154,40 +154,16 @@ class ValueMask:
         return present ^ ((1 << (self.limit + 1)) - 1)
 
 
-def class_members(modulus: int, residue: int, bound: int) -> Iterator[int]:
-    """Members w of the class residue (mod modulus) with |w| <= bound.
-
-    Order: 0 first when it belongs to the class, then positive members
-    ascending interleaved with negative members descending.
-    """
-    if residue == 0:
-        if bound >= 0:
-            yield 0
-        w = modulus
-        while w <= bound:
-            yield w
-            yield -w
-            w += modulus
-        return
-    pos = residue
-    neg = residue - modulus
-    while pos <= bound or -neg <= bound:
-        if pos <= bound:
-            yield pos
-        if -neg <= bound:
-            yield neg
-        pos += modulus
-        neg -= modulus
-
-
 # Modulus of _scan_all's residue test: 2^4 * 3^2, for the mod-8 and mod-9
-# obstructions to sums of two squares.  With rows and columns tested, the
-# 12 clauses' witnesses, n <= 10^4 step 7, take 2.45 s untested, 1.07 s at
-# q = 24, 1.09 s at 48, 0.77 s at 144 and 0.95 s at 720, against 1.07 s
-# with rows alone at 144 (medians of 7, interleaved); n = 10^6 ... 10^6+199
-# take 1.68 s at 48, 1.71 s at 144 and 1.22 s at 720, against 2.73 s with
-# rows alone (medians of 5; Python 3.11, 2-core x86-64 VM).
+# obstructions to sums of two squares.  The 12 clauses' witnesses,
+# n <= 10^4 step 7, take 1.66 s untested (q = 1), 0.84 s at q = 24, 0.75 s
+# at 48, 0.70 s at 144 and 0.91 s at 720; n = 10^6 ... 10^6+199 take 4.83,
+# 1.73, 1.32, 0.90 and 0.77 s (medians of 7, interleaved; Python 3.11,
+# 2-core x86-64 VM).
 _Q = 144
+
+# flags that admit every member, for a walk that skips none
+_EVERY = b"\x01"
 
 
 @cache
@@ -201,20 +177,36 @@ def _slot_key(c: int, k: CongruenceClass) -> tuple[int, int, int]:
     return c % _Q, g, k.residue % g
 
 
+def _walk(k: CongruenceClass, bound: int, flags: bytes) -> Iterator[int]:
+    # the members w of k with |w| <= bound, w >= 0 only for a sign-symmetric
+    # class, in the scan order, less each member whose flag is 0; flags hold
+    # one byte per member in that order and repeat, and flags with no 0
+    # build no compress.  Positives and negatives alternate until one range
+    # runs out, so a last positive comes in turn; a last negative is left
+    # over, and its flag is 2p + 1 for p positives.
+    m, r = k.modulus, k.residue
+    pos = range(r, bound + 1, m)
+    if (-r) % m == r:
+        return compress(pos, cycle(flags)) if 0 in flags else pos
+    neg = iter(range(r - m, -bound - 1, -m))
+    walk = map(next, cycle((iter(pos), neg)))
+    if 0 not in flags:
+        return chain(walk, neg)
+    walk = compress(walk, cycle(flags))
+    return chain(walk, neg) if flags[(2 * len(pos) + 1) % len(flags)] else walk
+
+
 @cache
-def _column_flags(slot1: tuple[int, int, int], c2: int, m2: int, r2: int, t: int) -> bytes:
-    # byte j is 1 iff t - c2*(r2 + m2*j)^2 mod _Q is a residue of slot 1, over
-    # the period _Q // gcd(m2, _Q) of j; c2, m2, r2 and t are taken mod _Q
+def _column_flags(slot1: tuple[int, int, int], c2: int, m2: int, r2: int, mirror: bool, t: int) -> bytes:
+    # byte j is 1 iff t - c2*w^2 mod _Q is a residue of slot 1, w the j-th
+    # member of the walk of r2 (mod m2): r2 + m2*j for a sign-symmetric
+    # class, else r2 + m2*i at byte 2i and r2 - m2*(i + 1) at byte 2i + 1,
+    # over one period of _Q // gcd(m2, _Q) steps; c2, m2, r2 and t are taken
+    # mod _Q, so the symmetry is a key of its own (150k+3 is not, 6k+3 is)
     admitted = _slot_residues(*slot1)
-    return bytes((t - c2 * (r2 + m2 * j) ** 2) % _Q in admitted for j in range(_Q // gcd(m2, _Q)))
-
-
-@cache
-def _row_test(slot1: tuple[int, int, int], slot2: tuple[int, int, int]) -> int:
-    # bit v set iff c1*w1^2 + c2*w2^2 = v (mod _Q) for some w1, w2 in their
-    # classes; 0 when every v is, so the scan skips the test
-    sums = sum({1 << (a + b) % _Q for a in _slot_residues(*slot1) for b in _slot_residues(*slot2)})
-    return 0 if sums == (1 << _Q) - 1 else sums
+    steps = range(_Q // gcd(m2, _Q))
+    members = [r2 + m2 * j for j in steps] if mirror else [w for j in steps for w in (r2 + m2 * j, r2 - m2 * (j + 1))]
+    return bytes((t - c2 * w * w) % _Q in admitted for w in members)
 
 
 def _scan_all(cf: ConstrainedForm, m: int) -> Iterator[tuple[int, int, int]]:
@@ -226,21 +218,14 @@ def _scan_all(cf: ConstrainedForm, m: int) -> Iterator[tuple[int, int, int]]:
     k1, k2, k3 = cf.classes
     mirror2 = (-k2.residue) % k2.modulus == k2.residue
     mirror3 = (-k3.residue) % k3.modulus == k3.residue
-    slot1 = _slot_key(c1, k1)
-    column = (slot1, c2 % _Q, k2.modulus % _Q, k2.residue % _Q)
-    b3 = isqrt(m // c3)
-    reachable = _row_test(slot1, _slot_key(c2, k2)) if b3 >= 2 * k3.modulus else 0
-    for w3 in range(k3.residue, b3 + 1, k3.modulus) if mirror3 else class_members(k3.modulus, k3.residue, b3):
+    column = (_slot_key(c1, k1), c2 % _Q, k2.modulus % _Q, k2.residue % _Q, mirror2)
+    for w3 in _walk(k3, isqrt(m // c3), _EVERY):
         rem3 = m - c3 * w3 * w3
-        if reachable and not reachable >> rem3 % _Q & 1:
+        flags = _column_flags(*column, rem3 % _Q)
+        if 1 not in flags:
             continue
-        b2 = isqrt(rem3 // c2)
-        if mirror2:
-            walk = compress(range(k2.residue, b2 + 1, k2.modulus), cycle(_column_flags(*column, rem3 % _Q)))
-        else:
-            walk = class_members(k2.modulus, k2.residue, b2)
         block = []
-        for w2 in walk:
+        for w2 in _walk(k2, isqrt(rem3 // c2), flags):
             rem = rem3 - c2 * w2 * w2
             if rem % c1:
                 continue

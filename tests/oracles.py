@@ -93,6 +93,32 @@ def naive_diag_exceptions(coeffs, limit: int) -> list[int]:
     return [n for n in range(limit + 1) if not reach[n]]
 
 
+def class_members(modulus: int, residue: int, bound: int):
+    """Members w of the class residue (mod modulus) with |w| <= bound: 0
+    first when it belongs to the class, then positive members ascending
+    interleaved with negative members descending.  This is the order of
+    the library's scan, which walks a sign-symmetric class over w >= 0
+    only and replays each hit at -w."""
+    if residue == 0:
+        if bound >= 0:
+            yield 0
+        w = modulus
+        while w <= bound:
+            yield w
+            yield -w
+            w += modulus
+        return
+    pos = residue
+    neg = residue - modulus
+    while pos <= bound or -neg <= bound:
+        if pos <= bound:
+            yield pos
+        if -neg <= bound:
+            yield neg
+        pos += modulus
+        neg -= modulus
+
+
 def naive_class_values(coeffs, classes, cap: int) -> bytearray:
     """reach[v] = 1 for each v <= cap that is c1*w1^2 + c2*w2^2 + c3*w3^2
     with each wi = ri (mod mi), classes given as (mi, ri) pairs."""

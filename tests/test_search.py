@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from oracles import class_members
 from terna import (
     CongruenceClass,
     ConstrainedForm,
@@ -13,7 +14,7 @@ from terna import (
     represent,
     represent_all,
 )
-from terna.search import class_members, represent_constrained, represent_diag
+from terna.search import represent_constrained, represent_diag
 
 
 def cf(coeffs, classes):

@@ -1,20 +1,21 @@
 """Differential tests of the search engine (``search._scan_all``).
 
-Every exhaustive search runs through one loop, which walks a sign-symmetric
-class over its members w >= 0 and replays each hit at -w.  On seeded random
-inputs it must agree with brute force: ``represent_all`` with the box of
+Every exhaustive search runs through one loop, which walks every class
+through ``search._walk`` (a sign-symmetric class over its members w >= 0,
+each hit replayed at -w).  On seeded random inputs it must agree with
+brute force: ``represent_all`` with the box of
 ``oracles.naive_all_witnesses``, the constrained scan with a plain triple
-loop in ``class_members`` order, and each lemma searcher that is now an
-engine call with the first decomposition, in its documented order, among
-the ones ``oracles.two_square_reps``/``three_square_reps`` list.  The
-residue test that lets the scan skip w3 rows and w2 columns is checked the
-same way, on cases where it skips some, and its tables against one period
-of each class, and at m up to 10^6, where the column flags wrap many
-times, against the plain triple loop.
+loop in ``oracles.class_members`` order, and each lemma searcher that is
+now an engine call with the first decomposition, in its documented order,
+among the ones ``oracles.two_square_reps``/``three_square_reps`` list.
+The residue test that lets the scan skip w3 rows and w2 columns is
+checked the same way: the walk-order flags against one period of each
+class, cases where rows are skipped, and, at m up to 10^6, where the
+flags wrap many times, sign-symmetric and other w2 classes against the
+plain triple loop.
 """
 
 import random
-from itertools import compress, cycle
 from math import gcd, isqrt
 
 import pytest
@@ -93,7 +94,7 @@ def box_hits(cf: ConstrainedForm, m: int) -> list[tuple[int, int, int]]:
     k1, k2, k3 = cf.classes
 
     def members(k, c):
-        return list(search.class_members(k.modulus, k.residue, isqrt(m // c)))
+        return list(oracles.class_members(k.modulus, k.residue, isqrt(m // c)))
 
     # the w1 of each value c1*w1^2, in class_members order
     by_value: dict[int, list[int]] = {}
@@ -152,17 +153,17 @@ def residue_cases(seed: int, count: int) -> list[tuple[ConstrainedForm, int]]:
 RESIDUE_CASES = residue_cases(20261021, 60)
 
 
-def large_m_cases(seed: int, count: int) -> list[tuple[ConstrainedForm, int]]:
-    # m in [10^5, 10^6], half of them values of the form, and a
-    # sign-symmetric w2 class whose walk at w3 = 0 is at least two periods
+def large_m_cases(seed: int, count: int, symmetric: bool = True) -> list[tuple[ConstrainedForm, int]]:
+    # m in [10^5, 10^6], half of them values of the form, and a w2 class,
+    # sign-symmetric or not, whose walk at w3 = 0 is at least two periods
     # of its column flags long
     Q = search._Q
     rng = random.Random(seed)
     cases = []
     while len(cases) < count:
         coeffs = tuple(rng.randint(1, 30) for _ in range(3))
-        m2 = rng.randint(1, 24)
-        k2 = CongruenceClass(m2, rng.choice([0, m2 // 2] if m2 % 2 == 0 else [0]))
+        m2 = rng.randint(1, 24) if symmetric else rng.randint(3, 24)
+        k2 = CongruenceClass(m2, rng.choice([r for r in range(m2) if (-r % m2 == r) == symmetric]))
         k1, k3 = (CongruenceClass(k, rng.randrange(k)) for k in (rng.randint(1, 24), rng.randint(1, 24)))
         classes = (k1, k2, k3)
         if rng.random() < 0.5:
@@ -180,6 +181,7 @@ def large_m_cases(seed: int, count: int) -> list[tuple[ConstrainedForm, int]]:
 
 
 LARGE_M_CASES = large_m_cases(20261023, 60)
+ASYMMETRIC_LARGE_M_CASES = large_m_cases(20261024, 60, symmetric=False)
 
 
 @pytest.mark.parametrize("cf, m", random_constrained(20261019, 150) + RESIDUE_CASES)
@@ -190,77 +192,139 @@ def test_constrained_scan_matches_box_order(cf, m):
     assert represent_all(cf, m) == expected
 
 
-def test_residue_tables_match_brute_force():
-    Q = search._Q
-    full = (1 << Q) - 1
-    periods = {}
+def unfold(k: CongruenceClass, walk) -> list[int]:
+    # a walk with each member w > 0 of a sign-symmetric class followed by
+    # -w, as the scan replays it
+    if -k.residue % k.modulus != k.residue:
+        return list(walk)
+    return [v for w in walk for v in ((w, -w) if w else (w,))]
+
+
+def walk_index(k: CongruenceClass, w: int) -> int:
+    # the position of member w in its class's walk: w >= 0 alone for a
+    # sign-symmetric class, else r + m*i at 2i and r - m*(i + 1) at 2i + 1
+    if -k.residue % k.modulus == k.residue:
+        return (abs(w) - k.residue) // k.modulus
+    return 2 * ((w - k.residue) // k.modulus) if w >= 0 else 2 * ((k.residue - w) // k.modulus) - 1
+
+
+def test_walk_matches_class_members():
+    # every class of modulus <= 30 and bound <= 120: both tails, negatives a
+    # step longer (r > m/2) and positives a step longer (r < m/2), occur.
+    # With all-one flags the walk is class_members order; with seeded flags
+    # of the period of the flags the scan builds, it keeps the members whose
+    # flag at their walk position is 1
+    rng = random.Random(20261026)
+    for m in range(1, 31):
+        for r in range(m):
+            k = CongruenceClass(m, r)
+            length = search._Q // gcd(m, search._Q) * (1 if -r % m == r else 2)
+            flags = bytes(rng.random() < 0.7 for _ in range(length))
+            for bound in range(121):
+                members = list(oracles.class_members(m, r, bound))
+                assert unfold(k, search._walk(k, bound, search._EVERY)) == members
+                kept = [w for w in members if (w >= 0 or -r % m != r) and flags[walk_index(k, w) % length]]
+                assert list(search._walk(k, bound, flags)) == kept
+
+
+def test_slot_residues_match_brute_force():
     for c in range(1, 31):
         for modulus in range(1, 25):
             for r in range(modulus):
                 k = CongruenceClass(modulus, r)
-                key = search._slot_key(c, k)
-                assert search._slot_residues(*key) == period(c, k)
-                periods[key] = period(c, k)
-    keys = sorted(periods)
-    rng = random.Random(20261022)
-    for k1, k2 in [(k, k) for k in keys] + [(rng.choice(keys), rng.choice(keys)) for _ in range(3000)]:
-        sums = {(a + b) % Q for a in periods[k1] for b in periods[k2]}
-        assert (search._row_test(k1, k2) or full) == sum(1 << v for v in sums)
+                assert search._slot_residues(*search._slot_key(c, k)) == period(c, k)
 
 
-@pytest.mark.parametrize("cf, m", RESIDUE_CASES[:20])
-def test_residue_cases_take_the_residue_test(monkeypatch, cf, m):
-    tables = []
-    real = search._row_test
-    monkeypatch.setattr(search, "_row_test", lambda *slots: tables.append(real(*slots)) or tables[-1])
-    list(search._scan_all(cf, m))
-    assert tables and all(tables)
-    c3, k3 = cf.form.coeffs[2], cf.classes[2]
-    rows = search.class_members(k3.modulus, k3.residue, isqrt(m // c3))
-    assert any(not tables[0] >> (m - c3 * w3 * w3) % search._Q & 1 for w3 in rows)
-
-
-def test_residue_table_missing_a_residue_breaks_a_case(monkeypatch):
-    cf, m, hits = next((cf, m, box_hits(cf, m)) for cf, m in RESIDUE_CASES if box_hits(cf, m))
-    gone = (m - cf.form.coeffs[2] * hits[0][2] ** 2) % search._Q
-    real = search._row_test
-    monkeypatch.setattr(search, "_row_test", lambda *slots: real(*slots) & ~(1 << gone))
-    assert any(list(search._scan_all(cf, m)) != box_hits(cf, m) for cf, m in RESIDUE_CASES)
+def column_pairs(seed: int) -> list[tuple[int, CongruenceClass]]:
+    # (c2, k2): every coefficient <= 30 and class modulus <= 24 on the w2
+    # side, each once with a sign-symmetric class and once, where there is
+    # one, with a class that is not, plus 40 random pairs and 150k+3, whose
+    # modulus mod Q makes it look like the sign-symmetric 6k+3
+    rng = random.Random(seed)
+    draws = [(c, rng.randint(1, 24)) for c in range(1, 31)] + [(rng.randint(1, 30), m) for m in range(1, 25)]
+    draws += [(rng.randint(1, 30), rng.randint(1, 24)) for _ in range(40)]
+    pairs = []
+    for c2, m2 in draws:
+        for symmetric in (True, False):
+            residues = [r for r in range(m2) if (-r % m2 == r) == symmetric]
+            if residues:
+                pairs.append((c2, CongruenceClass(m2, rng.choice(residues))))
+    return pairs + [(rng.randint(1, 30), CongruenceClass(150, 3))]
 
 
 def test_column_flags_match_brute_force():
-    # every coefficient <= 30 and class modulus <= 24 on both sides, paired
-    # at random, at every row remainder t: the walk over two periods of the
-    # flags keeps the w2 for which some w1 in its class makes
-    # c1*w1^2 + c2*w2^2 = t (mod Q)
+    # each (c2, k2) against a slot 1 running through every coefficient <= 30
+    # and class modulus <= 24, at every row remainder t: the flags are one
+    # period of the walk, the walk over two periods keeps the w2 for which
+    # some w1 in its class makes c1*w1^2 + c2*w2^2 = t (mod Q), and the row
+    # test, a 1 among the flags, holds iff some w1, w2 reach t
     Q = search._Q
-    rng = random.Random(20261023)
-    pairs = [(c, rng.randint(1, 24)) for c in range(1, 31)] + [(rng.randint(1, 30), m) for m in range(1, 25)]
-    for i, (c2, m2) in enumerate(pairs + [(rng.randint(1, 30), rng.randint(1, 24)) for _ in range(40)]):
-        k2 = CongruenceClass(m2, rng.choice([0, m2 // 2] if m2 % 2 == 0 else [0]))
+    rng = random.Random(20261025)
+    for i, (c2, k2) in enumerate(column_pairs(20261023)):
         c1, k1 = i % 30 + 1, CongruenceClass(i % 24 + 1, rng.randrange(i % 24 + 1))
-        column = (search._slot_key(c1, k1), c2 % Q, m2 % Q, k2.residue % Q)
-        walk = range(k2.residue, k2.residue + 2 * m2 * Q, m2)
-        values = period(c1, k1)
+        symmetric = -k2.residue % k2.modulus == k2.residue
+        column = (search._slot_key(c1, k1), c2 % Q, k2.modulus % Q, k2.residue % Q, symmetric)
+        steps = Q // gcd(k2.modulus, Q)
+        bound = k2.residue + 2 * steps * k2.modulus
+        members = [w for w in oracles.class_members(k2.modulus, k2.residue, bound) if w >= 0 or not symmetric]
+        values, reached = period(c1, k1), brute_residues((c1, c2), (k1, k2))
         for t in range(Q):
             flags = search._column_flags(*column, t)
-            assert len(flags) == Q // gcd(m2, Q)
-            expected = [w2 for w2 in walk if (t - c2 * w2 * w2) % Q in values]
-            assert list(compress(walk, cycle(flags))) == expected
+            assert len(flags) == (1 if symmetric else 2) * steps
+            expected = [w for w in members if (t - c2 * w * w) % Q in values]
+            assert list(search._walk(k2, bound, flags)) == expected
+            assert (1 in flags) == (t in reached)
 
 
-def test_column_flag_cleared_breaks_a_case(monkeypatch):
-    # the flag of the first hit's w2 column, cleared, loses that hit
-    cf, m, hit = next((cf, m, hits[0]) for cf, m in LARGE_M_CASES for hits in [box_hits(cf, m)] if hits)
+def test_modulus_past_q_keeps_its_own_flags():
+    # 150k+3 and 6k+3 agree mod Q, but only 6k+3 is sign-symmetric: each
+    # scan, run after the other, still matches the plain triple loop
+    for m2 in (6, 150, 6):
+        cf = ConstrainedForm(DiagonalForm((1, 1, 2)), (CongruenceClass(1, 0), CongruenceClass(m2, 3), CongruenceClass(4, 1)))
+        for m in (147**2 + 2, 10**5 + 3):
+            assert list(search._scan_all(cf, m)) == box_hits(cf, m)
+
+
+@pytest.mark.parametrize("cf, m", RESIDUE_CASES[:20])
+def test_residue_cases_skip_rows_by_their_flags(monkeypatch, cf, m):
+    # the flags each row fetches hold no 1 exactly when m - c3*w3^2 mod Q is
+    # no sum that c1*w1^2 + c2*w2^2 reaches, and each case skips some rows
+    rows = []
+    real = search._column_flags
+    monkeypatch.setattr(search, "_column_flags", lambda *key: rows.append(real(*key)) or rows[-1])
+    list(search._scan_all(cf, m))
+    c3, k3 = cf.form.coeffs[2], cf.classes[2]
+    reached = brute_residues(cf.form.coeffs, cf.classes)
+    walk = search._walk(k3, isqrt(m // c3), search._EVERY)
+    assert [1 in flags for flags in rows] == [(m - c3 * w3 * w3) % search._Q in reached for w3 in walk]
+    assert any(1 not in flags for flags in rows)
+
+
+def test_row_flags_cleared_break_a_case(monkeypatch):
+    # the flags of the first hit's row, all cleared, lose that row's hits
+    cf, m, hits = next((cf, m, box_hits(cf, m)) for cf, m in RESIDUE_CASES if box_hits(cf, m))
+    gone = (m - cf.form.coeffs[2] * hits[0][2] ** 2) % search._Q
+    real = search._column_flags
+    monkeypatch.setattr(search, "_column_flags", lambda *key: bytes(len(real(*key))) if key[-1] == gone else real(*key))
+    assert hits[0] not in search._scan_all(cf, m)
+    assert any(list(search._scan_all(cf, m)) != box_hits(cf, m) for cf, m in RESIDUE_CASES)
+
+
+@pytest.mark.parametrize("cases, sign", [(LARGE_M_CASES, 1), (ASYMMETRIC_LARGE_M_CASES, -1)], ids=["symmetric", "negative"])
+def test_column_flag_cleared_breaks_a_case(monkeypatch, cases, sign):
+    # the flag of a hit's w2 column, cleared, loses that hit: a member of a
+    # sign-symmetric class, and a negative member of a class that is not
+    cf, m, hit = next((cf, m, h) for cf, m in cases for h in box_hits(cf, m) if sign * h[1] > 0)
     (c1, c2, c3), (k1, k2, _) = cf.form.coeffs, cf.classes
     Q = search._Q
-    row = (search._slot_key(c1, k1), c2 % Q, k2.modulus % Q, k2.residue % Q, (m - c3 * hit[2] ** 2) % Q)
-    j = (abs(hit[1]) - k2.residue) // k2.modulus % (Q // gcd(k2.modulus, Q))
+    symmetric = -k2.residue % k2.modulus == k2.residue
+    row = (search._slot_key(c1, k1), c2 % Q, k2.modulus % Q, k2.residue % Q, symmetric, (m - c3 * hit[2] ** 2) % Q)
     real = search._column_flags
 
     def cleared(*key):
         flags = bytearray(real(*key))
         if key == row:
+            j = walk_index(k2, hit[1]) % len(flags)
             assert flags[j]
             flags[j] = 0
         return bytes(flags)
@@ -272,6 +336,11 @@ def test_column_flag_cleared_breaks_a_case(monkeypatch):
 
 @pytest.mark.parametrize("cf, m", LARGE_M_CASES)
 def test_large_m_scan_matches_box_order(cf, m):
+    assert list(search._scan_all(cf, m)) == box_hits(cf, m)
+
+
+@pytest.mark.parametrize("cf, m", ASYMMETRIC_LARGE_M_CASES)
+def test_asymmetric_large_m_scan_matches_box_order(cf, m):
     assert list(search._scan_all(cf, m)) == box_hits(cf, m)
 
 
