@@ -6,8 +6,7 @@ to a limit into a bit array; the classical formulas describe three of
 these sets exactly, and crosscheck() replays formula against sieve.
 """
 
-from terna import DiagonalForm, PolySum, builtin_families, crosscheck, exceptional_set, member
-from terna.families import FAMILY_FORMS
+from terna import FAMILIES, DiagonalForm, PolySum, crosscheck, exceptional_set, member
 
 LIMIT = 10_000
 
@@ -15,14 +14,14 @@ print("== sums of three squares ==")
 report = exceptional_set(DiagonalForm((1, 1, 1)), 100)
 print(f"E(x^2+y^2+z^2) up to 100: {list(report.exceptions)}")
 print("the same numbers, via the 4^k(8l+7) description:",
-      [n for n in range(101) if member(builtin_families()[0], n)])
+      [n for n in range(101) if member(FAMILIES["gauss"], n)])
 
 print()
 print("== three classical formulas vs fresh sieves ==")
-for key, (family, form) in sorted(FAMILY_FORMS.items()):
-    result = crosscheck(family, form, LIMIT)
+for key, family in sorted(FAMILIES.items()):
+    result = crosscheck(family, LIMIT)
     status = "agree" if result.agrees() else f"DISAGREE at {result.discrepancies[:5]}"
-    print(f"{family.label:>18} vs sieve up to {LIMIT}: {status}  ({result.elapsed_ms} ms)")
+    print(f"{result.family:>18} vs sieve up to {LIMIT}: {status}  ({result.elapsed_ms} ms)")
 
 print()
 print("== a polynomial sum with a sparse exceptional set ==")

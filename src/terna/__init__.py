@@ -11,7 +11,8 @@ Library layout:
 * ``terna.lemmas``: constructive decompositions (descents and
   deterministic searches) feeding the witness pipelines.
 * ``terna.witnesses``: constructive witnesses for the proven universal
-  triples/quadruples, plus the diagonal-form equivalence bridge.
+  triples/quadruples, the paper's other universal sums as PolySums,
+  plus the diagonal-form equivalence bridge.
 * ``terna.survey``: coefficient-space filters and range scans.
 * ``terna.cli``: the ``terna`` command and form-expression parser.
 """
@@ -38,9 +39,9 @@ from .core import (
     verify,
 )
 from .families import (
+    FAMILIES,
     ExceptionalFamily,
     ProgressionPattern,
-    builtin_families,
     crosscheck,
     member,
 )
@@ -68,9 +69,6 @@ from .witnesses import (
     PROVEN_TRIPLES,
     all_recipes,
     diagonal_bridge,
-    misc_poly,
-    misc_tags,
-    misc_witness,
     quadruple_poly,
     quadruple_witness,
     recipe,

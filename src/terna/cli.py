@@ -23,7 +23,7 @@ import re
 import sys
 
 from .core import DiagonalForm, PolySum, Term, TernaError
-from .families import FAMILY_FORMS, crosscheck
+from .families import FAMILIES, crosscheck
 from .lemmas import (
     check_3x2_6y2,
     five_descent,
@@ -231,8 +231,7 @@ def _cmd_bridge(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    fam, form = FAMILY_FORMS[args.family]
-    report = crosscheck(fam, form, args.limit, workers=args.threads)
+    report = crosscheck(FAMILIES[args.family], args.limit, workers=args.threads)
     if report.agrees():
         print(f"{report.family}: formula matches sieve up to {report.limit}")
         return 0
@@ -343,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bridge)
 
     p = sub.add_parser("crosscheck", help="family formula vs sieve")
-    p.add_argument("--family", choices=tuple(FAMILY_FORMS), required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--limit", type=int, required=True)
     threads(p)
     p.set_defaults(func=_cmd_crosscheck)

@@ -1,12 +1,13 @@
 """Symbolic exceptional sets of classical diagonal forms.
 
-An ExceptionalFamily describes a set of nonnegative integers as a union
-of scaled arithmetic progressions {s^k * (m*l + r) : k, l >= 0} plus a
-finite explicit set.  The three built-in families are the classically
-known exceptional sets E(x^2+y^2+z^2), E(x^2+y^2+3z^2) and
-E(10x^2+5y^2+2z^2).  ``membership`` writes a family out as one byte per
-n, and ``crosscheck`` compares that, byte for byte, with the missing
-values of a fresh sieve of its form and reports every disagreement.
+An ExceptionalFamily describes the exceptional set of its diagonal form
+as a union of scaled arithmetic progressions {s^k * (m*l + r) : k, l >= 0}
+plus a finite explicit set.  The three built-in families, ``FAMILIES`` by
+CLI name, are the classically known exceptional sets E(x^2+y^2+z^2),
+E(x^2+y^2+3z^2) and E(10x^2+5y^2+2z^2).  ``membership`` writes a family
+out as one byte per n, and ``crosscheck`` compares that, byte for byte,
+with the missing values of a fresh sieve of the family's form and reports
+every disagreement.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ class ProgressionPattern:
 
 @dataclass(frozen=True)
 class ExceptionalFamily:
-    label: str
+    """The exceptional set of form, as patterns plus a finite extra set."""
+
+    form: DiagonalForm
     patterns: tuple[ProgressionPattern, ...]
     extra: frozenset[int] = field(default_factory=frozenset)
 
@@ -65,17 +68,17 @@ def member(fam: ExceptionalFamily, n: int) -> bool:
 
 
 GAUSS_LEGENDRE = ExceptionalFamily(
-    label="x^2+y^2+z^2",
+    form=DiagonalForm((1, 1, 1)),
     patterns=(ProgressionPattern(4, 8, 7),),
 )
 
 DICKSON_1_1_3 = ExceptionalFamily(
-    label="x^2+y^2+3z^2",
+    form=DiagonalForm((1, 1, 3)),
     patterns=(ProgressionPattern(9, 9, 6),),
 )
 
 DICKSON_10_5_2 = ExceptionalFamily(
-    label="10x^2+5y^2+2z^2",
+    form=DiagonalForm((10, 5, 2)),
     patterns=(
         ProgressionPattern(None, 8, 3),
         ProgressionPattern(25, 5, 1),
@@ -83,23 +86,17 @@ DICKSON_10_5_2 = ExceptionalFamily(
     ),
 )
 
-#: family -> the diagonal form whose exceptional set it describes
-FAMILY_FORMS: dict[str, tuple[ExceptionalFamily, DiagonalForm]] = {
-    "gauss": (GAUSS_LEGENDRE, DiagonalForm((1, 1, 1))),
-    "dickson-113": (DICKSON_1_1_3, DiagonalForm((1, 1, 3))),
-    "dickson-1052": (DICKSON_10_5_2, DiagonalForm((10, 5, 2))),
+#: the built-in families by CLI name, in a fixed order
+FAMILIES: dict[str, ExceptionalFamily] = {
+    "gauss": GAUSS_LEGENDRE,
+    "dickson-113": DICKSON_1_1_3,
+    "dickson-1052": DICKSON_10_5_2,
 }
-
-
-def builtin_families() -> list[ExceptionalFamily]:
-    """The three built-in families, in a fixed order."""
-    return [GAUSS_LEGENDRE, DICKSON_1_1_3, DICKSON_10_5_2]
 
 
 @dataclass(frozen=True)
 class CrosscheckReport:
     family: str
-    form: str
     limit: int
     discrepancies: tuple[int, ...]
     elapsed_ms: int
@@ -127,15 +124,16 @@ def membership(fam: ExceptionalFamily, limit: int) -> bytearray:
     return out
 
 
-def crosscheck(fam: ExceptionalFamily, f: DiagonalForm, limit: int, workers: int = 1) -> CrosscheckReport:
-    """All n <= limit where membership in fam disagrees with the sieve of f."""
+def crosscheck(fam: ExceptionalFamily, limit: int, workers: int = 1) -> CrosscheckReport:
+    """All n <= limit where membership in fam disagrees with the sieve of
+    fam's form; the report names the family by its form."""
     t0 = time.perf_counter()
     expected = membership(fam, limit)
-    sieved = attainable(f, limit, workers=workers).missing_flags()
+    sieved = attainable(fam.form, limit, workers=workers).missing_flags()
     bad = ()
     if sieved != expected:
         # one byte per n, so the nonzero bytes of the XOR are the n that differ
         diff = int.from_bytes(sieved, "little") ^ int.from_bytes(expected, "little")
         bad = tuple(compress(range(limit + 1), diff.to_bytes(limit + 1, "little")))
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return CrosscheckReport(fam.label, str(f), limit, bad, elapsed_ms)
+    return CrosscheckReport(str(fam.form), limit, bad, elapsed_ms)

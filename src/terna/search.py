@@ -108,10 +108,11 @@ from .core import (
 
 Form = Union[PolySum, DiagonalForm, ConstrainedForm]
 
-# The cap counts one bitset: 2**31 sieve bits = 256 MiB, overridable per
-# call.  A sieve's peak is several bitsets: the traced peak of (2,3,7) to
-# 10^7 is 5.65 of them (perfbench search.peak_over_bitset, Python 3.11),
-# in the P step of value_mask, which folds B_K beside the probe.
+# The cap counts one bitset: 2**31 sieve bits = 256 MiB, for every sieve
+# and survey.  A sieve's peak is several bitsets: the traced peak of
+# (2,3,7) to 10^7 is 5.65 of them (perfbench search.peak_over_bitset,
+# Python 3.11), in the P step of value_mask, which folds B_K beside the
+# probe.
 # Reading a dense set (_flags) adds one byte per bit, 8 bitsets, where the
 # list of at least width/_DENSE_SHARE 40-byte positions is over 3 already.
 DEFAULT_MAX_BITS = 1 << 31
@@ -338,15 +339,10 @@ _SPARSE_DROP = 2
 
 # Truncated pair fold (value_mask): the pair level starts from the first
 # isqrt(width) // _START_SHARE short values, halved where _start finds B_K
-# dear.  At isqrt(width)/16, /8, /4, /2 and /1, in an earlier engine that
-# doubled K instead of growing P, (2,3,7) to 10^7 took 543, 436, 428, 880
-# and 1 096 ms and the six conjectured triples to 10^6 together 271, 254,
-# 122, 207 and 285 ms (medians of 7, interleaved; Python 3.11, 2-core
-# x86-64 VM): below /4 the first K left too many bits missing and was
-# doubled once.  Growing P instead, (2,3,7)
-# to 10^7 starts at /8 and shifts 20 773 pieces against 37 053 from /4,
-# in 237 against 367 ms (medians of 7, interleaved); the six triples to
-# 10^6 stay at /4, where /8 would shift 12 144 pieces against 11 921.
+# dear.  _start keeps /4 for the six conjectured triples and for the
+# Gauss and Dickson forms to 10^6, and halves to /8 for (2,3,7) to 10^7
+# and 8x^2+y(8y+7)+z(10z+1) to 10^6, and to /16 for (2,3,7) to 10^8.
+# From /8, (2,3,7) to 10^7 shifts 20 773 pieces against 37 053 from /4.
 _START_SHARE = 4
 
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
@@ -479,7 +475,7 @@ Part = tuple[list[int], list[int]]
 Group = tuple[list[Part], list[int]]
 
 
-def _levels(form: Form, limit: int, max_bits: int, progression: tuple[int, int]) -> tuple[int, int, list[Group]]:
+def _levels(form: Form, limit: int, progression: tuple[int, int]) -> tuple[int, int, list[Group]]:
     """(offset, width, groups) for progression = (M, C): M*(k + offset) + C
     is a value of form iff bit k - s of _pairs(parts, ...) is set for some
     (parts, shifts) in groups and shift s: the parts of B_s and the
@@ -494,8 +490,8 @@ def _levels(form: Form, limit: int, max_bits: int, progression: tuple[int, int])
     # with the minima taken out, the sums are M*k + dr over bits k >= 0
     dq, dr = divmod(C - sum(m for m, _ in slots), M)
     width = max(limit + dq + 1, 0)
-    if width > max_bits:
-        raise ResourceLimitError(f"sieve needs {width} bits, cap is {max_bits}")
+    if width > DEFAULT_MAX_BITS:
+        raise ResourceLimitError(f"sieve needs {width} bits, cap is {DEFAULT_MAX_BITS}")
     (_, short), (_, middle), (_, longest) = slots
     middles = _buckets(middle, M)
     pairs: dict[int, list[Part]] = {}
@@ -546,16 +542,14 @@ def _pairs(parts: list[Part], width: int, lo: int = 0, hi: Optional[int] = None)
     return acc
 
 
-def value_mask(
-    form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS, progression: tuple[int, int] = (1, 0)
-) -> tuple[int, int]:
+def value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> tuple[int, int]:
     """(mask, offset): for progression = (M, C), M*n + C is a value of form
     iff bit n - offset of mask is set, n <= limit.  offset is the least n
     with M*n + C at least the form's smallest value; for the default
     (1, 0), that value itself: 0 for a diagonal form, the sum of the terms'
     minima (possibly negative) for a PolySum.  A sparse form folds only a
     prefix of the pair level and tests the few bits it leaves missing."""
-    offset, width, groups = _levels(form, limit, max_bits, progression)
+    offset, width, groups = _levels(form, limit, progression)
     values = sorted({q for parts, _ in groups for _, short in parts for q in short})
     k = _start(groups, values, width)
     cut = values[k] if k < len(values) else None
@@ -644,12 +638,10 @@ def _unreached(candidates: list[int], base: int, width: int, shifts: list[int]) 
     return out
 
 
-def attainable(
-    form: Form, limit: int, workers: int = 1, max_bits: int = DEFAULT_MAX_BITS, progression: tuple[int, int] = (1, 0)
-) -> ValueMask:
+def attainable(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> ValueMask:
     """The n <= limit with M*n + C a value of form, as a ValueMask; the
     default progression (M, C) = (1, 0) gives the values up to limit."""
-    mask, offset = value_mask(form, limit, workers=workers, max_bits=max_bits, progression=progression)
+    mask, offset = value_mask(form, limit, workers=workers, progression=progression)
     return ValueMask(offset, limit, mask)
 
 
@@ -669,18 +661,13 @@ def env_workers() -> Optional[int]:
     return workers
 
 
-def exceptional_set(
-    form: Form,
-    limit: int,
-    workers: int = 1,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> SieveReport:
+def exceptional_set(form: Form, limit: int, workers: int = 1) -> SieveReport:
     """All n in [0, limit] not attained by form, as a SieveReport.
 
-    Deterministic regardless of workers; raises ResourceLimitError when the
-    bit array would exceed max_bits.
+    Deterministic regardless of workers; raises ResourceLimitError, before
+    the bit array is allocated, when it would exceed DEFAULT_MAX_BITS.
     """
     t0 = time.perf_counter()
-    exceptions = tuple(attainable(form, limit, workers=workers, max_bits=max_bits).missing())
+    exceptions = tuple(attainable(form, limit, workers=workers).missing())
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return SieveReport(form=str(form), limit=limit, exceptions=exceptions, elapsed_ms=elapsed_ms)

@@ -8,9 +8,14 @@ directly; method="constructive" replays the published-style pipeline:
 fetch an intermediate square decomposition of multiplier*n + constant
 (deterministic search, or one of the lemma constructions) and massage it
 by the clause's rotations and swaps into the shape of the clause
-identity.  Each clause's builder returns that triple up to sign; one step
-shared by all clauses then flips each slot into the congruence class that
-reduce() assigns to it, re-checks the clause identity exactly, and lifts.
+identity.  Each clause is one Recipe: its identity, its builder, which
+returns that triple up to sign, and its reduction; one step shared by all
+clauses then flips each slot into the congruence class that reduce()
+assigns to it, re-checks the clause identity exactly, and lifts.
+
+The paper's other universal sums are plain PolySums (LIOUVILLE_TRIPLES
+through triple_poly, SMALL_QUADRUPLES through quadruple_poly, and
+MIXED_SQUARE_SUMS); ``represent`` finds their witnesses.
 
 A pipeline that breaks an invariant raises ConstructionError naming the
 clause, n, the failing step and the builder's triple; such an error would
@@ -20,6 +25,7 @@ falsify the clause, so it must never trigger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     CongruenceClass,
@@ -28,6 +34,7 @@ from .core import (
     DiagonalForm,
     NoValidSignError,
     PolySum,
+    ReductionData,
     Witness,
     evaluate,
     lift,
@@ -43,7 +50,7 @@ LIOUVILLE_TRIPLES = ((1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3))
 PROVEN_QUADRUPLES = ((3, 0, 1, 2), (3, 1, 1, 2), (3, 1, 2, 2), (3, 1, 2, 3), (4, 1, 2, 3))
 SMALL_QUADRUPLES = ((1, 0, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1), (2, 0, 1, 1), (2, 1, 1, 1))
 
-MIXED_SQUARE_TAGS = ("x^2+y(3y+1)+z(3z+2)", "x^2+y(4y+1)+z(4z+3)")
+MIXED_SQUARE_SUMS = (PolySum.of((1, 0), (3, 1), (3, 2)), PolySum.of((1, 0), (4, 1), (4, 3)))
 
 
 def triple_poly(triple: tuple[int, int, int]) -> PolySum:
@@ -58,28 +65,12 @@ def quadruple_poly(quad: tuple[int, int, int, int]) -> PolySum:
     return PolySum.of((a, b), (a, c), (a, d))
 
 
-def misc_poly(tag) -> PolySum:
-    """PolySum for one of the miscellaneous universal sums (see misc_tags)."""
-    if tag == "x^2+y(3y+1)+z(3z+2)":
-        return PolySum.of((1, 0), (3, 1), (3, 2))
-    if tag == "x^2+y(4y+1)+z(4z+3)":
-        return PolySum.of((1, 0), (4, 1), (4, 3))
-    if isinstance(tag, tuple) and len(tag) == 3 and tag in LIOUVILLE_TRIPLES:
-        return triple_poly(tag)
-    if isinstance(tag, tuple) and len(tag) == 4 and tag in SMALL_QUADRUPLES:
-        return quadruple_poly(tag)
-    raise ValueError(f"unknown universal-sum tag {tag!r}")
-
-
-def misc_tags() -> tuple:
-    """All tags accepted by misc_witness."""
-    return LIOUVILLE_TRIPLES + SMALL_QUADRUPLES + MIXED_SQUARE_TAGS
-
-
 @dataclass(frozen=True)
 class Recipe:
     """One clause: its polynomial, the identity multiplier*n + constant =
-    constrained target form, and the pipeline outline."""
+    constrained target form, the pipeline outline, the builder of the
+    target form's triple (up to sign) for n, and the polynomial's reduction,
+    which the witness is lifted through."""
 
     id: str
     poly: PolySum
@@ -87,106 +78,12 @@ class Recipe:
     constant: int
     target_form: ConstrainedForm
     steps: tuple[str, ...]
+    build: Callable[[int], tuple[int, int, int]]
+    reduction: ReductionData
 
 
 def _cf(coeffs, classes) -> ConstrainedForm:
     return ConstrainedForm(DiagonalForm(coeffs), tuple(CongruenceClass(m, r) for m, r in classes))
-
-
-# Clause identity table: key -> (id, multiplier, constant, coefficients,
-# (modulus, residue) per slot, pipeline outline).  The identities are
-# restated here independently and checked against reduce() by the tests.
-_CLAUSES: dict[tuple, tuple] = {
-    (1, 2, 3): (
-        "i", 24, 11, (6, 3, 2), ((2, 1), (4, 1), (6, 1)),
-        ("24n+11 = u^2+v^2+w^2 with u,v,w odd",
-         "rotate to w^2 + 2*((u+v)/2)^2 + 2*((u-v)/2)^2",
-         "if 3 divides the odd half, rewrite w^2+2v'^2 with coordinates coprime to 3",
-         "rewrite r^2+2s^2 (a multiple of 3) as 3r0^2+6s0^2",
-         "flip signs into classes and lift"),
-    ),
-    (1, 2, 4): (
-        "ii", 16, 7, (4, 2, 1), ((2, 1), (4, 1), (8, 1)),
-        ("32n+14 = odd^2+odd^2+even^2",
-         "halve: 16n+7 = (2u)^2 + w^2 + 2v^2 with u,v,w odd",
-         "flip signs into classes and lift"),
-    ),
-    (1, 2, 5): (
-        "iii", 40, 17, (10, 5, 2), ((2, 1), (4, 1), (10, 1)),
-        ("40n+17 = 10u^2+5v^2+2w^2 (u,v,w odd, w = ±1 mod 5 forced)",
-         "flip signs into classes and lift"),
-    ),
-    (2, 2, 4): (
-        "iv", 16, 5, (2, 2, 1), ((4, 1), (4, 1), (8, 1)),
-        ("16n+5 = (2u)^2+(2v)^2+w^2 with w odd",
-         "rotate to 2(u+v)^2 + 2(u-v)^2 + w^2",
-         "flip signs into classes and lift"),
-    ),
-    (2, 2, 5): (
-        "v", 40, 12, (5, 5, 2), ((4, 1), (4, 1), (10, 1)),
-        ("20n+6 = 5u^2+5v^2+w^2 with w odd (constructed)",
-         "double and rotate: 40n+12 = 5(u+v)^2 + 5(u-v)^2 + 2w^2",
-         "flip signs into classes and lift"),
-    ),
-    (2, 3, 3): (
-        "vi", 24, 7, (3, 2, 2), ((4, 1), (6, 1), (6, 1)),
-        ("24n+7 = u^2+v^2+3w^2",
-         "rotate to 3w^2 + 2((u+v)/2)^2 + 2((u-v)/2)^2",
-         "flip signs into classes and lift"),
-    ),
-    (2, 3, 4): (
-        "vii", 48, 13, (6, 4, 3), ((4, 1), (6, 1), (8, 1)),
-        ("48n+13 = X^2+3Y^2+6Z^2 with X even (constructed)",
-         "read off 6u^2 + 4v^2 + 3w^2 with u,v,w odd",
-         "flip signs into classes and lift"),
-    ),
-    (3, 0, 1, 2): (
-        "a", 12, 5, (1, 1, 1), ((6, 0), (6, 1), (6, 2)),
-        ("12n+5 = u^2+v^2+36x^2 (u, v coprime to 3, opposite parity forced)",
-         "flip signs into classes and lift"),
-    ),
-    (3, 1, 1, 2): (
-        "b0", 12, 6, (1, 1, 1), ((6, 1), (6, 1), (6, 2)),
-        ("12n+6 = u^2+v^2+w^2 with 3 coprime to uvw, u odd, v odd, w even",
-         "flip signs into classes and lift"),
-    ),
-    (3, 1, 2, 2): (
-        "b1", 12, 9, (1, 1, 1), ((6, 1), (6, 2), (6, 2)),
-        ("12n+9 = u^2+v^2+w^2 with 3 coprime to uvw, u odd, v even, w even",
-         "flip signs into classes and lift"),
-    ),
-    (3, 1, 2, 3): (
-        "c", 12, 14, (1, 1, 1), ((6, 1), (6, 2), (6, 3)),
-        ("6n+7 = u^2+v^2+2w^2 with 3 coprime to uvw (constructed)",
-         "rotate: 12n+14 = (u+v)^2 + (u-v)^2 + (2w)^2, exactly one of u±v divisible by 3",
-         "flip signs into classes and lift"),
-    ),
-    (4, 1, 2, 3): (
-        "d", 16, 14, (1, 1, 1), ((8, 1), (8, 2), (8, 3)),
-        ("16n+14 = u^2+v^2+w^2 with u,v odd, w even",
-         "sort the odd squares by residue mod 16",
-         "flip signs into classes and lift"),
-    ),
-}
-
-
-_RECIPES = {
-    key: Recipe(cid, triple_poly(key) if len(key) == 3 else quadruple_poly(key), mult, const, _cf(coeffs, classes), steps)
-    for key, (cid, mult, const, coeffs, classes, steps) in _CLAUSES.items()
-}
-# each clause's completed square, which _constructive lifts through
-_REDUCTIONS = {key: reduce(rec.poly) for key, rec in _RECIPES.items()}
-
-
-def recipe(key: tuple) -> Recipe:
-    """The Recipe for a proven triple or quadruple."""
-    if key not in _RECIPES:
-        raise ValueError(f"no constructive clause for {key}")
-    return _RECIPES[key]
-
-
-def all_recipes() -> list[Recipe]:
-    return list(_RECIPES.values())
 
 
 def _need(cond: bool, step: str, detail: str = ""):
@@ -199,12 +96,14 @@ _ODD3 = _cf((1, 1, 1), ((2, 1), (2, 1), (2, 1)))
 _COPRIME3 = tuple(_cf((1, 1, 1), ((6, 1 + delta), (6, 1), (6, 2))) for delta in (0, 1))
 
 
-def _three_squares_by_parity(t: int) -> tuple[list[int], list[int]]:
-    # any decomposition, split into (odd values, even values)
+def _three_squares_by_parity(t: int) -> tuple[int, int, int]:
+    # the first decomposition, as (odd, odd, even) absolute values
     hit = represent_diag(DiagonalForm((1, 1, 1)), t)
     _need(hit is not None, "three-squares", f"{t} is not a sum of three squares")
     vals = [abs(w) for w in hit]
-    return [v for v in vals if v % 2], [v for v in vals if v % 2 == 0]
+    odds, evens = [v for v in vals if v % 2], [v for v in vals if v % 2 == 0]
+    _need(len(odds) == 2, "parity-pattern", f"{t} decomposition is not odd+odd+even")
+    return odds[0], odds[1], evens[0]
 
 
 # Each builder returns its clause's triple in slot order, up to sign.
@@ -237,13 +136,10 @@ def _build_i(n: int):
 
 
 def _build_ii(n: int):
-    t = 32 * n + 14
-    odds, evens = _three_squares_by_parity(t)
-    _need(len(odds) == 2, "parity-pattern", f"{t} decomposition is not odd+odd+even")
-    p, q = odds
+    p, q, even = _three_squares_by_parity(32 * n + 14)
     half_a, half_b = (p + q) // 2, abs(p - q) // 2
     even_half, odd_half = (half_a, half_b) if half_a % 2 == 0 else (half_b, half_a)
-    return even_half // 2, evens[0] // 2, odd_half
+    return even_half // 2, even // 2, odd_half
 
 
 def _build_iii(n: int):
@@ -308,35 +204,112 @@ def _build_c(n: int):
 
 
 def _build_d(n: int):
-    t = 16 * n + 14
-    odds, evens = _three_squares_by_parity(t)
-    _need(len(odds) == 2, "parity-pattern", f"{t} decomposition is not odd+odd+even")
-    p, q = odds
+    p, q, even = _three_squares_by_parity(16 * n + 14)
     first, third = (p, q) if p % 8 in (1, 7) else (q, p)
-    return first, evens[0], third
+    return first, even, third
 
 
-_BUILDERS = {
-    (1, 2, 3): _build_i,
-    (1, 2, 4): _build_ii,
-    (1, 2, 5): _build_iii,
-    (2, 2, 4): _build_iv,
-    (2, 2, 5): _build_v,
-    (2, 3, 3): _build_vi,
-    (2, 3, 4): _build_vii,
-    (3, 0, 1, 2): _build_a,
-    (3, 1, 1, 2): lambda n: _build_b(n, 0),
-    (3, 1, 2, 2): lambda n: _build_b(n, 1),
-    (3, 1, 2, 3): _build_c,
-    (4, 1, 2, 3): _build_d,
+def _recipe(key: tuple, cid: str, multiplier: int, constant: int, coeffs, classes, build, steps) -> Recipe:
+    poly = triple_poly(key) if len(key) == 3 else quadruple_poly(key)
+    return Recipe(cid, poly, multiplier, constant, _cf(coeffs, classes), steps, build, reduce(poly))
+
+
+# Clause table: key -> (id, multiplier, constant, coefficients, (modulus,
+# residue) per slot, builder, pipeline outline).  The identities are
+# restated here independently and checked against reduce() by the tests.
+_RECIPES: dict[tuple, Recipe] = {
+    key: _recipe(key, *clause)
+    for key, clause in {
+        (1, 2, 3): (
+            "i", 24, 11, (6, 3, 2), ((2, 1), (4, 1), (6, 1)), _build_i,
+            ("24n+11 = u^2+v^2+w^2 with u,v,w odd",
+             "rotate to w^2 + 2*((u+v)/2)^2 + 2*((u-v)/2)^2",
+             "if 3 divides the odd half, rewrite w^2+2v'^2 with coordinates coprime to 3",
+             "rewrite r^2+2s^2 (a multiple of 3) as 3r0^2+6s0^2",
+             "flip signs into classes and lift"),
+        ),
+        (1, 2, 4): (
+            "ii", 16, 7, (4, 2, 1), ((2, 1), (4, 1), (8, 1)), _build_ii,
+            ("32n+14 = odd^2+odd^2+even^2",
+             "halve: 16n+7 = (2u)^2 + w^2 + 2v^2 with u,v,w odd",
+             "flip signs into classes and lift"),
+        ),
+        (1, 2, 5): (
+            "iii", 40, 17, (10, 5, 2), ((2, 1), (4, 1), (10, 1)), _build_iii,
+            ("40n+17 = 10u^2+5v^2+2w^2 (u,v,w odd, w = ±1 mod 5 forced)",
+             "flip signs into classes and lift"),
+        ),
+        (2, 2, 4): (
+            "iv", 16, 5, (2, 2, 1), ((4, 1), (4, 1), (8, 1)), _build_iv,
+            ("16n+5 = (2u)^2+(2v)^2+w^2 with w odd",
+             "rotate to 2(u+v)^2 + 2(u-v)^2 + w^2",
+             "flip signs into classes and lift"),
+        ),
+        (2, 2, 5): (
+            "v", 40, 12, (5, 5, 2), ((4, 1), (4, 1), (10, 1)), _build_v,
+            ("20n+6 = 5u^2+5v^2+w^2 with w odd (constructed)",
+             "double and rotate: 40n+12 = 5(u+v)^2 + 5(u-v)^2 + 2w^2",
+             "flip signs into classes and lift"),
+        ),
+        (2, 3, 3): (
+            "vi", 24, 7, (3, 2, 2), ((4, 1), (6, 1), (6, 1)), _build_vi,
+            ("24n+7 = u^2+v^2+3w^2",
+             "rotate to 3w^2 + 2((u+v)/2)^2 + 2((u-v)/2)^2",
+             "flip signs into classes and lift"),
+        ),
+        (2, 3, 4): (
+            "vii", 48, 13, (6, 4, 3), ((4, 1), (6, 1), (8, 1)), _build_vii,
+            ("48n+13 = X^2+3Y^2+6Z^2 with X even (constructed)",
+             "read off 6u^2 + 4v^2 + 3w^2 with u,v,w odd",
+             "flip signs into classes and lift"),
+        ),
+        (3, 0, 1, 2): (
+            "a", 12, 5, (1, 1, 1), ((6, 0), (6, 1), (6, 2)), _build_a,
+            ("12n+5 = u^2+v^2+36x^2 (u, v coprime to 3, opposite parity forced)",
+             "flip signs into classes and lift"),
+        ),
+        (3, 1, 1, 2): (
+            "b0", 12, 6, (1, 1, 1), ((6, 1), (6, 1), (6, 2)), lambda n: _build_b(n, 0),
+            ("12n+6 = u^2+v^2+w^2 with 3 coprime to uvw, u odd, v odd, w even",
+             "flip signs into classes and lift"),
+        ),
+        (3, 1, 2, 2): (
+            "b1", 12, 9, (1, 1, 1), ((6, 1), (6, 2), (6, 2)), lambda n: _build_b(n, 1),
+            ("12n+9 = u^2+v^2+w^2 with 3 coprime to uvw, u odd, v even, w even",
+             "flip signs into classes and lift"),
+        ),
+        (3, 1, 2, 3): (
+            "c", 12, 14, (1, 1, 1), ((6, 1), (6, 2), (6, 3)), _build_c,
+            ("6n+7 = u^2+v^2+2w^2 with 3 coprime to uvw (constructed)",
+             "rotate: 12n+14 = (u+v)^2 + (u-v)^2 + (2w)^2, exactly one of u±v divisible by 3",
+             "flip signs into classes and lift"),
+        ),
+        (4, 1, 2, 3): (
+            "d", 16, 14, (1, 1, 1), ((8, 1), (8, 2), (8, 3)), _build_d,
+            ("16n+14 = u^2+v^2+w^2 with u,v odd, w even",
+             "sort the odd squares by residue mod 16",
+             "flip signs into classes and lift"),
+        ),
+    }.items()
 }
+
+
+def recipe(key: tuple) -> Recipe:
+    """The Recipe for a proven triple or quadruple."""
+    if key not in _RECIPES:
+        raise ValueError(f"no constructive clause for {key}")
+    return _RECIPES[key]
+
+
+def all_recipes() -> list[Recipe]:
+    return list(_RECIPES.values())
 
 
 def _constructive(key: tuple, n: int) -> Witness:
     rec = _RECIPES[key]
     pre = None
     try:
-        pre = _BUILDERS[key](n)
+        pre = rec.build(n)
         try:
             triple = [normalize_sign(w, cl.modulus, cl.residue) for w, cl in zip(pre, rec.target_form.classes)]
         except NoValidSignError as e:
@@ -344,7 +317,7 @@ def _constructive(key: tuple, n: int) -> Witness:
         target = rec.multiplier * n + rec.constant
         total = sum(c * w * w for c, w in zip(rec.target_form.form.coeffs, triple))
         _need(total == target, "clause-identity", f"{total} != {target}")
-        wit = lift(_REDUCTIONS[key], triple)
+        wit = lift(rec.reduction, triple)
         _need(evaluate(rec.poly, wit) == n, "lift", f"witness {wit} does not evaluate to {n}")
     except ConstructionError as e:
         e.clause, e.n, e.pre = rec.id, n, pre
@@ -352,18 +325,15 @@ def _constructive(key: tuple, n: int) -> Witness:
     return wit
 
 
-def _by_search(poly: PolySum, n: int) -> Witness:
-    wit = represent(poly, n)
-    if wit is None:
-        raise ConstructionError("search", f"{poly} does not represent {n}")
-    return wit
-
-
 def _witness(key: tuple, n: int, method: str) -> Witness:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if method == "search":
-        return _by_search(triple_poly(key) if len(key) == 3 else quadruple_poly(key), n)
+        poly = _RECIPES[key].poly
+        wit = represent(poly, n)
+        if wit is None:
+            raise ConstructionError("search", f"{poly} does not represent {n}")
+        return wit
     if method == "constructive":
         return _constructive(key, n)
     raise ValueError(f"method must be 'constructive' or 'search', got {method!r}")
@@ -381,13 +351,6 @@ def quadruple_witness(quad: tuple[int, int, int, int], n: int, method: str = "co
     if quad not in PROVEN_QUADRUPLES:
         raise ValueError(f"{quad} is not one of the proven quadruples {PROVEN_QUADRUPLES}")
     return _witness(quad, n, method)
-
-
-def misc_witness(tag, n: int) -> Witness:
-    """Search witness of n for one of the other universal sums."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _by_search(misc_poly(tag), n)
 
 
 @dataclass(frozen=True)

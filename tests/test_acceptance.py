@@ -24,8 +24,6 @@ from terna import (
     filter_universal_triples,
     five_descent,
     lift,
-    misc_poly,
-    misc_tags,
     quadruple_poly,
     quadruple_witness,
     recipe,
@@ -39,9 +37,15 @@ from terna import (
     triple_witness,
     verify,
 )
-from terna.families import FAMILY_FORMS
+from terna.families import FAMILIES
 from terna.lemmas import _is_square, scan_3x2_6y2
-from terna.witnesses import PROVEN_TRIPLES, _CLAUSES
+from terna.witnesses import (
+    LIOUVILLE_TRIPLES,
+    MIXED_SQUARE_SUMS,
+    PROVEN_QUADRUPLES,
+    PROVEN_TRIPLES,
+    SMALL_QUADRUPLES,
+)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -76,8 +80,7 @@ def test_criterion_01_gauss_legendre_sieve_1e5():
 def test_criterion_02_dickson_crosschecks_1e5():
     bad = {}
     for key in ("dickson-113", "dickson-1052"):
-        fam, form = FAMILY_FORMS[key]
-        rep = crosscheck(fam, form, 10**5)
+        rep = crosscheck(FAMILIES[key], 10**5)
         if not rep.agrees():
             bad[key] = rep.discrepancies[:5]
     report(2, "Dickson formulas for x^2+y^2+3z^2 and 10x^2+5y^2+2z^2 match sieves to 1e5",
@@ -217,8 +220,11 @@ def test_criterion_09_lemma_suites():
 
 
 def test_criterion_10_reduction_equivalence():
-    polys = [triple_poly(k) if len(k) == 3 else quadruple_poly(k) for k in _CLAUSES]
-    polys += [misc_poly(tag) for tag in misc_tags()]
+    clauses = PROVEN_TRIPLES + PROVEN_QUADRUPLES
+    polys = [triple_poly(k) if len(k) == 3 else quadruple_poly(k) for k in clauses]
+    # the other sums, each once: Liouville (2,2,2) is also quadruple (2,1,1,1)
+    others = [*map(triple_poly, LIOUVILLE_TRIPLES), *map(quadruple_poly, SMALL_QUADRUPLES), *MIXED_SQUARE_SUMS]
+    polys += list(dict.fromkeys(others))
     bad = []
     for poly in polys:
         rd = reduce(poly)
@@ -233,23 +239,22 @@ def test_criterion_10_reduction_equivalence():
                     elif tuple(lift(rd, ws)) != w:
                         bad.append((str(poly), w, "lift"))
     table_bad = []
-    for key in _CLAUSES:
+    for key in clauses:
         rec = recipe(key)
         rd = reduce(rec.poly)
         if (rec.multiplier, rec.constant, rec.target_form) != (4 * rd.L, rd.C, rd.constrained):
             table_bad.append(rec.id)
     ok = not bad and not table_bad
-    report(10, "witness bijection on the +/-20 box for 12 clauses + all misc sums; identities = generic reduction",
+    report(10, "witness bijection on the +/-20 box for 12 clauses + the 10 other sums; identities = generic reduction",
            ok, f"box={len(polys)} polys; mismatched clauses: {table_bad or 'none'}")
 
 
 def test_criterion_11_closing_and_liouville_sums_1e6():
     nonempty = {}
-    for tag in misc_tags():
-        if isinstance(tag, tuple) and len(tag) == 4:
-            continue  # small quadruples are covered by criterion 5's families
-        rep = exceptional_set(misc_poly(tag), 10**6)
+    # the small quadruples are covered by criterion 5's families
+    for poly in [*map(triple_poly, LIOUVILLE_TRIPLES), *MIXED_SQUARE_SUMS]:
+        rep = exceptional_set(poly, 10**6)
         if not rep.is_empty():
-            nonempty[tag] = rep.exceptions[:5]
+            nonempty[str(poly)] = rep.exceptions[:5]
     report(11, "mixed square sums and the four classical triples: empty E to 1e6",
            not nonempty, str(nonempty) if nonempty else "all empty")

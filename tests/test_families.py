@@ -1,11 +1,12 @@
+import dataclasses
+
 import pytest
 
 import oracles
-from terna import DiagonalForm, builtin_families, crosscheck, member
+from terna import FAMILIES, DiagonalForm, crosscheck, member
 from terna.families import (
     DICKSON_1_1_3,
     DICKSON_10_5_2,
-    FAMILY_FORMS,
     GAUSS_LEGENDRE,
     ExceptionalFamily,
     ProgressionPattern,
@@ -38,10 +39,8 @@ def test_dickson_1052_membership():
 
 
 def test_builtin_families():
-    fams = builtin_families()
-    assert len(fams) == 3
-    assert "x^2+y^2+z^2" in fams[0].label
-    assert {f.label for f in fams} == {"x^2+y^2+z^2", "x^2+y^2+3z^2", "10x^2+5y^2+2z^2"}
+    assert list(FAMILIES) == ["gauss", "dickson-113", "dickson-1052"]
+    assert [str(f.form) for f in FAMILIES.values()] == ["x^2+y^2+z^2", "x^2+y^2+3z^2", "10x^2+5y^2+2z^2"]
 
 
 def test_pattern_validation():
@@ -52,14 +51,14 @@ def test_pattern_validation():
 
 
 def test_extra_finite_set():
-    fam = ExceptionalFamily("toy", (ProgressionPattern(None, 100, 99),), frozenset({5}))
+    fam = ExceptionalFamily(DiagonalForm((1, 1, 1)), (ProgressionPattern(None, 100, 99),), frozenset({5}))
     assert member(fam, 5)
     assert not member(fam, 6)
     assert member(fam, 199)
 
 
 def test_member_multiplicative_consistency():
-    for fam in builtin_families():
+    for fam in FAMILIES.values():
         for pattern in fam.patterns:
             if pattern.scale is None:
                 continue
@@ -68,24 +67,26 @@ def test_member_multiplicative_consistency():
                     assert pattern.contains(pattern.scale * n)
 
 
-@pytest.mark.parametrize("fam", builtin_families(), ids=lambda f: f.label)
+@pytest.mark.parametrize("fam", FAMILIES.values(), ids=lambda f: str(f.form))
 def test_membership_bitmap_matches_member(fam):
     assert membership(fam, 10**4) == bytearray(member(fam, n) for n in range(10**4 + 1))
 
 
 def test_membership_bitmap_residue_zero_and_extra():
-    fam = ExceptionalFamily("toy", (ProgressionPattern(3, 6, 0), ProgressionPattern(None, 100, 99)), frozenset({5, 10**9}))
+    fam = ExceptionalFamily(
+        DiagonalForm((1, 1, 1)), (ProgressionPattern(3, 6, 0), ProgressionPattern(None, 100, 99)), frozenset({5, 10**9})
+    )
     for limit in (0, 1, 5, 3000):
         assert membership(fam, limit) == bytearray(member(fam, n) for n in range(limit + 1))
 
 
-@pytest.mark.parametrize("key", sorted(FAMILY_FORMS))
+@pytest.mark.parametrize("key", sorted(FAMILIES))
 def test_crosscheck_agrees_to_1e4(key):
-    fam, form = FAMILY_FORMS[key]
-    report = crosscheck(fam, form, 10**4)
+    fam = FAMILIES[key]
+    report = crosscheck(fam, 10**4)
     assert report.agrees(), report.discrepancies[:10]
     assert report.limit == 10**4
-    assert report.family == fam.label
+    assert report.family == str(fam.form)
 
 
 def discrepancies(fam, coeffs, limit):
@@ -95,14 +96,14 @@ def discrepancies(fam, coeffs, limit):
 
 # 203 is 3 mod 8, so the last byte of the sieve's bitset is partial
 def test_crosscheck_detects_wrong_pairing():
-    # deliberately mismatched family and form
-    report = crosscheck(GAUSS_LEGENDRE, DiagonalForm((1, 1, 3)), 203)
+    # deliberately mismatched: Gauss-Legendre's patterns on x^2+y^2+3z^2
+    report = crosscheck(dataclasses.replace(GAUSS_LEGENDRE, form=DiagonalForm((1, 1, 3))), 203)
     assert not report.agrees()
     assert report.discrepancies == discrepancies(GAUSS_LEGENDRE, (1, 1, 3), 203)
 
 
 def test_crosscheck_detects_wrong_extra():
     # the right patterns with two wrong extra values, one past the limit
-    fam = ExceptionalFamily("gauss+5", GAUSS_LEGENDRE.patterns, frozenset({5, 204}))
-    report = crosscheck(fam, DiagonalForm((1, 1, 1)), 203)
+    fam = dataclasses.replace(GAUSS_LEGENDRE, extra=frozenset({5, 204}))
+    report = crosscheck(fam, 203)
     assert report.discrepancies == discrepancies(fam, (1, 1, 1), 203) == (5,)

@@ -14,7 +14,7 @@ from terna import (
     represent,
     represent_all,
 )
-from terna.search import represent_constrained, represent_diag
+from terna.search import DEFAULT_MAX_BITS, represent_constrained, represent_diag
 
 
 def cf(coeffs, classes):
@@ -165,7 +165,7 @@ def test_clamp_workers():
 
 def test_resource_cap():
     with pytest.raises(ResourceLimitError):
-        exceptional_set(DiagonalForm((1, 1, 1)), 10**6, max_bits=1000)
+        exceptional_set(DiagonalForm((1, 1, 1)), DEFAULT_MAX_BITS)
 
 
 def test_represent_all_matches_box_enumeration():

@@ -16,12 +16,12 @@ import pytest
 import oracles
 from terna import CongruenceClass, ConstrainedForm, DiagonalForm, PolySum
 from terna import search
-from terna.search import DEFAULT_MAX_BITS, _fold, _levels, _pairs, attainable, exceptional_set, value_mask
+from terna.search import _fold, _levels, _pairs, attainable, exceptional_set, value_mask
 
 
 def _dense_value_mask(form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> tuple[int, int]:
     # reference engine: value_mask with every shift folded
-    offset, width, groups = _levels(form, limit, DEFAULT_MAX_BITS, progression)
+    offset, width, groups = _levels(form, limit, progression)
     return _fold([(_pairs(parts, width), longest) for parts, longest in groups], width, workers), offset
 
 
@@ -278,7 +278,7 @@ def test_default_progression_is_the_plain_sieve():
     # second form has b > a and L = 6)
     for pairs, offset in [(((2, 1), (3, 1), (7, 1)), 0), (((3, 7), (2, 5), (6, 1)), -7)]:
         form = PolySum.of(*pairs)
-        levels = search._levels(form, 10**4, search.DEFAULT_MAX_BITS, (1, 0))
+        levels = search._levels(form, 10**4, (1, 0))
         assert (levels[0], levels[1], len(levels[2])) == (offset, 10**4 + 1 - offset, 1)
         assert attainable(form, 10**4, progression=(1, 0)) == attainable(form, 10**4)
 
@@ -372,7 +372,7 @@ def test_paths_agree_progression(monkeypatch, coeffs, classes, progression, limi
 
 def test_multi_group_cases_have_groups_of_parts():
     for coeffs, classes, progression, limit in MULTI_GROUP:
-        _, _, groups = search._levels(constrained(coeffs, classes), limit, search.DEFAULT_MAX_BITS, progression)
+        _, _, groups = search._levels(constrained(coeffs, classes), limit, progression)
         assert len(groups) > 1 and max(len(parts) for parts, _ in groups) > 1
 
 
@@ -382,7 +382,7 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
     # when B_K is folded with longest-slot shifts past the probe's first P
     taken = set()
     fold, complete, unreached, pairs, or_shifts = search._fold, search._complete, search._unreached, search._pairs, search._or_shifts
-    longest = [shifts for _, shifts in _levels(form, limit, DEFAULT_MAX_BITS, (1, 0))[2]]
+    longest = [shifts for _, shifts in _levels(form, limit, (1, 0))[2]]
     nested = []
 
     def spy_fold(*args):

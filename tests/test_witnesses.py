@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -15,9 +16,6 @@ from terna import (
     embed,
     evaluate,
     exceptional_set,
-    misc_poly,
-    misc_tags,
-    misc_witness,
     quadruple_poly,
     quadruple_witness,
     recipe,
@@ -29,13 +27,20 @@ from terna import (
     verify,
 )
 from terna import lemmas, search
-from terna.witnesses import _BUILDERS, PROVEN_QUADRUPLES, PROVEN_TRIPLES
+from terna.witnesses import (
+    _RECIPES,
+    LIOUVILLE_TRIPLES,
+    MIXED_SQUARE_SUMS,
+    PROVEN_QUADRUPLES,
+    PROVEN_TRIPLES,
+    SMALL_QUADRUPLES,
+)
 
 
 def test_polynomial_builders():
     assert str(triple_poly((2, 3, 6))) == "x(2x+1)+y(3y+1)+z(6z+1)"
     assert str(quadruple_poly((3, 0, 1, 2))) == "3x^2+y(3y+1)+z(3z+2)"
-    assert str(misc_poly("x^2+y(3y+1)+z(3z+2)")) == "x^2+y(3y+1)+z(3z+2)"
+    assert [str(p) for p in MIXED_SQUARE_SUMS] == ["x^2+y(3y+1)+z(3z+2)", "x^2+y(4y+1)+z(4z+3)"]
 
 
 def test_recipes_match_generic_reduction():
@@ -49,6 +54,7 @@ def test_recipes_match_generic_reduction():
         assert rec.multiplier == 4 * rd.L
         assert rec.constant == rd.C
         assert rec.target_form == rd.constrained
+        assert rec.reduction == rd
         assert rec.steps
 
 
@@ -111,26 +117,20 @@ def test_witness_argument_validation():
         triple_witness((1, 2, 3), 1, method="guess")
 
 
-@pytest.mark.parametrize("key", sorted(_BUILDERS), ids=str)
+@pytest.mark.parametrize("key", sorted(_RECIPES), ids=str)
 def test_normalization_only_flips_signs(key):
     # the lifted witness embeds to the builder's triple up to sign, slot by slot
     rd = reduce(recipe(key).poly)
     fn = triple_witness if len(key) == 3 else quadruple_witness
     for n in range(60):
         final = embed(rd, fn(key, n))
-        assert [abs(v) for v in final] == [abs(v) for v in _BUILDERS[key](n)]
+        assert [abs(v) for v in final] == [abs(v) for v in recipe(key).build(n)]
 
 
 def test_clause_identities_hold_exactly():
     for rec in all_recipes():
-        key = tuple(t.a for t in rec.poly.terms) if rec.id in ("i", "ii", "iii", "iv", "v", "vi", "vii") else None
-        builder = _BUILDERS[
-            key if key is not None else {
-                "a": (3, 0, 1, 2), "b0": (3, 1, 1, 2), "b1": (3, 1, 2, 2), "c": (3, 1, 2, 3), "d": (4, 1, 2, 3)
-            }[rec.id]
-        ]
         for n in (0, 1, 2, 17, 101):
-            triple = builder(n)
+            triple = rec.build(n)
             total = sum(c * w * w for c, w in zip(rec.target_form.form.coeffs, triple))
             assert total == rec.multiplier * n + rec.constant
             for w, cl in zip(triple, rec.target_form.classes):
@@ -169,14 +169,18 @@ def test_pinned_scan_order():
     assert digest == "bada73a4a583ba675734b57a834e2f8e20e46e1a25be6a6425693f9bde5155c9"
 
 
+def broken(monkeypatch, key, build):
+    monkeypatch.setitem(_RECIPES, key, dataclasses.replace(_RECIPES[key], build=build))
+
+
 def test_broken_builder_names_clause_n_step_and_pre(monkeypatch):
-    monkeypatch.setitem(_BUILDERS, (2, 3, 3), lambda n: (2, 1, 1))
+    broken(monkeypatch, (2, 3, 3), lambda n: (2, 1, 1))
     with pytest.raises(ConstructionError) as info:
         triple_witness((2, 3, 3), 5)
     err = info.value
     assert (err.step, err.clause, err.n, err.pre) == ("sign", "vi", 5, (2, 1, 1))
     assert all(part in str(err) for part in ("'sign'", "clause vi", "n=5", "(2, 1, 1)"))
-    monkeypatch.setitem(_BUILDERS, (2, 3, 3), lambda n: (1, 1, 1))
+    broken(monkeypatch, (2, 3, 3), lambda n: (1, 1, 1))
     with pytest.raises(ConstructionError) as info:
         triple_witness((2, 3, 3), 5)
     assert info.value.step == "clause-identity"
@@ -193,21 +197,23 @@ def test_lemma_errors_name_the_clause_only_inside_a_pipeline(monkeypatch):
     assert (info.value.step, info.value.clause, info.value.n, info.value.pre) == ("exhausted", "vii", 1, None)
 
 
-def test_misc_witnesses():
-    for tag in misc_tags():
-        poly = misc_poly(tag)
-        for n in range(60):
-            assert verify(poly, n, misc_witness(tag, n))
-    assert misc_witness((1, 1, 2), 0) == Witness(0, 0, 0)
-    w = misc_witness("x^2+y(3y+1)+z(3z+2)", 1)
+# the other universal sums, each once: Liouville (2,2,2) is also quadruple (2,1,1,1)
+OTHER_SUMS = list(
+    dict.fromkeys([*map(triple_poly, LIOUVILLE_TRIPLES), *map(quadruple_poly, SMALL_QUADRUPLES), *MIXED_SQUARE_SUMS])
+)
+
+
+@pytest.mark.parametrize("poly", OTHER_SUMS, ids=str)
+def test_other_sum_witnesses(poly):
+    for n in range(60):
+        assert verify(poly, n, represent(poly, n))
+
+
+def test_other_sum_examples():
+    assert len(OTHER_SUMS) == 10 and triple_poly((2, 2, 2)) == quadruple_poly((2, 1, 1, 1))
+    assert represent(triple_poly((1, 1, 2)), 0) == Witness(0, 0, 0)
+    w = represent(MIXED_SQUARE_SUMS[0], 1)
     assert abs(w.x) == 1 and w.y == 0 and w.z == 0
-
-
-def test_misc_witness_unknown_tag():
-    with pytest.raises(ValueError):
-        misc_witness((9, 9, 9), 0)
-    with pytest.raises(ValueError):
-        misc_poly("x^2+y^2+z^2")
 
 
 def test_diagonal_bridge_small():
