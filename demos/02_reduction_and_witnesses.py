@@ -4,12 +4,14 @@ Every sum of terms x(ax+b) turns into a congruence-constrained diagonal
 form: n is attained exactly when 4*L*n + C is attained by the constrained
 form.  A witness can then be found either by scanning the constrained
 space (method="search") or by replaying the constructive pipeline for one
-of the twelve proven clauses (method="constructive").
+of the twelve proven clauses (method="constructive"); either way the
+triple passes the same checks of the clause identity before it is lifted.
 """
 
 from terna import (
     PROVEN_QUADRUPLES,
     PROVEN_TRIPLES,
+    DiagonalForm,
     evaluate,
     quadruple_witness,
     recipe,
@@ -24,7 +26,7 @@ print("== the reduction, on x(x+1) + y(2y+1) + z(3z+1) ==")
 poly = triple_poly((1, 2, 3))
 rd = reduce(poly)
 classes = ", ".join(f"{v} = {c.residue} (mod {c.modulus})" for v, c in zip("xyz", rd.constrained.classes))
-print(f"{poly}  represents n  iff  {rd.constrained.form} with {classes}")
+print(f"{poly}  represents n  iff  {DiagonalForm(rd.constrained.coeffs)} with {classes}")
 print(f"represents 4*{rd.L}*n + {rd.C} = {4 * rd.L}n + {rd.C}")
 
 print()

@@ -2,17 +2,20 @@
 
 Library layout:
 
-* ``terna.core``: domain types, completing-the-square reduction,
-  witness verification, sign normalization.
+* ``terna.core``: domain types (one ``DiagonalForm`` whose variables
+  lie in congruence classes, every integer by default),
+  completing-the-square reduction, witness verification, sign
+  normalization.
 * ``terna.search``: exhaustive representability search and bit-array
   exceptional-set sieves.
 * ``terna.families``: classical exceptional-set formulas with sieve
   cross-checks.
 * ``terna.lemmas``: constructive decompositions (descents and
   deterministic searches) feeding the witness pipelines.
-* ``terna.witnesses``: constructive witnesses for the proven universal
-  triples/quadruples, the paper's other universal sums as PolySums,
-  plus the diagonal-form equivalence bridge.
+* ``terna.witnesses``: witnesses for the proven universal
+  triples/quadruples, constructed or searched and checked by the same
+  clause identity, the paper's other universal sums as PolySums, plus
+  the diagonal-form equivalence bridge.
 * ``terna.survey``: coefficient-space filters and range scans.
 * ``terna.cli``: the ``terna`` command and form-expression parser.
 """
@@ -20,7 +23,6 @@ Library layout:
 from .core import (
     CongruenceClass,
     CongruenceViolationError,
-    ConstrainedForm,
     ConstructionError,
     DiagonalForm,
     NoValidSignError,

@@ -245,7 +245,8 @@ def _cmd_lemma(args) -> int:
         if args.id == "2.1":
             _expect(len(vals) == 2, "lemma 2.1 needs: u v")
             (x, y), trace = five_descent(vals[0], vals[1])
-            print(f"{vals[0]}^2+{vals[1]}^2 = {x}^2+{y}^2, 5-power stripped: {trace.initial_order}, steps: {len(trace.steps)}")
+            u, v, x, y = (f"({w})" if w < 0 else w for w in (*vals, x, y))
+            print(f"{u}^2+{v}^2 = {x}^2+{y}^2, 5-power stripped: {trace.initial_order}, steps: {len(trace.steps)}")
         elif args.id == "2.2":
             _expect(len(vals) == 2, "lemma 2.2 needs: n r")
             x, y, z = rep_5x2_5y2_z2_odd(vals[0], vals[1])

@@ -7,9 +7,11 @@ Completing the square in each variable,
     x(ax+b) = ((2ax+b)**2 - b**2) / (4a),
 
 turns the question "is n a value of the PolySum over the integers" into
-"is 4*L*n + C a value of a diagonal form with congruence-constrained
-variables", where L = lcm(a1,a2,a3) and C = sum (L/ai)*bi**2.  ``reduce``
-performs that rewrite, ``embed``/``lift`` move witnesses back and forth.
+"is 4*L*n + C a value of a diagonal form whose variables lie in
+congruence classes", where L = lcm(a1,a2,a3) and C = sum (L/ai)*bi**2.
+``reduce`` performs that rewrite, ``embed``/``lift`` move witnesses back
+and forth.  One type, ``DiagonalForm``, holds both kinds of diagonal form:
+its classes default to every integer, the plain form.
 
 All arithmetic is plain Python ``int``: exact at every magnitude, so no
 overflow bound applies (values such as 4*L*n + C stay exact even for
@@ -47,8 +49,9 @@ class ConstructionError(TernaError):
 
     This should never trigger; an occurrence is a falsification report,
     so the failing step is kept on the exception.  A witness pipeline also
-    fills in the clause id, n and its builder's triple ``pre`` (None when
-    the builder itself failed); a lemma called on its own leaves them None.
+    fills in the clause id, n and the triple ``pre`` its builder or search
+    returned (None when that step itself failed); a lemma called on its own
+    leaves them None.
     """
 
     def __init__(self, step: str, message: str = ""):
@@ -109,20 +112,6 @@ class PolySum:
 
 
 @dataclass(frozen=True)
-class DiagonalForm:
-    """alpha*x^2 + beta*y^2 + gamma*z^2 with positive integer coefficients."""
-
-    coeffs: tuple[int, int, int]
-
-    def __post_init__(self):
-        if len(self.coeffs) != 3 or any(c < 1 for c in self.coeffs):
-            raise ValueError(f"need three positive coefficients, got {self.coeffs}")
-
-    def __str__(self) -> str:
-        return "+".join(f"{c}{v}^2" if c > 1 else f"{v}^2" for c, v in zip(self.coeffs, "xyz"))
-
-
-@dataclass(frozen=True)
 class CongruenceClass:
     """The residue class {w : w = residue (mod modulus)}."""
 
@@ -143,22 +132,28 @@ class CongruenceClass:
         return min(self.residue, self.modulus - self.residue) if self.residue else 0
 
 
-@dataclass(frozen=True)
-class ConstrainedForm:
-    """A diagonal form whose i-th variable is restricted to classes[i]."""
+# the class of every integer, the default of each variable of a DiagonalForm
+_UNCONSTRAINED = CongruenceClass(1, 0)
 
-    form: DiagonalForm
-    classes: tuple[CongruenceClass, CongruenceClass, CongruenceClass]
+
+@dataclass(frozen=True)
+class DiagonalForm:
+    """alpha*x^2 + beta*y^2 + gamma*z^2 with positive integer coefficients,
+    the i-th variable restricted to classes[i] (by default, every integer)."""
+
+    coeffs: tuple[int, int, int]
+    classes: tuple[CongruenceClass, CongruenceClass, CongruenceClass] = (_UNCONSTRAINED,) * 3
 
     def __post_init__(self):
+        if len(self.coeffs) != 3 or any(c < 1 for c in self.coeffs):
+            raise ValueError(f"need three positive coefficients, got {self.coeffs}")
         if len(self.classes) != 3:
             raise ValueError("need one congruence class per variable")
 
     def __str__(self) -> str:
-        parts = []
-        for c, cl in zip(self.form.coeffs, self.classes):
-            parts.append(f"{c}({cl.modulus}k+{cl.residue})^2")
-        return "+".join(parts)
+        if all(cl.modulus == 1 for cl in self.classes):
+            return "+".join(f"{c}{v}^2" if c > 1 else f"{v}^2" for c, v in zip(self.coeffs, "xyz"))
+        return "+".join(f"{c}({cl.modulus}k+{cl.residue})^2" for c, cl in zip(self.coeffs, self.classes))
 
 
 @dataclass(frozen=True)
@@ -178,14 +173,14 @@ class ReductionData:
     """Output of completing the square on a PolySum.
 
     L is lcm of the quadratic coefficients, C = sum (L/ai)*bi^2, and the
-    constrained form has coefficients L/ai with variable classes
-    (bi mod 2ai).  For every integer triple,
+    diagonal form ``constrained`` has coefficients L/ai with variable
+    classes (bi mod 2ai).  For every integer triple,
     sum (L/ai)*(2*ai*xi+bi)^2 = 4*L*evaluate(source, triple) + C.
     """
 
     L: int
     C: int
-    constrained: ConstrainedForm
+    constrained: DiagonalForm
     source: PolySum
 
 
@@ -204,7 +199,7 @@ def reduce(p: PolySum) -> ReductionData:
     coeffs = tuple(L // t.a for t in p.terms)
     C = sum((L // t.a) * t.b * t.b for t in p.terms)
     classes = tuple(CongruenceClass(2 * t.a, t.b % (2 * t.a)) for t in p.terms)
-    return ReductionData(L, C, ConstrainedForm(DiagonalForm(coeffs), classes), p)
+    return ReductionData(L, C, DiagonalForm(coeffs, classes), p)
 
 
 def embed(rd: ReductionData, w) -> tuple[int, int, int]:

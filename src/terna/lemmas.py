@@ -20,15 +20,15 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .core import (
+    _UNCONSTRAINED,
     CongruenceClass,
-    ConstrainedForm,
     ConstructionError,
     DiagonalForm,
     NotRepresentableError,
     PreconditionError,
     TernaError,
 )
-from .search import _UNCONSTRAINED, _set_bits, represent, value_mask
+from .search import _set_bits, represent, value_mask
 
 _ODD = CongruenceClass(2, 1)
 # the |w| of its members run through the integers prime to 3, ascending
@@ -100,14 +100,14 @@ def _pair(c1: int, k1: CongruenceClass, c2: int, k2: CongruenceClass, m: int) ->
     # first (w1, w2) with c1*w1^2 + c2*w2^2 = m, m >= 0, in search order:
     # w2 through its class, w1 solved; a third coefficient m + 1 holds the
     # third coordinate at 0
-    hit = represent(ConstrainedForm(DiagonalForm((c1, c2, m + 1)), (k1, k2, _UNCONSTRAINED)), m)
+    hit = represent(DiagonalForm((c1, c2, m + 1), (k1, k2, _UNCONSTRAINED)), m)
     return None if hit is None else hit[:2]
 
 
 def _pair_mask(c1: int, k1: CongruenceClass, c2: int, k2: CongruenceClass, limit: int) -> int:
     # bit v set iff v = c1*w1^2 + c2*w2^2 <= limit over the classes, as in
     # _pair; the shift undoes the offset of classes without 0
-    mask, offset = value_mask(ConstrainedForm(DiagonalForm((c1, c2, limit + 1)), (k1, k2, _UNCONSTRAINED)), limit)
+    mask, offset = value_mask(DiagonalForm((c1, c2, limit + 1), (k1, k2, _UNCONSTRAINED)), limit)
     return mask << offset
 
 
@@ -229,7 +229,7 @@ def rep_x2_3y2_6z2(n: int, parity: int) -> tuple[int, int, int]:
     t = 6 * n + 1
     if _is_square(t):
         raise PreconditionError(f"{t} is a perfect square")
-    form = ConstrainedForm(DiagonalForm((3, 6, 1)), (_UNCONSTRAINED, _UNCONSTRAINED, CongruenceClass(2, parity)))
+    form = DiagonalForm((3, 6, 1), (_UNCONSTRAINED, _UNCONSTRAINED, CongruenceClass(2, parity)))
     hit = represent(form, t)
     if hit is not None:
         y, z, x = hit
@@ -244,7 +244,7 @@ def rep_x2_y2_2z2_coprime3(n: int) -> tuple[int, int, int]:
     if n < 1:
         raise PreconditionError("n must be positive")
     t = 6 * n + 1
-    hit = represent(ConstrainedForm(DiagonalForm((1, 1, 2)), (_PRIME_TO_3,) * 3), t)
+    hit = represent(DiagonalForm((1, 1, 2), (_PRIME_TO_3,) * 3), t)
     if hit is not None:
         return tuple(abs(w) for w in hit)
     raise ConstructionError("exhausted", f"no x^2+y^2+2z^2 = {t} with 3 coprime to xyz")

@@ -5,7 +5,7 @@ Two complementary engines:
 * ``represent`` and ``represent_all`` answer a single query "is n a
   value?" for any form by an exhaustive scan of the bounded coordinate
   space, so an empty answer is a proof of non-representability.  The form
-  is first made one constrained form on one progression, as for the sieve
+  is first made one DiagonalForm on one progression, as for the sieve
   below (``_constrained``), and n is scanned at M*n + C, so a PolySum
   with a term x(ax+b), b > a, answers for negative n too; a PolySum's
   hits are lifted back to Witnesses, the others stay triples.  One loop,
@@ -36,10 +36,10 @@ Two complementary engines:
   ``value_mask`` (a Python int used as a bit array).  ``value_mask`` and
   ``attainable`` sieve one progression (M, C): bit n says whether M*n + C
   is a value, in limit + 1 bits whatever M is; the default (1, 0) is the
-  plain range.  Every input is first made one constrained diagonal form on
-  one progression (``_constrained``): n is a value of a PolySum iff
+  plain range.  Every input is first made one DiagonalForm, with classes,
+  on one progression (``_constrained``): n is a value of a PolySum iff
   4*L*n + C' is a value of its reduction (``reduce``), so (M, C) becomes
-  (4*L*M, 4*L*C + C'), and a DiagonalForm gets trivial classes.  Each
+  (4*L*M, 4*L*C + C'); a DiagonalForm is taken as it is.  Each
   variable's values c*w^2 over its class are enumerated with an early
   cutoff and bucketed by residue mod M, keeping the quotients.  Each
   residue pair of the two shorter lists, short and middle, sums into a
@@ -96,7 +96,6 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
     CongruenceClass,
-    ConstrainedForm,
     DiagonalForm,
     PolySum,
     ReductionData,
@@ -106,7 +105,7 @@ from .core import (
     reduce,
 )
 
-Form = Union[PolySum, DiagonalForm, ConstrainedForm]
+Form = Union[PolySum, DiagonalForm]
 
 # The cap counts one bitset: 2**31 sieve bits = 256 MiB, for every sieve
 # and survey.  A sieve's peak is several bitsets: the traced peak of
@@ -116,8 +115,6 @@ Form = Union[PolySum, DiagonalForm, ConstrainedForm]
 # Reading a dense set (_flags) adds one byte per bit, 8 bitsets, where the
 # list of at least width/_DENSE_SHARE 40-byte positions is over 3 already.
 DEFAULT_MAX_BITS = 1 << 31
-
-_UNCONSTRAINED = CongruenceClass(1, 0)
 
 
 @dataclass(frozen=True)
@@ -210,12 +207,12 @@ def _column_flags(slot1: tuple[int, int, int], c2: int, m2: int, r2: int, mirror
     return bytes((t - c2 * w * w) % _Q in admitted for w in members)
 
 
-def _scan_all(cf: ConstrainedForm, m: int) -> Iterator[tuple[int, int, int]]:
+def _scan_all(cf: DiagonalForm, m: int) -> Iterator[tuple[int, int, int]]:
     # Every (w1, w2, w3) with c1*w1^2 + c2*w2^2 + c3*w3^2 == m, in the scan
     # order and with the sign mirroring the module docstring states.
     if m < 0:
         return
-    c1, c2, c3 = cf.form.coeffs
+    c1, c2, c3 = cf.coeffs
     k1, k2, k3 = cf.classes
     mirror2 = (-k2.residue) % k2.modulus == k2.residue
     mirror3 = (-k3.residue) % k3.modulus == k3.residue
@@ -246,7 +243,7 @@ def _scan_all(cf: ConstrainedForm, m: int) -> Iterator[tuple[int, int, int]]:
 
 def represent(form: Form, n: int) -> Union[Witness, tuple[int, int, int], None]:
     """First hit of n under form in the deterministic scan order, or None:
-    a Witness for a PolySum, a triple for a diagonal or constrained form.
+    a Witness for a PolySum, a triple for a DiagonalForm.
 
     The scan covers every constrained triple with sum at most M*n + C, the
     image of n under ``_constrained``, which is exhaustive, so None is a
@@ -260,7 +257,7 @@ def represent_diag(f: DiagonalForm, m: int) -> Optional[tuple[int, int, int]]:
     return represent(f, m)
 
 
-def represent_constrained(cf: ConstrainedForm, m: int) -> Optional[tuple[int, int, int]]:
+def represent_constrained(cf: DiagonalForm, m: int) -> Optional[tuple[int, int, int]]:
     return represent(cf, m)
 
 
@@ -279,7 +276,7 @@ def _hits(form: Form, n: int) -> Iterator:
 # --- value slots -----------------------------------------------------------
 #
 # A "slot" is the value multiset {c*w^2 : w in cl} of one variable of a
-# constrained form, w running over its congruence class cl.  Slots carry
+# DiagonalForm, w running over its congruence class cl.  Slots carry
 # their minimum so sums can be offset into a nonnegative bit range.
 
 
@@ -291,23 +288,21 @@ def _square_slot(c: int, cap: int, cl: CongruenceClass) -> list[int]:
     return [c * w * w for r in {cl.residue, -cl.residue % cl.modulus} for w in range(r, bound + 1, cl.modulus)]
 
 
-def _slots(cf: ConstrainedForm, limit: int) -> list[tuple[int, list[int]]]:
+def _slots(cf: DiagonalForm, limit: int) -> list[tuple[int, list[int]]]:
     """Per-variable (min value, values <= cap) with caps shrunk by the
     minima of the other slots."""
-    mins = [c * cl.min_abs() ** 2 for c, cl in zip(cf.form.coeffs, cf.classes)]
+    mins = [c * cl.min_abs() ** 2 for c, cl in zip(cf.coeffs, cf.classes)]
     total_min = sum(mins)
-    return [(m, _square_slot(c, limit - (total_min - m), cl)) for m, c, cl in zip(mins, cf.form.coeffs, cf.classes)]
+    return [(m, _square_slot(c, limit - (total_min - m), cl)) for m, c, cl in zip(mins, cf.coeffs, cf.classes)]
 
 
-def _constrained(form: Form, progression: tuple[int, int]) -> tuple[ConstrainedForm, int, int, Optional[ReductionData]]:
+def _constrained(form: Form, progression: tuple[int, int]) -> tuple[DiagonalForm, int, int, Optional[ReductionData]]:
     # (cf, M', C', rd) with M*n + C a value of form iff M'*n + C' is a value
-    # of cf: completing the square (rd, None for a diagonal or constrained
-    # form) takes a PolySum value n to 4*L*n + C'
+    # of cf: completing the square (rd, None for a DiagonalForm) takes a
+    # PolySum value n to 4*L*n + C'
     M, C = progression
-    if isinstance(form, ConstrainedForm):
-        return form, M, C, None
     if isinstance(form, DiagonalForm):
-        return ConstrainedForm(form, (_UNCONSTRAINED,) * 3), M, C, None
+        return form, M, C, None
     if isinstance(form, PolySum):
         rd = reduce(form)
         return rd.constrained, 4 * rd.L * M, 4 * rd.L * C + rd.C, rd

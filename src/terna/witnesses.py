@@ -3,22 +3,25 @@
 For each proven triple (a, b, c), giving x(ax+1)+y(by+1)+z(cz+1), and
 each proven quadruple (a, b, c, d), giving x(ax+b)+y(ay+c)+z(az+d),
 ``triple_witness`` / ``quadruple_witness`` produce an explicit integer
-triple representing n.  method="search" scans the constrained space
-directly; method="constructive" replays the published-style pipeline:
-fetch an intermediate square decomposition of multiplier*n + constant
-(deterministic search, or one of the lemma constructions) and massage it
+triple representing n.  Each clause is one Recipe: its identity
+multiplier*n + constant = target form, its builder, and its reduction.
+Both methods first get a triple of the target form, up to sign:
+method="constructive" replays the published-style pipeline, which fetches
+an intermediate square decomposition of multiplier*n + constant
+(deterministic search, or one of the lemma constructions) and massages it
 by the clause's rotations and swaps into the shape of the clause
-identity.  Each clause is one Recipe: its identity, its builder, which
-returns that triple up to sign, and its reduction; one step shared by all
-clauses then flips each slot into the congruence class that reduce()
-assigns to it, re-checks the clause identity exactly, and lifts.
+identity; method="search" takes the first hit of the scan of the target
+form itself.  One step, shared by both methods and all clauses, then runs
+the clause's checks: it flips each slot into the congruence class that
+reduce() assigns to it, re-checks the clause identity exactly, lifts, and
+evaluates the witness.
 
 The paper's other universal sums are plain PolySums (LIOUVILLE_TRIPLES
 through triple_poly, SMALL_QUADRUPLES through quadruple_poly, and
 MIXED_SQUARE_SUMS); ``represent`` finds their witnesses.
 
 A pipeline that breaks an invariant raises ConstructionError naming the
-clause, n, the failing step and the builder's triple; such an error would
+clause, n, the failing step and the triple it got; such an error would
 falsify the clause, so it must never trigger.
 """
 
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
+    _UNCONSTRAINED,
     CongruenceClass,
-    ConstrainedForm,
     ConstructionError,
     DiagonalForm,
     NoValidSignError,
@@ -42,7 +45,7 @@ from .core import (
     reduce,
 )
 from .lemmas import _PRIME_TO_3, _is_square, _pair, rep_5x2_5y2_z2_odd, rep_x2_3y2_6z2, rep_x2_y2_2z2_coprime3
-from .search import _UNCONSTRAINED, attainable, exceptional_set, represent, represent_constrained, represent_diag
+from .search import attainable, exceptional_set, represent, represent_constrained, represent_diag
 
 PROVEN_TRIPLES = ((1, 2, 3), (1, 2, 4), (1, 2, 5), (2, 2, 4), (2, 2, 5), (2, 3, 3), (2, 3, 4))
 CONJECTURED_TRIPLES = ((2, 2, 6), (2, 3, 5), (2, 3, 7), (2, 3, 8), (2, 3, 9), (2, 3, 10))
@@ -68,22 +71,22 @@ def quadruple_poly(quad: tuple[int, int, int, int]) -> PolySum:
 @dataclass(frozen=True)
 class Recipe:
     """One clause: its polynomial, the identity multiplier*n + constant =
-    constrained target form, the pipeline outline, the builder of the
-    target form's triple (up to sign) for n, and the polynomial's reduction,
-    which the witness is lifted through."""
+    target form, a DiagonalForm with classes, the pipeline outline, the
+    builder of the target form's triple (up to sign) for n, and the
+    polynomial's reduction, which the witness is lifted through."""
 
     id: str
     poly: PolySum
     multiplier: int
     constant: int
-    target_form: ConstrainedForm
+    target_form: DiagonalForm
     steps: tuple[str, ...]
     build: Callable[[int], tuple[int, int, int]]
     reduction: ReductionData
 
 
-def _cf(coeffs, classes) -> ConstrainedForm:
-    return ConstrainedForm(DiagonalForm(coeffs), tuple(CongruenceClass(m, r) for m, r in classes))
+def _cf(coeffs, classes) -> DiagonalForm:
+    return DiagonalForm(coeffs, tuple(CongruenceClass(m, r) for m, r in classes))
 
 
 def _need(cond: bool, step: str, detail: str = ""):
@@ -305,17 +308,25 @@ def all_recipes() -> list[Recipe]:
     return list(_RECIPES.values())
 
 
-def _constructive(key: tuple, n: int) -> Witness:
+def _witness(key: tuple, n: int, method: str) -> Witness:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if method not in ("constructive", "search"):
+        raise ValueError(f"method must be 'constructive' or 'search', got {method!r}")
     rec = _RECIPES[key]
+    target = rec.multiplier * n + rec.constant
     pre = None
     try:
-        pre = rec.build(n)
+        if method == "search":
+            pre = represent(rec.target_form, target)
+            _need(pre is not None, "search", f"{target} is not a value of {rec.target_form}")
+        else:
+            pre = rec.build(n)
         try:
             triple = [normalize_sign(w, cl.modulus, cl.residue) for w, cl in zip(pre, rec.target_form.classes)]
         except NoValidSignError as e:
             raise ConstructionError("sign", str(e)) from e
-        target = rec.multiplier * n + rec.constant
-        total = sum(c * w * w for c, w in zip(rec.target_form.form.coeffs, triple))
+        total = sum(c * w * w for c, w in zip(rec.target_form.coeffs, triple))
         _need(total == target, "clause-identity", f"{total} != {target}")
         wit = lift(rec.reduction, triple)
         _need(evaluate(rec.poly, wit) == n, "lift", f"witness {wit} does not evaluate to {n}")
@@ -323,20 +334,6 @@ def _constructive(key: tuple, n: int) -> Witness:
         e.clause, e.n, e.pre = rec.id, n, pre
         raise
     return wit
-
-
-def _witness(key: tuple, n: int, method: str) -> Witness:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if method == "search":
-        poly = _RECIPES[key].poly
-        wit = represent(poly, n)
-        if wit is None:
-            raise ConstructionError("search", f"{poly} does not represent {n}")
-        return wit
-    if method == "constructive":
-        return _constructive(key, n)
-    raise ValueError(f"method must be 'constructive' or 'search', got {method!r}")
 
 
 def triple_witness(triple: tuple[int, int, int], n: int, method: str = "constructive") -> Witness:

@@ -101,7 +101,7 @@ def test_criterion_03_proven_triples():
         # the clause identity multiplier*n + constant = constrained form value
         # is asserted inside the builder for every n; spot-check the recipe here
         assert rec.multiplier * 0 + rec.constant == sum(
-            c * w * w for c, w in zip(rec.target_form.form.coeffs, embed(reduce(poly), triple_witness(trip, 0)))
+            c * w * w for c, w in zip(rec.target_form.coeffs, embed(reduce(poly), triple_witness(trip, 0)))
         )
     ok = not nonempty and not failures
     report(3, "7 proven triples: empty E to 1e6, constructive witnesses verify to 1e4",
@@ -228,7 +228,7 @@ def test_criterion_10_reduction_equivalence():
     bad = []
     for poly in polys:
         rd = reduce(poly)
-        coeffs = rd.constrained.form.coeffs
+        coeffs = rd.constrained.coeffs
         for x in range(-20, 21):
             for y in range(-20, 21):
                 for z in range(-20, 21):

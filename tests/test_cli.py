@@ -257,6 +257,11 @@ def test_cli_bridge(capsys):
 def test_cli_lemma(capsys):
     code, out, _ = run(capsys, "lemma", "--id", "2.1", "5", "5")
     assert code == 0 and "7^2+1^2" in out
+    # a negative value is squared in parentheses, on either side
+    code, out, _ = run(capsys, "lemma", "--id", "2.1", "5", "10")
+    assert code == 0 and out.startswith("5^2+10^2 = 11^2+(-2)^2,")
+    code, out, _ = run(capsys, "lemma", "--id", "2.1", "-3", "4")
+    assert code == 0 and out.startswith("(-3)^2+4^2 = (-3)^2+4^2,")
     code, out, _ = run(capsys, "lemma", "--id", "2.2", "1", "6")
     assert code == 0
     code, out, _ = run(capsys, "lemma", "--id", "2.3ii", "12")

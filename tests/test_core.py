@@ -42,17 +42,17 @@ def test_evaluate_examples():
 def test_reduce_examples():
     rd = reduce(PolySum.of((1, 1), (2, 1), (3, 1)))
     assert (rd.L, rd.C) == (6, 11)
-    assert rd.constrained.form.coeffs == (6, 3, 2)
+    assert rd.constrained.coeffs == (6, 3, 2)
     assert [(c.modulus, c.residue) for c in rd.constrained.classes] == [(2, 1), (4, 1), (6, 1)]
 
     rd = reduce(PolySum.of((2, 1), (3, 1), (7, 1)))
     assert (rd.L, rd.C) == (42, 41)
-    assert rd.constrained.form.coeffs == (21, 14, 6)
+    assert rd.constrained.coeffs == (21, 14, 6)
     assert [(c.modulus, c.residue) for c in rd.constrained.classes] == [(4, 1), (6, 1), (14, 1)]
 
     rd = reduce(PolySum.of((3, 0), (3, 1), (3, 2)))
     assert (rd.L, rd.C) == (3, 5)
-    assert rd.constrained.form.coeffs == (1, 1, 1)
+    assert rd.constrained.coeffs == (1, 1, 1)
     assert [(c.modulus, c.residue) for c in rd.constrained.classes] == [(6, 0), (6, 1), (6, 2)]
 
 
@@ -123,7 +123,7 @@ def test_reduction_equivalence_small_box(pairs):
     # pointwise on a box, plus lift/embed inverse round trips.
     p = PolySum.of(*pairs)
     rd = reduce(p)
-    coeffs = rd.constrained.form.coeffs
+    coeffs = rd.constrained.coeffs
     for x in range(-8, 9):
         for y in range(-8, 9):
             for z in range(-8, 9):
@@ -155,6 +155,12 @@ def test_diagonal_form_validation():
         CongruenceClass(4, 4)
     assert CongruenceClass(6, 5).min_abs() == 1
     assert str(DiagonalForm((21, 14, 6))) == "21x^2+14y^2+6z^2"
+    # every variable ranges over all integers unless given a class
+    assert DiagonalForm((1, 1, 3)) == DiagonalForm((1, 1, 3), (CongruenceClass(1, 0),) * 3)
+    with pytest.raises(ValueError):
+        DiagonalForm((1, 1, 1), (CongruenceClass(2, 1),) * 2)
+    odd = DiagonalForm((6, 3, 2), (CongruenceClass(2, 1), CongruenceClass(4, 1), CongruenceClass(6, 1)))
+    assert str(odd) == "6(2k+1)^2+3(4k+1)^2+2(6k+1)^2"
 
 
 def test_witness_iteration():

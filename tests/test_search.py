@@ -4,7 +4,6 @@ import oracles
 from oracles import class_members
 from terna import (
     CongruenceClass,
-    ConstrainedForm,
     DiagonalForm,
     PolySum,
     ResourceLimitError,
@@ -18,7 +17,7 @@ from terna.search import DEFAULT_MAX_BITS, represent_constrained, represent_diag
 
 
 def cf(coeffs, classes):
-    return ConstrainedForm(DiagonalForm(coeffs), tuple(CongruenceClass(m, r) for m, r in classes))
+    return DiagonalForm(coeffs, tuple(CongruenceClass(m, r) for m, r in classes))
 
 
 def test_class_members_order():
@@ -217,4 +216,4 @@ def test_exact_arithmetic_beyond_word_sizes():
 
     rd = reduce(p)
     ws = embed(rd, big)
-    assert sum(c * w * w for c, w in zip(rd.constrained.form.coeffs, ws)) == 4 * rd.L * n + rd.C
+    assert sum(c * w * w for c, w in zip(rd.constrained.coeffs, ws)) == 4 * rd.L * n + rd.C

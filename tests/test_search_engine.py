@@ -23,7 +23,6 @@ import pytest
 import oracles
 from terna import (
     CongruenceClass,
-    ConstrainedForm,
     DiagonalForm,
     NoOddRepresentationError,
     NotRepresentableError,
@@ -87,10 +86,10 @@ def random_class(rng: random.Random) -> CongruenceClass:
     return CongruenceClass(m, rng.randrange(m))
 
 
-def box_hits(cf: ConstrainedForm, m: int) -> list[tuple[int, int, int]]:
+def box_hits(cf: DiagonalForm, m: int) -> list[tuple[int, int, int]]:
     # every triple of the box |wi| <= isqrt(m // ci), each coordinate in
     # class_members order, w3 outermost
-    c1, c2, c3 = cf.form.coeffs
+    c1, c2, c3 = cf.coeffs
     k1, k2, k3 = cf.classes
 
     def members(k, c):
@@ -108,13 +107,13 @@ def box_hits(cf: ConstrainedForm, m: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def random_constrained(seed: int, count: int) -> list[tuple[ConstrainedForm, int]]:
+def random_constrained(seed: int, count: int) -> list[tuple[DiagonalForm, int]]:
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
         coeffs = tuple(rng.randint(1, 6) for _ in range(3))
         classes = tuple(random_class(rng) for _ in range(3))
-        cases.append((ConstrainedForm(DiagonalForm(coeffs), classes), rng.randint(0, 400)))
+        cases.append((DiagonalForm(coeffs, classes), rng.randint(0, 400)))
     return cases
 
 
@@ -129,7 +128,7 @@ def brute_residues(coeffs, classes) -> set[int]:
     return {(a + b) % search._Q for a in period(coeffs[0], classes[0]) for b in period(coeffs[1], classes[1])}
 
 
-def residue_cases(seed: int, count: int) -> list[tuple[ConstrainedForm, int]]:
+def residue_cases(seed: int, count: int) -> list[tuple[DiagonalForm, int]]:
     # class moduli sharing factors with the residue test's modulus, a w3
     # walk of several steps and residues some w3 rows cannot reach, so the
     # scan skips rows; half of the m are values of the form
@@ -146,14 +145,14 @@ def residue_cases(seed: int, count: int) -> list[tuple[ConstrainedForm, int]]:
         reached = brute_residues(coeffs, classes)
         rows = [w for w in range(isqrt(m // coeffs[2]) + 1) if k3.residue in (w % k3.modulus, -w % k3.modulus)]
         if any((m - coeffs[2] * w3 * w3) % search._Q not in reached for w3 in rows):
-            cases.append((ConstrainedForm(DiagonalForm(coeffs), classes), m))
+            cases.append((DiagonalForm(coeffs, classes), m))
     return cases
 
 
 RESIDUE_CASES = residue_cases(20261021, 60)
 
 
-def large_m_cases(seed: int, count: int, symmetric: bool = True) -> list[tuple[ConstrainedForm, int]]:
+def large_m_cases(seed: int, count: int, symmetric: bool = True) -> list[tuple[DiagonalForm, int]]:
     # m in [10^5, 10^6], half of them values of the form, and a w2 class,
     # sign-symmetric or not, whose walk at w3 = 0 is at least two periods
     # of its column flags long
@@ -176,7 +175,7 @@ def large_m_cases(seed: int, count: int, symmetric: bool = True) -> list[tuple[C
             )
         if not 10**5 <= m <= 10**6 or isqrt(m // coeffs[1]) < 2 * m2 * (Q // gcd(m2, Q)):
             continue
-        cases.append((ConstrainedForm(DiagonalForm(coeffs), classes), m))
+        cases.append((DiagonalForm(coeffs, classes), m))
     return cases
 
 
@@ -280,7 +279,7 @@ def test_modulus_past_q_keeps_its_own_flags():
     # 150k+3 and 6k+3 agree mod Q, but only 6k+3 is sign-symmetric: each
     # scan, run after the other, still matches the plain triple loop
     for m2 in (6, 150, 6):
-        cf = ConstrainedForm(DiagonalForm((1, 1, 2)), (CongruenceClass(1, 0), CongruenceClass(m2, 3), CongruenceClass(4, 1)))
+        cf = DiagonalForm((1, 1, 2), (CongruenceClass(1, 0), CongruenceClass(m2, 3), CongruenceClass(4, 1)))
         for m in (147**2 + 2, 10**5 + 3):
             assert list(search._scan_all(cf, m)) == box_hits(cf, m)
 
@@ -293,8 +292,8 @@ def test_residue_cases_skip_rows_by_their_flags(monkeypatch, cf, m):
     real = search._column_flags
     monkeypatch.setattr(search, "_column_flags", lambda *key: rows.append(real(*key)) or rows[-1])
     list(search._scan_all(cf, m))
-    c3, k3 = cf.form.coeffs[2], cf.classes[2]
-    reached = brute_residues(cf.form.coeffs, cf.classes)
+    c3, k3 = cf.coeffs[2], cf.classes[2]
+    reached = brute_residues(cf.coeffs, cf.classes)
     walk = search._walk(k3, isqrt(m // c3), search._EVERY)
     assert [1 in flags for flags in rows] == [(m - c3 * w3 * w3) % search._Q in reached for w3 in walk]
     assert any(1 not in flags for flags in rows)
@@ -303,7 +302,7 @@ def test_residue_cases_skip_rows_by_their_flags(monkeypatch, cf, m):
 def test_row_flags_cleared_break_a_case(monkeypatch):
     # the flags of the first hit's row, all cleared, lose that row's hits
     cf, m, hits = next((cf, m, box_hits(cf, m)) for cf, m in RESIDUE_CASES if box_hits(cf, m))
-    gone = (m - cf.form.coeffs[2] * hits[0][2] ** 2) % search._Q
+    gone = (m - cf.coeffs[2] * hits[0][2] ** 2) % search._Q
     real = search._column_flags
     monkeypatch.setattr(search, "_column_flags", lambda *key: bytes(len(real(*key))) if key[-1] == gone else real(*key))
     assert hits[0] not in search._scan_all(cf, m)
@@ -315,7 +314,7 @@ def test_column_flag_cleared_breaks_a_case(monkeypatch, cases, sign):
     # the flag of a hit's w2 column, cleared, loses that hit: a member of a
     # sign-symmetric class, and a negative member of a class that is not
     cf, m, hit = next((cf, m, h) for cf, m in cases for h in box_hits(cf, m) if sign * h[1] > 0)
-    (c1, c2, c3), (k1, k2, _) = cf.form.coeffs, cf.classes
+    (c1, c2, c3), (k1, k2, _) = cf.coeffs, cf.classes
     Q = search._Q
     symmetric = -k2.residue % k2.modulus == k2.residue
     row = (search._slot_key(c1, k1), c2 % Q, k2.modulus % Q, k2.residue % Q, symmetric, (m - c3 * hit[2] ** 2) % Q)
@@ -350,8 +349,7 @@ def test_count_representations_matches_box():
     for _ in range(40):
         f = DiagonalForm(tuple(rng.randint(1, 5) for _ in range(3)))
         m = rng.randint(0, 300)
-        trivial = ConstrainedForm(f, (CongruenceClass(1, 0),) * 3)
-        assert len(represent_all(f, m)) == len(box_hits(trivial, m))
+        assert len(represent_all(f, m)) == len(box_hits(f, m))
 
 
 def test_rep_x2_2y2_odd_is_smallest_odd_v():

@@ -14,7 +14,7 @@ import random
 import pytest
 
 import oracles
-from terna import CongruenceClass, ConstrainedForm, DiagonalForm, PolySum
+from terna import CongruenceClass, DiagonalForm, PolySum
 from terna import search
 from terna.search import _fold, _levels, _pairs, attainable, exceptional_set, value_mask
 
@@ -218,8 +218,8 @@ def random_progression_cases(seed: int, count: int) -> list[tuple]:
 PROGRESSION_CASES = random_progression_cases(20261018, 32)
 
 
-def constrained(coeffs, classes) -> ConstrainedForm:
-    return ConstrainedForm(DiagonalForm(coeffs), tuple(CongruenceClass(m, r) for m, r in classes))
+def constrained(coeffs, classes) -> DiagonalForm:
+    return DiagonalForm(coeffs, tuple(CongruenceClass(m, r) for m, r in classes))
 
 
 # probe shifts: the module's own, and four shifts of each group, so that

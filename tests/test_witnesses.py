@@ -7,7 +7,6 @@ import pytest
 import oracles
 from terna import (
     CongruenceClass,
-    ConstrainedForm,
     ConstructionError,
     DiagonalForm,
     Witness,
@@ -26,7 +25,7 @@ from terna import (
     triple_witness,
     verify,
 )
-from terna import lemmas, search
+from terna import lemmas, search, witnesses
 from terna.witnesses import (
     _RECIPES,
     LIOUVILLE_TRIPLES,
@@ -131,7 +130,7 @@ def test_clause_identities_hold_exactly():
     for rec in all_recipes():
         for n in (0, 1, 2, 17, 101):
             triple = rec.build(n)
-            total = sum(c * w * w for c, w in zip(rec.target_form.form.coeffs, triple))
+            total = sum(c * w * w for c, w in zip(rec.target_form.coeffs, triple))
             assert total == rec.multiplier * n + rec.constant
             for w, cl in zip(triple, rec.target_form.classes):
                 assert cl.residue in (w % cl.modulus, -w % cl.modulus)
@@ -163,10 +162,9 @@ def test_pinned_scan_order():
             m = sum(c * (k.residue + k.modulus * rng.randint(-3, 3)) ** 2 for c, k in zip(coeffs, classes))
             if m > 20000:
                 continue
-        cf = ConstrainedForm(DiagonalForm(coeffs), classes)
-        rows.append((cf, m, list(search._scan_all(cf, m))))
+        rows.append((coeffs, classes, m, list(search._scan_all(DiagonalForm(coeffs, classes), m))))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "bada73a4a583ba675734b57a834e2f8e20e46e1a25be6a6425693f9bde5155c9"
+    assert digest == "7685990a0fb1b7d89af89c08f1b6700e6d8e33d717c0e8269843b12b49f19bd3"
 
 
 def broken(monkeypatch, key, build):
@@ -184,6 +182,23 @@ def test_broken_builder_names_clause_n_step_and_pre(monkeypatch):
     with pytest.raises(ConstructionError) as info:
         triple_witness((2, 3, 3), 5)
     assert info.value.step == "clause-identity"
+
+
+def test_search_method_failure_names_clause_and_n(monkeypatch):
+    # the search method runs the same pipeline as the constructive one, so
+    # a scan that finds nothing is reported against its clause and n
+    monkeypatch.setattr(witnesses, "represent", lambda form, t: None)
+    with pytest.raises(ConstructionError) as info:
+        triple_witness((1, 2, 3), 5, method="search")
+    assert (info.value.step, info.value.clause, info.value.n, info.value.pre) == ("search", "i", 5, None)
+
+
+def test_search_method_checks_the_clause_identity(monkeypatch):
+    # a searched triple outside the clause identity is caught, not lifted
+    monkeypatch.setattr(witnesses, "represent", lambda form, t: (1, 1, 1))
+    with pytest.raises(ConstructionError) as info:
+        triple_witness((1, 2, 3), 5, method="search")
+    assert (info.value.step, info.value.clause, info.value.n, info.value.pre) == ("clause-identity", "i", 5, (1, 1, 1))
 
 
 def test_lemma_errors_name_the_clause_only_inside_a_pipeline(monkeypatch):
