@@ -22,7 +22,7 @@ import os
 import re
 import sys
 
-from .core import DiagonalForm, PolySum, Term, TernaError
+from .core import DiagonalForm, PolySum, PreconditionError, Term, TernaError
 from .families import FAMILIES, crosscheck
 from .lemmas import (
     check_3x2_6y2,
@@ -270,6 +270,8 @@ def _cmd_lemma(args) -> int:
             print(f"6*{vals[0]}+1 = {x}^2+{y}^2+2*{z}^2 (none divisible by 3)")
         else:
             raise TernaError(f"unknown lemma id {args.id!r}")
+    except PreconditionError:
+        raise  # an argument outside the lemma's domain is a usage error
     except TernaError as e:
         print(f"lemma {args.id} failed: {e}")
         return 1

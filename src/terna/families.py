@@ -128,8 +128,9 @@ def crosscheck(fam: ExceptionalFamily, limit: int, workers: int = 1) -> Crossche
     """All n <= limit where membership in fam disagrees with the sieve of
     fam's form; the report names the family by its form."""
     t0 = time.perf_counter()
-    expected = membership(fam, limit)
+    # the sieve checks the bit cap before it allocates, so it runs first
     sieved = attainable(fam.form, limit, workers=workers).missing_flags()
+    expected = membership(fam, limit)
     bad = ()
     if sieved != expected:
         # one byte per n, so the nonzero bytes of the XOR are the n that differ

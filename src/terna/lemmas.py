@@ -210,10 +210,11 @@ def check_3x2_6y2(w: int) -> tuple[bool, bool]:
 def scan_3x2_6y2(limit: int) -> list[int]:
     """All w <= limit where the two sides of check_3x2_6y2 disagree
     (expected empty), computed with value bitmasks."""
-    # bits 0, 3, 6, ... up to limit: the sum of 8^i is (8^k - 1) / 7
-    multiples_of_3 = ((1 << 3 * (limit // 3 + 1)) - 1) // 7
     lhs = _pair_mask(3, _UNCONSTRAINED, 6, _UNCONSTRAINED, limit)
-    return _set_bits(lhs ^ (_pair_mask(1, _UNCONSTRAINED, 2, _UNCONSTRAINED, limit) & multiples_of_3))
+    rhs = _pair_mask(1, _UNCONSTRAINED, 2, _UNCONSTRAINED, limit)
+    # bits 0, 3, 6, ... up to limit, built after both masks checked the bit
+    # cap: the sum of 8^i is (8^k - 1) / 7
+    return _set_bits(lhs ^ (rhs & ((1 << 3 * (limit // 3 + 1)) - 1) // 7))
 
 
 def rep_x2_3y2_6z2(n: int, parity: int) -> tuple[int, int, int]:

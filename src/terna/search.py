@@ -252,7 +252,8 @@ def represent(form: Form, n: int) -> Union[Witness, tuple[int, int, int], None]:
     return next(_hits(form, n), None)
 
 
-# the names the witness layer calls, which the benchmark traces
+# nothing in src/ calls these delegates; perfbench/spans.py wraps them in
+# terna.witnesses, which imports them for that alone
 def represent_diag(f: DiagonalForm, m: int) -> Optional[tuple[int, int, int]]:
     return represent(f, m)
 

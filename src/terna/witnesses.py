@@ -3,18 +3,19 @@
 For each proven triple (a, b, c), giving x(ax+1)+y(by+1)+z(cz+1), and
 each proven quadruple (a, b, c, d), giving x(ax+b)+y(ay+c)+z(az+d),
 ``triple_witness`` / ``quadruple_witness`` produce an explicit integer
-triple representing n.  Each clause is one Recipe: its identity
-multiplier*n + constant = target form, its builder, and its reduction.
-Both methods first get a triple of the target form, up to sign:
-method="constructive" replays the published-style pipeline, which fetches
-an intermediate square decomposition of multiplier*n + constant
-(deterministic search, or one of the lemma constructions) and massages it
-by the clause's rotations and swaps into the shape of the clause
-identity; method="search" takes the first hit of the scan of the target
-form itself.  One step, shared by both methods and all clauses, then runs
-the clause's checks: it flips each slot into the congruence class that
-reduce() assigns to it, re-checks the clause identity exactly, lifts, and
-evaluates the witness.
+triple representing n.  Each clause is one Recipe: its pipeline outline,
+its builder, and its reduction.  The reduction is the clause identity:
+reduce() completes the square to 4L*n + C = a value of the constrained
+form, so the target t = 4L*n + C and the form are read off it.  Both
+methods first get a triple of the form with value t, up to sign:
+method="constructive" passes t to the clause's builder, which replays the
+published-style pipeline (an intermediate square decomposition of t, by
+deterministic search or a lemma construction, massaged by the clause's
+rotations and swaps into the shape of the form); method="search" takes
+the first hit of the scan of the form itself.  One step, shared by both
+methods and all clauses, then flips each slot into the congruence class
+that reduce() assigns to it, re-checks the clause identity exactly,
+lifts, and evaluates the witness.
 
 The paper's other universal sums are plain PolySums (LIOUVILLE_TRIPLES
 through triple_poly, SMALL_QUADRUPLES through quadruple_poly, and
@@ -45,7 +46,8 @@ from .core import (
     reduce,
 )
 from .lemmas import _PRIME_TO_3, _is_square, _pair, rep_5x2_5y2_z2_odd, rep_x2_3y2_6z2, rep_x2_y2_2z2_coprime3
-from .search import attainable, exceptional_set, represent, represent_constrained, represent_diag
+from .search import attainable, exceptional_set, represent
+from .search import represent_constrained, represent_diag  # noqa: F401  perfbench/spans.py traces them here
 
 PROVEN_TRIPLES = ((1, 2, 3), (1, 2, 4), (1, 2, 5), (2, 2, 4), (2, 2, 5), (2, 3, 3), (2, 3, 4))
 CONJECTURED_TRIPLES = ((2, 2, 6), (2, 3, 5), (2, 3, 7), (2, 3, 8), (2, 3, 9), (2, 3, 10))
@@ -70,16 +72,13 @@ def quadruple_poly(quad: tuple[int, int, int, int]) -> PolySum:
 
 @dataclass(frozen=True)
 class Recipe:
-    """One clause: its polynomial, the identity multiplier*n + constant =
-    target form, a DiagonalForm with classes, the pipeline outline, the
-    builder of the target form's triple (up to sign) for n, and the
-    polynomial's reduction, which the witness is lifted through."""
+    """One clause: the pipeline outline, the builder, and the polynomial's
+    reduction.  The reduction is the clause identity 4L*n + C = a value of
+    its constrained form, and the witness is lifted through it.  The
+    builder maps the target t = 4L*n + C to a triple of the constrained
+    form with value t, up to sign."""
 
     id: str
-    poly: PolySum
-    multiplier: int
-    constant: int
-    target_form: DiagonalForm
     steps: tuple[str, ...]
     build: Callable[[int], tuple[int, int, int]]
     reduction: ReductionData
@@ -94,6 +93,15 @@ def _need(cond: bool, step: str, detail: str = ""):
         raise ConstructionError(step, detail)
 
 
+def _scan(form: DiagonalForm, t: int, step: str, absent: str) -> tuple[int, ...]:
+    # the first hit of the scan as absolute values; a miss fails the step
+    # with "t absent", formatted only then
+    hit = represent(form, t)
+    if hit is None:
+        raise ConstructionError(step, f"{t} {absent}")
+    return tuple(map(abs, hit))
+
+
 _ODD3 = _cf((1, 1, 1), ((2, 1), (2, 1), (2, 1)))
 # clause b: v (parity 1 - delta, solved), u odd, w even, all prime to 3
 _COPRIME3 = tuple(_cf((1, 1, 1), ((6, 1 + delta), (6, 1), (6, 2))) for delta in (0, 1))
@@ -101,20 +109,16 @@ _COPRIME3 = tuple(_cf((1, 1, 1), ((6, 1 + delta), (6, 1), (6, 2))) for delta in 
 
 def _three_squares_by_parity(t: int) -> tuple[int, int, int]:
     # the first decomposition, as (odd, odd, even) absolute values
-    hit = represent_diag(DiagonalForm((1, 1, 1)), t)
-    _need(hit is not None, "three-squares", f"{t} is not a sum of three squares")
-    vals = [abs(w) for w in hit]
+    vals = _scan(DiagonalForm((1, 1, 1)), t, "three-squares", "is not a sum of three squares")
     odds, evens = [v for v in vals if v % 2], [v for v in vals if v % 2 == 0]
     _need(len(odds) == 2, "parity-pattern", f"{t} decomposition is not odd+odd+even")
     return odds[0], odds[1], evens[0]
 
 
-# Each builder returns its clause's triple in slot order, up to sign.
-def _build_i(n: int):
-    t = 24 * n + 11
-    hit = represent_constrained(_ODD3, t)
-    _need(hit is not None, "three-odd-squares", f"{t} has no all-odd decomposition")
-    u, v, w = (abs(x) for x in hit)
+# Each builder maps its clause's target t to the clause's triple in slot
+# order, up to sign.
+def _build_i(t: int):
+    u, v, w = _scan(_ODD3, t, "three-odd-squares", "has no all-odd decomposition")
     ubar, vbar = (u + v) // 2, abs(u - v) // 2
     if ubar % 2:
         ubar, vbar = vbar, ubar
@@ -138,93 +142,74 @@ def _build_i(n: int):
     return s0, r0, t_
 
 
-def _build_ii(n: int):
-    p, q, even = _three_squares_by_parity(32 * n + 14)
+def _build_ii(t: int):
+    p, q, even = _three_squares_by_parity(2 * t)
     half_a, half_b = (p + q) // 2, abs(p - q) // 2
     even_half, odd_half = (half_a, half_b) if half_a % 2 == 0 else (half_b, half_a)
     return even_half // 2, even // 2, odd_half
 
 
-def _build_iii(n: int):
-    t = 40 * n + 17
-    hit = represent_diag(DiagonalForm((10, 5, 2)), t)
-    _need(hit is not None, "dickson-form", f"{t} is not 10u^2+5v^2+2w^2")
-    return tuple(abs(x) for x in hit)
+def _build_iii(t: int):
+    return _scan(DiagonalForm((10, 5, 2)), t, "dickson-form", "is not 10u^2+5v^2+2w^2")
 
 
-def _build_iv(n: int):
-    t = 16 * n + 5
-    hit = represent_diag(DiagonalForm((4, 4, 1)), t)
-    _need(hit is not None, "three-squares", f"{t} is not (2u)^2+(2v)^2+w^2")
-    u, v, w = (abs(x) for x in hit)
+def _build_iv(t: int):
+    u, v, w = _scan(DiagonalForm((4, 4, 1)), t, "three-squares", "is not (2u)^2+(2v)^2+w^2")
     return u + v, u - v, w
 
 
-def _build_v(n: int):
-    u, v, w = rep_5x2_5y2_z2_odd(n, 6)
+def _build_v(t: int):
+    # t/2 = 20n + 6
+    u, v, w = rep_5x2_5y2_z2_odd(*divmod(t // 2, 20))
     return u + v, u - v, w
 
 
-def _build_vi(n: int):
-    t = 24 * n + 7
-    hit = represent_diag(DiagonalForm((1, 1, 3)), t)
-    _need(hit is not None, "dickson-form", f"{t} is not u^2+v^2+3w^2")
-    u, v, w = (abs(x) for x in hit)
+def _build_vi(t: int):
+    u, v, w = _scan(DiagonalForm((1, 1, 3)), t, "dickson-form", "is not u^2+v^2+3w^2")
     _need((u - v) % 2 == 0, "uv-parity", f"({u},{v})")
     return w, (u + v) // 2, abs(u - v) // 2
 
 
-def _build_vii(n: int):
-    t = 48 * n + 13
+def _build_vii(t: int):
     _need(not _is_square(t), "nonsquare-input", f"{t} is a perfect square")
     big_x, big_y, big_z = rep_x2_3y2_6z2((t - 1) // 6, 0)
     return big_z, big_x // 2, big_y
 
 
-def _build_a(n: int):
-    t = 12 * n + 5
-    hit = represent_diag(DiagonalForm((1, 1, 36)), t)
-    _need(hit is not None, "imported-form", f"{t} is not u^2+v^2+36x^2")
-    u, v, x6 = (abs(w) for w in hit)
+def _build_a(t: int):
+    u, v, x6 = _scan(DiagonalForm((1, 1, 36)), t, "imported-form", "is not u^2+v^2+36x^2")
     odd_, even_ = (u, v) if u % 2 else (v, u)
     return 6 * x6, odd_, even_
 
 
-def _build_b(n: int, delta: int):
-    t = 12 * n + 6 + 3 * delta
-    hit = represent_constrained(_COPRIME3[delta], t)
-    _need(hit is not None, "three-squares-coprime3", f"{t} admits no suitable decomposition")
-    v, u, w = (abs(x) for x in hit)
+def _build_b(t: int):
+    # t = 12n + 6 + 3*delta, so delta is the parity of t
+    v, u, w = _scan(_COPRIME3[t % 2], t, "three-squares-coprime3", "admits no suitable decomposition")
     return u, v, w
 
 
-def _build_c(n: int):
-    u, v, w = rep_x2_y2_2z2_coprime3(n + 1)
+def _build_c(t: int):
+    # t/2 = 6(n + 1) + 1
+    u, v, w = rep_x2_y2_2z2_coprime3(t // 12)
     p, q = u + v, u - v
     if p % 3 == 0:
         p, q = q, p
     return p, 2 * w, q
 
 
-def _build_d(n: int):
-    p, q, even = _three_squares_by_parity(16 * n + 14)
+def _build_d(t: int):
+    p, q, even = _three_squares_by_parity(t)
     first, third = (p, q) if p % 8 in (1, 7) else (q, p)
     return first, even, third
 
 
-def _recipe(key: tuple, cid: str, multiplier: int, constant: int, coeffs, classes, build, steps) -> Recipe:
-    poly = triple_poly(key) if len(key) == 3 else quadruple_poly(key)
-    return Recipe(cid, poly, multiplier, constant, _cf(coeffs, classes), steps, build, reduce(poly))
-
-
-# Clause table: key -> (id, multiplier, constant, coefficients, (modulus,
-# residue) per slot, builder, pipeline outline).  The identities are
-# restated here independently and checked against reduce() by the tests.
+# Clause table: key -> (id, builder, pipeline outline).  The key's
+# reduction is the clause identity; the tests restate each identity.
 _RECIPES: dict[tuple, Recipe] = {
-    key: _recipe(key, *clause)
-    for key, clause in {
+    key: Recipe(cid, steps, build, reduce(triple_poly(key) if len(key) == 3 else quadruple_poly(key)))
+    for key, (cid, build, steps) in {
         (1, 2, 3): (
-            "i", 24, 11, (6, 3, 2), ((2, 1), (4, 1), (6, 1)), _build_i,
+            "i", _build_i,
             ("24n+11 = u^2+v^2+w^2 with u,v,w odd",
              "rotate to w^2 + 2*((u+v)/2)^2 + 2*((u-v)/2)^2",
              "if 3 divides the odd half, rewrite w^2+2v'^2 with coordinates coprime to 3",
@@ -232,63 +217,63 @@ _RECIPES: dict[tuple, Recipe] = {
              "flip signs into classes and lift"),
         ),
         (1, 2, 4): (
-            "ii", 16, 7, (4, 2, 1), ((2, 1), (4, 1), (8, 1)), _build_ii,
+            "ii", _build_ii,
             ("32n+14 = odd^2+odd^2+even^2",
              "halve: 16n+7 = (2u)^2 + w^2 + 2v^2 with u,v,w odd",
              "flip signs into classes and lift"),
         ),
         (1, 2, 5): (
-            "iii", 40, 17, (10, 5, 2), ((2, 1), (4, 1), (10, 1)), _build_iii,
+            "iii", _build_iii,
             ("40n+17 = 10u^2+5v^2+2w^2 (u,v,w odd, w = ±1 mod 5 forced)",
              "flip signs into classes and lift"),
         ),
         (2, 2, 4): (
-            "iv", 16, 5, (2, 2, 1), ((4, 1), (4, 1), (8, 1)), _build_iv,
+            "iv", _build_iv,
             ("16n+5 = (2u)^2+(2v)^2+w^2 with w odd",
              "rotate to 2(u+v)^2 + 2(u-v)^2 + w^2",
              "flip signs into classes and lift"),
         ),
         (2, 2, 5): (
-            "v", 40, 12, (5, 5, 2), ((4, 1), (4, 1), (10, 1)), _build_v,
+            "v", _build_v,
             ("20n+6 = 5u^2+5v^2+w^2 with w odd (constructed)",
              "double and rotate: 40n+12 = 5(u+v)^2 + 5(u-v)^2 + 2w^2",
              "flip signs into classes and lift"),
         ),
         (2, 3, 3): (
-            "vi", 24, 7, (3, 2, 2), ((4, 1), (6, 1), (6, 1)), _build_vi,
+            "vi", _build_vi,
             ("24n+7 = u^2+v^2+3w^2",
              "rotate to 3w^2 + 2((u+v)/2)^2 + 2((u-v)/2)^2",
              "flip signs into classes and lift"),
         ),
         (2, 3, 4): (
-            "vii", 48, 13, (6, 4, 3), ((4, 1), (6, 1), (8, 1)), _build_vii,
+            "vii", _build_vii,
             ("48n+13 = X^2+3Y^2+6Z^2 with X even (constructed)",
              "read off 6u^2 + 4v^2 + 3w^2 with u,v,w odd",
              "flip signs into classes and lift"),
         ),
         (3, 0, 1, 2): (
-            "a", 12, 5, (1, 1, 1), ((6, 0), (6, 1), (6, 2)), _build_a,
+            "a", _build_a,
             ("12n+5 = u^2+v^2+36x^2 (u, v coprime to 3, opposite parity forced)",
              "flip signs into classes and lift"),
         ),
         (3, 1, 1, 2): (
-            "b0", 12, 6, (1, 1, 1), ((6, 1), (6, 1), (6, 2)), lambda n: _build_b(n, 0),
+            "b0", _build_b,
             ("12n+6 = u^2+v^2+w^2 with 3 coprime to uvw, u odd, v odd, w even",
              "flip signs into classes and lift"),
         ),
         (3, 1, 2, 2): (
-            "b1", 12, 9, (1, 1, 1), ((6, 1), (6, 2), (6, 2)), lambda n: _build_b(n, 1),
+            "b1", _build_b,
             ("12n+9 = u^2+v^2+w^2 with 3 coprime to uvw, u odd, v even, w even",
              "flip signs into classes and lift"),
         ),
         (3, 1, 2, 3): (
-            "c", 12, 14, (1, 1, 1), ((6, 1), (6, 2), (6, 3)), _build_c,
+            "c", _build_c,
             ("6n+7 = u^2+v^2+2w^2 with 3 coprime to uvw (constructed)",
              "rotate: 12n+14 = (u+v)^2 + (u-v)^2 + (2w)^2, exactly one of u±v divisible by 3",
              "flip signs into classes and lift"),
         ),
         (4, 1, 2, 3): (
-            "d", 16, 14, (1, 1, 1), ((8, 1), (8, 2), (8, 3)), _build_d,
+            "d", _build_d,
             ("16n+14 = u^2+v^2+w^2 with u,v odd, w even",
              "sort the odd squares by residue mod 16",
              "flip signs into classes and lift"),
@@ -314,22 +299,28 @@ def _witness(key: tuple, n: int, method: str) -> Witness:
     if method not in ("constructive", "search"):
         raise ValueError(f"method must be 'constructive' or 'search', got {method!r}")
     rec = _RECIPES[key]
-    target = rec.multiplier * n + rec.constant
+    rd = rec.reduction
+    form, target = rd.constrained, 4 * rd.L * n + rd.C
     pre = None
     try:
+        # messages are formatted only on failure: formatting them on every
+        # call is a measurable share of the time of a witness
         if method == "search":
-            pre = represent(rec.target_form, target)
-            _need(pre is not None, "search", f"{target} is not a value of {rec.target_form}")
+            pre = represent(form, target)
+            if pre is None:
+                raise ConstructionError("search", f"{target} is not a value of {form}")
         else:
-            pre = rec.build(n)
+            pre = rec.build(target)
         try:
-            triple = [normalize_sign(w, cl.modulus, cl.residue) for w, cl in zip(pre, rec.target_form.classes)]
+            triple = [normalize_sign(w, cl.modulus, cl.residue) for w, cl in zip(pre, form.classes)]
         except NoValidSignError as e:
             raise ConstructionError("sign", str(e)) from e
-        total = sum(c * w * w for c, w in zip(rec.target_form.coeffs, triple))
-        _need(total == target, "clause-identity", f"{total} != {target}")
-        wit = lift(rec.reduction, triple)
-        _need(evaluate(rec.poly, wit) == n, "lift", f"witness {wit} does not evaluate to {n}")
+        total = sum(c * w * w for c, w in zip(form.coeffs, triple))
+        if total != target:
+            raise ConstructionError("clause-identity", f"{total} != {target}")
+        wit = lift(rd, triple)
+        if evaluate(rd.source, wit) != n:
+            raise ConstructionError("lift", f"witness {wit} does not evaluate to {n}")
     except ConstructionError as e:
         e.clause, e.n, e.pre = rec.id, n, pre
         raise

@@ -215,3 +215,23 @@ def shifted_values_mask(terms, cap: int) -> tuple[int, int]:
     for z in v3:
         mask |= pairs << z - mins[2]
     return mask & (1 << width) - 1, offset
+
+
+# The twelve clause identities of the proven triples (i-vii) and quadruples
+# (a-d), stated here rather than derived: key -> (multiplier, constant,
+# coefficients, (modulus, residue) per slot), for
+# multiplier*n + constant = sum of coefficient*w^2 with each w in its class.
+CLAUSE_IDENTITIES = {
+    (1, 2, 3): (24, 11, (6, 3, 2), ((2, 1), (4, 1), (6, 1))),  # i
+    (1, 2, 4): (16, 7, (4, 2, 1), ((2, 1), (4, 1), (8, 1))),  # ii
+    (1, 2, 5): (40, 17, (10, 5, 2), ((2, 1), (4, 1), (10, 1))),  # iii
+    (2, 2, 4): (16, 5, (2, 2, 1), ((4, 1), (4, 1), (8, 1))),  # iv
+    (2, 2, 5): (40, 12, (5, 5, 2), ((4, 1), (4, 1), (10, 1))),  # v
+    (2, 3, 3): (24, 7, (3, 2, 2), ((4, 1), (6, 1), (6, 1))),  # vi
+    (2, 3, 4): (48, 13, (6, 4, 3), ((4, 1), (6, 1), (8, 1))),  # vii
+    (3, 0, 1, 2): (12, 5, (1, 1, 1), ((6, 0), (6, 1), (6, 2))),  # a
+    (3, 1, 1, 2): (12, 6, (1, 1, 1), ((6, 1), (6, 1), (6, 2))),  # b0
+    (3, 1, 2, 2): (12, 9, (1, 1, 1), ((6, 1), (6, 2), (6, 2))),  # b1
+    (3, 1, 2, 3): (12, 14, (1, 1, 1), ((6, 1), (6, 2), (6, 3))),  # c
+    (4, 1, 2, 3): (16, 14, (1, 1, 1), ((8, 1), (8, 2), (8, 3))),  # d
+}

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import oracles
 from terna import (
+    CongruenceClass,
     DiagonalForm,
     anomalies_x2_2y2,
     crosscheck,
@@ -92,16 +93,16 @@ def test_criterion_03_proven_triples():
     failures = []
     for trip in PROVEN_TRIPLES:
         poly = triple_poly(trip)
-        rec = recipe(trip)
         for n in range(10**4 + 1):
             w = triple_witness(trip, n, method="constructive")
             if not verify(poly, n, w):
                 failures.append((trip, n))
                 break
-        # the clause identity multiplier*n + constant = constrained form value
-        # is asserted inside the builder for every n; spot-check the recipe here
-        assert rec.multiplier * 0 + rec.constant == sum(
-            c * w * w for c, w in zip(rec.target_form.coeffs, embed(reduce(poly), triple_witness(trip, 0)))
+        # the pipeline checks the clause identity multiplier*n + constant =
+        # constrained form value for every n; spot-check the stated one here
+        multiplier, constant, coeffs, _ = oracles.CLAUSE_IDENTITIES[trip]
+        assert multiplier * 0 + constant == sum(
+            c * w * w for c, w in zip(coeffs, embed(reduce(poly), triple_witness(trip, 0)))
         )
     ok = not nonempty and not failures
     report(3, "7 proven triples: empty E to 1e6, constructive witnesses verify to 1e4",
@@ -239,11 +240,12 @@ def test_criterion_10_reduction_equivalence():
                     elif tuple(lift(rd, ws)) != w:
                         bad.append((str(poly), w, "lift"))
     table_bad = []
-    for key in clauses:
-        rec = recipe(key)
-        rd = reduce(rec.poly)
-        if (rec.multiplier, rec.constant, rec.target_form) != (4 * rd.L, rd.C, rd.constrained):
-            table_bad.append(rec.id)
+    for key, poly in zip(clauses, polys):
+        multiplier, constant, coeffs, classes = oracles.CLAUSE_IDENTITIES[key]
+        rd = reduce(poly)
+        form = DiagonalForm(coeffs, tuple(CongruenceClass(m, r) for m, r in classes))
+        if (multiplier, constant, form) != (4 * rd.L, rd.C, rd.constrained) or recipe(key).reduction != rd:
+            table_bad.append(recipe(key).id)
     ok = not bad and not table_bad
     report(10, "witness bijection on the +/-20 box for 12 clauses + the 10 other sums; identities = generic reduction",
            ok, f"box={len(polys)} polys; mismatched clauses: {table_bad or 'none'}")

@@ -268,9 +268,15 @@ def test_cli_lemma(capsys):
     assert code == 0
     code, out, _ = run(capsys, "lemma", "--id", "3.1", "4")
     assert code == 0
-    # a lemma search that cannot succeed is a reported finding, not a crash
-    code, out, _ = run(capsys, "lemma", "--id", "2.3i", "9")
-    assert code == 1
+    # a lemma search that cannot succeed is a reported finding, not a crash:
+    # 9 = 1 + 2*2^2 has no odd-odd decomposition, 5 is no value of x^2+2y^2
+    for w in ("9", "5"):
+        code, out, err = run(capsys, "lemma", "--id", "2.3i", w)
+        assert code == 1 and out.startswith("lemma 2.3i failed:") and not err
+    # an argument outside the lemma's stated domain is a usage error
+    for argv in (("3.1", "0"), ("2.2", "1", "7"), ("2.3iii", "4", "1"), ("2.1", "1", "1"), ("2.3i", "0")):
+        code, out, err = run(capsys, "lemma", "--id", *argv)
+        assert code == 2 and not out and err.startswith("error:")
     code, _, _ = run(capsys, "lemma", "--id", "2.1", "5")
     assert code == 2  # wrong arity
 

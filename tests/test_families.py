@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import oracles
-from terna import FAMILIES, DiagonalForm, crosscheck, member
+from terna import FAMILIES, DiagonalForm, ResourceLimitError, crosscheck, families, member, search
 from terna.families import (
     DICKSON_1_1_3,
     DICKSON_10_5_2,
@@ -87,6 +87,16 @@ def test_crosscheck_agrees_to_1e4(key):
     assert report.agrees(), report.discrepancies[:10]
     assert report.limit == 10**4
     assert report.family == str(fam.form)
+
+
+def test_crosscheck_checks_the_bit_cap_before_writing_the_family(monkeypatch):
+    # a limit over the cap is refused before membership writes limit bytes
+    monkeypatch.setattr(search, "DEFAULT_MAX_BITS", 1000)
+    calls = []
+    monkeypatch.setattr(families, "membership", lambda *args: calls.append(args))
+    with pytest.raises(ResourceLimitError):
+        crosscheck(GAUSS_LEGENDRE, 5000)
+    assert calls == []
 
 
 def discrepancies(fam, coeffs, limit):

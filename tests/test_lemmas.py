@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import oracles
@@ -5,6 +7,7 @@ from terna import (
     NoOddRepresentationError,
     NotRepresentableError,
     PreconditionError,
+    ResourceLimitError,
     anomalies_x2_2y2,
     check_3x2_6y2,
     five_descent,
@@ -13,6 +16,7 @@ from terna import (
     rep_x2_3y2_6z2,
     rep_x2_y2_2z2_coprime3,
 )
+from terna import search
 from terna.lemmas import scan_3x2_6y2
 
 
@@ -143,6 +147,20 @@ def test_check_3x2_6y2_agreement():
 
 def test_scan_3x2_6y2():
     assert scan_3x2_6y2(10**4) == []
+
+
+def test_scan_3x2_6y2_checks_the_bit_cap_before_allocating(monkeypatch):
+    # a limit over the cap is refused before any limit-bit wide int is built
+    monkeypatch.setattr(search, "DEFAULT_MAX_BITS", 1000)
+    limit = 10**8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            scan_3x2_6y2(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit // 8 // 4
 
 
 def rep23iii_valid(n, parity):

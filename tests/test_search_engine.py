@@ -398,5 +398,5 @@ def test_clause_b_decomposition_is_first_by_w_then_u(key, delta):
     for n in range(120):
         reps = oracles.three_square_reps(12 * n + 6 + 3 * delta)
         ok = [(u, v, w) for u, v, w in reps if u % 2 and v % 2 != delta and w % 2 == 0 and u * v * w % 3]
-        pre = witnesses.recipe(key).build(n)
+        pre = witnesses.recipe(key).build(12 * n + 6 + 3 * delta)
         assert pre == min(ok, key=lambda r: (r[2], r[0]))

@@ -9,7 +9,11 @@ the residual sieve switches to testing candidates and whichever path
 (residual, exact completion, dense) it takes.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -577,3 +581,29 @@ def test_progressions_match_whole_range_reference(form, terms, progression, limi
     expected = reference_mask(terms, limit, progression)
     for workers in (1, 2):
         assert value_mask(form, limit, workers=workers, progression=progression) == expected
+
+
+SPAWNED_POOL = """
+import multiprocessing
+
+from terna import DiagonalForm, exceptional_set, search
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    # a broken pool raises here instead of falling back to the in-process fold
+    search.BrokenExecutor = type("Unraised", (Exception,), {})
+    for coeffs in ((1, 1, 1), (10, 5, 2)):
+        one, two = (exceptional_set(DiagonalForm(coeffs), 10**5, workers=w).exceptions for w in (1, 2))
+        print(len(one), one == two)
+"""
+
+
+def test_pool_under_spawn_start_method():
+    # spawned workers import terna afresh instead of inheriting the parent's
+    # memory, as under macOS's default start method and Python 3.14's
+    # forkserver; both dense folds must still match one worker
+    src = str(Path(search.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", SPAWNED_POOL], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["16664 True", "48959 True"]

@@ -48,13 +48,14 @@ def test_recipes_match_generic_reduction():
     assert sorted(r.id for r in recs) == sorted(
         ["i", "ii", "iii", "iv", "v", "vi", "vii", "a", "b0", "b1", "c", "d"]
     )
-    for rec in recs:
-        rd = reduce(rec.poly)
-        assert rec.multiplier == 4 * rd.L
-        assert rec.constant == rd.C
-        assert rec.target_form == rd.constrained
-        assert rec.reduction == rd
-        assert rec.steps
+    # each stated identity is the one reduce() derives, which the recipe carries
+    assert sorted(_RECIPES) == sorted(oracles.CLAUSE_IDENTITIES)
+    for key, (multiplier, constant, coeffs, classes) in oracles.CLAUSE_IDENTITIES.items():
+        rd = reduce(triple_poly(key) if len(key) == 3 else quadruple_poly(key))
+        form = DiagonalForm(coeffs, tuple(CongruenceClass(m, r) for m, r in classes))
+        assert (multiplier, constant, form) == (4 * rd.L, rd.C, rd.constrained)
+        assert recipe(key).reduction == rd
+        assert recipe(key).steps
 
 
 def test_recipe_rejects_unknown_key():
@@ -119,21 +120,21 @@ def test_witness_argument_validation():
 @pytest.mark.parametrize("key", sorted(_RECIPES), ids=str)
 def test_normalization_only_flips_signs(key):
     # the lifted witness embeds to the builder's triple up to sign, slot by slot
-    rd = reduce(recipe(key).poly)
+    rd = recipe(key).reduction
+    multiplier, constant = oracles.CLAUSE_IDENTITIES[key][:2]
     fn = triple_witness if len(key) == 3 else quadruple_witness
     for n in range(60):
         final = embed(rd, fn(key, n))
-        assert [abs(v) for v in final] == [abs(v) for v in recipe(key).build(n)]
+        assert [abs(v) for v in final] == [abs(v) for v in recipe(key).build(multiplier * n + constant)]
 
 
 def test_clause_identities_hold_exactly():
-    for rec in all_recipes():
+    for key, (multiplier, constant, coeffs, classes) in oracles.CLAUSE_IDENTITIES.items():
         for n in (0, 1, 2, 17, 101):
-            triple = rec.build(n)
-            total = sum(c * w * w for c, w in zip(rec.target_form.coeffs, triple))
-            assert total == rec.multiplier * n + rec.constant
-            for w, cl in zip(triple, rec.target_form.classes):
-                assert cl.residue in (w % cl.modulus, -w % cl.modulus)
+            triple = recipe(key).build(multiplier * n + constant)
+            assert sum(c * w * w for c, w in zip(coeffs, triple)) == multiplier * n + constant
+            for w, (m, r) in zip(triple, classes):
+                assert r in (w % m, -w % m)
 
 
 def test_pinned_witnesses():
@@ -182,6 +183,33 @@ def test_broken_builder_names_clause_n_step_and_pre(monkeypatch):
     with pytest.raises(ConstructionError) as info:
         triple_witness((2, 3, 3), 5)
     assert info.value.step == "clause-identity"
+
+
+# n = 5 per clause: the step and message a builder's own scan reports on a miss
+BUILDER_MISSES = [
+    ("i", (1, 2, 3), "three-odd-squares", "131 has no all-odd decomposition"),
+    ("ii", (1, 2, 4), "three-squares", "174 is not a sum of three squares"),
+    ("iii", (1, 2, 5), "dickson-form", "217 is not 10u^2+5v^2+2w^2"),
+    ("iv", (2, 2, 4), "three-squares", "85 is not (2u)^2+(2v)^2+w^2"),
+    ("vi", (2, 3, 3), "dickson-form", "127 is not u^2+v^2+3w^2"),
+    ("a", (3, 0, 1, 2), "imported-form", "65 is not u^2+v^2+36x^2"),
+    ("b0", (3, 1, 1, 2), "three-squares-coprime3", "66 admits no suitable decomposition"),
+    ("b1", (3, 1, 2, 2), "three-squares-coprime3", "69 admits no suitable decomposition"),
+    ("d", (4, 1, 2, 3), "three-squares", "94 is not a sum of three squares"),
+]
+
+
+@pytest.mark.parametrize("cid, key, step, message", BUILDER_MISSES, ids=[row[0] for row in BUILDER_MISSES])
+def test_builder_scan_miss_names_step_and_value(monkeypatch, cid, key, step, message):
+    # a builder whose own scan finds nothing names its step and the value
+    # it scanned, and leaves pre empty
+    monkeypatch.setattr(search, "represent", lambda form, t: None)
+    monkeypatch.setattr(witnesses, "represent", lambda form, t: None)
+    fn = triple_witness if len(key) == 3 else quadruple_witness
+    with pytest.raises(ConstructionError) as info:
+        fn(key, 5)
+    err = info.value
+    assert (err.step, err.message, err.clause, err.n, err.pre) == (step, message, cid, 5, None)
 
 
 def test_search_method_failure_names_clause_and_n(monkeypatch):
