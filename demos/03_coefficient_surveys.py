@@ -8,10 +8,13 @@ proof, and every survivor is a candidate whose universality needs (and,
 for twelve of them, has) a separate argument.  Each sum is first folded on
 its low 64 bits, which refute every sum rejected here (the first value a
 rejected sum misses is at most 48 for the triples and 17 for the
-quadruples); only the sums that pass get the full-width fold.
-represent() confirms each triple survivor with a witness;
-reverify_quadruples re-checks the quadruple survivors to 100000 with one
-sieve each, an independent engine.
+quadruples); only the sums that pass get the full-width fold.  A term
+whose smallest nonzero value exceeds the lowest value the terms before it
+miss is never folded: with 1 a test value, no a >= 3 pairs with anything.
+Each triple survivor is reduced once, and represent() confirms it with one
+scan of its constrained form per test value; reverify_quadruples
+re-checks the quadruple survivors to 100000 with one sieve each, an
+independent engine.
 """
 
 from terna import filter_universal_quadruples, filter_universal_triples, represent, triple_poly
@@ -23,8 +26,8 @@ for t in survivors:
     print(f"  {t}")
 print(f"{len(survivors)} survivors with c up to 50")
 print(f"(2,3,6) is out because represent(..., 48) = {represent(triple_poly((2, 3, 6)), 48)}")
-same = filter_universal_triples(c_max=200) == survivors
-print(f"c up to 200 (evidence past the paper's range, not proof): the same {len(survivors)} survivors: {same}")
+same = filter_universal_triples(c_max=10**4) == survivors
+print(f"c up to 10^4 (evidence past the paper's range, not proof): the same {len(survivors)} survivors: {same}")
 
 print()
 print("== quadruples (a, b, c, d): x(ax+b)+y(ay+c)+z(az+d), a in [3, 13] ==")

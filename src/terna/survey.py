@@ -16,8 +16,11 @@ sum that misses a needed value there is refuted.  Only a sum that passes
 gets the full-width fold, from its pair's fold, built once per pair and
 only when needed.  Before either, the lowest-missing cut skips a third
 term unfolded when its smallest nonzero value exceeds the lowest needed
-value the pair misses, which it then cannot fill.  ``represent`` confirms
-each triple survivor with a witness; ``reverify_quadruples`` re-checks
+value the pair misses, which it then cannot fill; the same cut one level
+up ends the second term's loop once no term left has a nonzero value up
+to the lowest needed value the first term misses.  Each triple survivor
+is reduced once, and ``represent`` then confirms it with a scan of its
+constrained form per test value; ``reverify_quadruples`` re-checks
 quadruples by one sieve each, an independent second engine.
 
 ``verify_conjectured_triples`` and ``scan_5x2_5y2_4z2`` are pure range
@@ -32,7 +35,7 @@ from itertools import accumulate
 from typing import Iterator
 
 from .core import CongruenceClass, DiagonalForm, ResourceLimitError
-from .search import DEFAULT_MAX_BITS, SieveReport, _bits, _or_shifts, _square_slot, attainable, exceptional_set, represent
+from .search import DEFAULT_MAX_BITS, SieveReport, _bits, _constrained, _or_shifts, _square_slot, attainable, exceptional_set, represent
 from .witnesses import CONJECTURED_TRIPLES, quadruple_poly, triple_poly
 
 #: counterexample values that already pin the triple list down
@@ -50,7 +53,8 @@ def _term_values(a: int, b: int, top: int) -> list[int]:
 # 15 (interleaved; Python 3.11, 2-core x86-64 VM) with a prefix of 16, 32,
 # 64, 128 and 256 bits, and with none: a in [3, 13] to n <= 1000 1.7, 1.8,
 # 2.0, 2.3, 2.7 and 4.8 ms; a in [1, 13] to 10^4 4.5, 4.5, 4.6, 4.9, 5.4
-# and 48 ms; triples with c <= 50 3.4 ms at each prefix.
+# and 48 ms; triples with c <= 50, re-timed with the first term's cut,
+# 1.6-2.2 ms at each prefix (4.6-6.8 ms without that cut).
 _PREFIX = 64
 
 
@@ -68,8 +72,15 @@ def _survivors(values: list[list[int]], need: int, width: int) -> Iterator[tuple
     tail = list(accumulate(reversed(least), min))[::-1]
     for i in range(len(values)):
         low_base = _bits(low_values[i], low)
+        # the same cut one level up: a sum from term i on that fills the
+        # lowest needed n term i misses (single, width if none) needs a
+        # term at j or later whose smallest nonzero value is <= single
+        missing = low_need & ~low_base
+        single = (missing & -missing).bit_length() - 1 if missing else width
         base = None
         for j in range(i, len(values)):
+            if tail[j] > single:
+                break
             low_pair = _or_shifts(low_base, low_values[j], low)
             missing = low_need & ~low_pair
             truant = (missing & -missing).bit_length() - 1 if missing else width
@@ -105,20 +116,31 @@ def filter_universal_triples(
 ) -> list[tuple[int, int, int]]:
     """All 1 <= a <= b <= c <= c_max representing every test value: (a, b, c)
     survives when the sumset of its three terms' values sets every test
-    value's bit, and ``represent`` then finds a witness for each.
+    value's bit, and ``represent`` then finds a hit for each.
 
     Each sum is first folded on the bits below ``_PREFIX`` only, and folded
     at full width only if it sets every test value there; a c whose
     smallest nonzero value x(cx+1) exceeds the lowest test value the (a, b)
-    pair misses is skipped unfolded.  Raises ``ResourceLimitError`` when
-    the largest test value needs more than ``DEFAULT_MAX_BITS`` bits."""
+    pair misses is skipped unfolded, and the b loop ends once every
+    coefficient from b on has its smallest nonzero value past the lowest
+    test value that x(ax+1) misses (with the default test values, 1 for
+    every a >= 3).  Each survivor is reduced once, and its constrained form
+    is scanned once per test value.  Raises ``ResourceLimitError`` when the
+    largest test value needs more than ``DEFAULT_MAX_BITS`` bits."""
     if any(n < 0 for n in test_values):  # no triple has a negative value
         return []
     width = max(test_values, default=0) + 1
     _check_width(width)
     values = [_term_values(a, 1, width - 1) for a in range(1, c_max + 1)]
-    kept = [(i + 1, j + 1, k + 1) for i, j, k in _survivors(values, _bits(test_values, width), width)]
-    return [t for t in kept if all(represent(triple_poly(t), n) is not None for n in test_values)]
+    out = []
+    for i, j, k in _survivors(values, _bits(test_values, width), width):
+        t = (i + 1, j + 1, k + 1)
+        # one reduction per survivor: n is a value of the triple iff
+        # M*n + C is a value of its constrained diagonal form
+        cf, M, C, _ = _constrained(triple_poly(t), (1, 0))
+        if all(represent(cf, M * n + C) is not None for n in test_values):
+            out.append(t)
+    return out
 
 
 def filter_universal_quadruples(
@@ -132,7 +154,8 @@ def filter_universal_quadruples(
     Each sum is first folded on the bits below ``_PREFIX`` only, and folded
     at full width only if it misses none of them; a d whose smallest
     nonzero value exceeds the lowest n the (b, c) pair misses is skipped
-    unfolded.  Raises ``ResourceLimitError`` when n_limit + 1 exceeds
+    unfolded, and the c loop ends the same way on the lowest n that
+    x(ax+b) misses.  Raises ``ResourceLimitError`` when n_limit + 1 exceeds
     ``DEFAULT_MAX_BITS`` bits."""
     if n_limit < 0:
         raise ValueError("n_limit must be >= 0")

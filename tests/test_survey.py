@@ -13,7 +13,7 @@ from terna import (
     triple_poly,
     verify_conjectured_triples,
 )
-from terna import ResourceLimitError, survey
+from terna import ResourceLimitError, search, survey
 from terna.search import DEFAULT_MAX_BITS
 from terna.survey import DEFAULT_TEST_VALUES, reverify_quadruples
 
@@ -109,6 +109,59 @@ def test_triple_survivors_have_a_at_most_2_when_1_is_tested(tests):
     # 1 is a sum of term values >= 0 only if some x(kx+1) = 1, which needs
     # k = 2 (x = -1); a is the smallest coefficient
     assert all(t[0] <= 2 for t in filter_universal_triples(12, tests))
+
+
+def _brute_survivors(values, need, width):
+    # the contract of survey._survivors restated: every index triple
+    # i <= j <= k whose sums of one value from each list hit each bit of need
+    needed = {n for n in range(width) if need >> n & 1}
+    return [
+        (i, j, k)
+        for i in range(len(values))
+        for j in range(i, len(values))
+        for k in range(j, len(values))
+        if needed <= {u + v + w for u in values[i] for v in values[j] for w in values[k]}
+    ]
+
+
+# widths 1 and 64 lie inside one prefix, 65 and 100 need the full-width stage
+SURVIVOR_WIDTHS = [1, 2, 5, 17, 64, 65, 100]
+
+
+@pytest.mark.parametrize("case", range(200))
+def test_survivors_match_a_brute_force_sumset(case):
+    rng = random.Random(case)
+    width = SURVIVOR_WIDTHS[case % len(SURVIVOR_WIDTHS)]
+    values = []
+    for _ in range(rng.randint(1, 6)):
+        # duplicates come from choices; a list with no 0 from every third case
+        vals = rng.choices(range(min(width, rng.choice([3, 12, width]))), k=rng.randint(0, 6))
+        if case % 3 == 0:
+            vals = [v for v in vals if v]
+        elif rng.random() < 0.5:
+            vals.append(0)
+        values.append(sorted(vals) if rng.random() < 0.5 else vals)
+    if rng.random() < 0.5:
+        # bits one triple of lists can set, so some cases keep survivors
+        i, j, k = sorted(rng.choices(range(len(values)), k=3))
+        sums = sorted({u + v + w for u in values[i] for v in values[j] for w in values[k] if u + v + w < width})
+        need = sum(1 << n for n in rng.sample(sums, min(len(sums), rng.randint(1, 4))))
+    else:
+        need = rng.getrandbits(width) if rng.random() < 0.3 else sum(1 << n for n in rng.sample(range(width), min(width, 3)))
+    if case % 4 == 1:
+        need &= ~1  # no bit 0
+    assert list(survey._survivors(values, need, width)) == _brute_survivors(values, need, width)
+
+
+def test_triple_filter_reduces_once_per_survivor(monkeypatch):
+    # one reduction per survivor and one scan per survivor per test value
+    reduced, scanned = [], []
+    reduce, represent_ = search.reduce, survey.represent
+    monkeypatch.setattr(search, "reduce", lambda p: reduced.append(p) or reduce(p))
+    monkeypatch.setattr(survey, "represent", lambda f, m: scanned.append(m) or represent_(f, m))
+    assert filter_universal_triples() == SEVENTEEN
+    assert len(reduced) == 17
+    assert len(scanned) == 17 * len(DEFAULT_TEST_VALUES) == 102
 
 
 def test_quadruple_filter_main_range():
