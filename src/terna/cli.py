@@ -8,6 +8,8 @@ to 0).  Examples: ``21x^2+14y^2+6z^2``, ``x(2x+1)+y(3y+1)+z(6z+1)``,
 ``x^2+y(3y+1)+z(3z+2)``.  ``parse_form`` returns the core types: a
 ``DiagonalForm`` when every term is a square, else a ``PolySum``, terms
 in written order; ``str()`` of either is a text that parses back to it.
+The position a ``FormParseError`` carries indexes the text as given,
+whitespace included.
 
 Exit codes: 0 on success/agreement, 1 when a check reports findings
 (mismatches, discrepancies, nonempty scans, failed lemma searches),
@@ -55,56 +57,37 @@ class ArityError(TernaError):
     """A form expression does not use exactly the variables x, y, z once each."""
 
 
-_SQUARE_RE = re.compile(r"(\d*)([xyz])\^2$")
-_POLY_RE = re.compile(r"([xyz])\((\d*)([xyz])(?:\+(\d+))?\)$")
-
-
-def _split_terms(text: str) -> list[tuple[str, int]]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FormParseError("unbalanced ')'", i)
-        elif ch == "+" and depth == 0:
-            parts.append((text[start:i], start))
-            start = i + 1
-    if depth:
-        raise FormParseError("unbalanced '('", len(text) - 1)
-    parts.append((text[start:], start))
-    return parts
+# one term: [k]v^2, or v([a]v[+b])
+_TERM = re.compile(r"(\d*)([xyz])\^2|([xyz])\((\d*)([xyz])(?:\+(\d+))?\)")
 
 
 def parse_form(text: str) -> DiagonalForm | PolySum:
     """Parse a three-variable form expression; see the module docstring."""
     squeezed = "".join(text.split())
-    used, terms, squares = [], [], 0
-    for chunk, pos in _split_terms(squeezed):
-        if not chunk:
-            raise FormParseError("empty term", pos)
-        m = _SQUARE_RE.match(chunk)
-        if m and m.end() == len(chunk):
-            coeff = int(m.group(1)) if m.group(1) else 1
-            if coeff < 1:
-                raise FormParseError("square coefficient must be positive", pos)
-            used.append(m.group(2))
-            terms.append(Term(coeff, 0))
-            squares += 1
-            continue
-        m = _POLY_RE.match(chunk)
-        if m and m.end() == len(chunk):
-            outer, coeff, inner, shift = m.group(1), m.group(2), m.group(3), m.group(4)
-            if inner != outer:
-                raise FormParseError(f"term mixes variables {outer} and {inner}", pos)
-            a = int(coeff) if coeff else 1
-            if a < 1:
-                raise FormParseError("quadratic coefficient must be positive", pos)
-            used.append(outer)
-            terms.append(Term(a, int(shift) if shift else 0))
-            continue
-        raise FormParseError(f"cannot parse term {chunk!r}", pos)
+    # where[i]: the position in text of squeezed[i], or of the end of text
+    where = [i for i, ch in enumerate(text) if not ch.isspace()] + [len(text)]
+    used, terms, squares, pos = [], [], 0, 0
+    while True:
+        m = _TERM.match(squeezed, pos)
+        if not m:
+            if squeezed[pos : pos + 1] in ("+", ""):
+                raise FormParseError("empty term", where[pos])
+            raise FormParseError(f"cannot parse a term from {squeezed[pos:]!r}", where[pos])
+        coeff, square, outer, a, inner, shift = m.groups()
+        if outer != inner:
+            raise FormParseError(f"term mixes variables {outer} and {inner}", where[pos])
+        k = int(coeff or a or 1)
+        if k < 1:
+            raise FormParseError("coefficient must be positive", where[pos])
+        used.append(square or outer)
+        terms.append(Term(k, int(shift or 0)))
+        squares += square is not None
+        pos = m.end()
+        if pos == len(squeezed):
+            break
+        if squeezed[pos] != "+":
+            raise FormParseError(f"expected '+' or the end, got {squeezed[pos]!r}", where[pos])
+        pos += 1
     if len(terms) != 3:
         raise ArityError(f"need exactly 3 terms, got {len(terms)}")
     if sorted(used) != ["x", "y", "z"]:

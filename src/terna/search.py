@@ -66,10 +66,9 @@ Two complementary engines:
   missing, P doubles while every probe has shown a sparse form (at most
   one bit in 16 missing, and at most half as many after each P step):
   B_K is folded with the next P v.  Otherwise the form is dense (Gauss,
-  Dickson: about one bit in six missing) and K goes to all of B at
-  once: the rest of B, the short values past K, is folded with the
-  first P v, and then all of B with the v past them, so that each
-  (slice, v) pair is folded once.  That last fold may be split into
+  Dickson: about one bit in six missing): the probe is dropped, B_K is
+  completed to all of B with the short values past K, and all of B is
+  folded with every v, the full fold.  That fold may be split into
   chunks for worker processes whose masks merge by bitwise OR, which is
   associative and commutative, so worker count never changes the result.
   The exceptions are then read off the bitset's clear bits at C speed: a
@@ -326,8 +325,8 @@ def _constrained(form: Form, progression: tuple[int, int]) -> tuple[DiagonalForm
 # 509 159, 494 081 and 493 992.  A sparse form misses at most one bit in
 # 67 and loses 13-85x of them when P doubles; Gauss and Dickson miss one
 # in six or more and never grow P.  x^2+y^2+11z^2 misses one value in 23:
-# its 52 523 missing bits from /4 fall to 44 523 at P = 128, and the rest
-# of B is built.
+# its 52 523 missing bits from /4 fall to 44 523 at P = 128, and all of B
+# is folded.
 _PROBE_SHIFTS = 64
 _BITS_PER_CANDIDATE = 4096
 _SPARSE_SHARE = 16
@@ -456,8 +455,6 @@ def _fold(groups: list[tuple[int, list[int]]], width: int, workers: int) -> int:
 
 def _buckets(values: list[int], modulus: int) -> dict[int, list[int]]:
     # residue -> quotients, ascending when values are
-    if modulus == 1:  # the plain sieve; the loop would cost 1.5-2% at 10^6
-        return {0: values}
     out: dict[int, list[int]] = {}
     for v in values:
         q, r = divmod(v, modulus)
@@ -569,30 +566,26 @@ def value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int,
                 unreached = _complete(unreached, groups, cut)
             return ((1 << width) - 1) ^ _bits(unreached, width), offset
         # P grows while every probe has shown a sparse form and some group
-        # has shifts past it; a probe of no shifts never grows
-        if not (p and p < most and missing * _SPARSE_SHARE <= width and missing * _SPARSE_DROP <= before):
+        # has shifts past it
+        if not (p < most and missing * _SPARSE_SHARE <= width and missing * _SPARSE_DROP <= before):
             break
         lo, p, before = p, 2 * p, missing
-    # a dense form: the rest of B, the short shifts from cut on, meets the
-    # probe's v, and then all of B the v past them
+    # a dense form: the probe is dropped, and all of B meets every v
+    del acc
     if cut is not None:
-        for i, (parts, longest) in enumerate(groups):
-            rest = _pairs(parts, width, cut)
-            if rest:
-                acc |= _or_shifts(rest, longest[:p], width)
-                bases[i] |= rest
-            del rest
-    return acc | _fold([(base, longest[p:]) for base, (_, longest) in zip(bases, groups)], width, workers), offset
+        for i, (parts, _) in enumerate(groups):
+            bases[i] |= _pairs(parts, width, cut)
+    return _fold([(base, longest) for base, (_, longest) in zip(bases, groups)], width, workers), offset
 
 
 def _start(groups: list[Group], values: list[int], width: int) -> int:
     # the first K: isqrt(width) // _START_SHARE, halved while, by the cost
     # model of _pairs, B_K costs more than twice B_{K/2} plus the P step
     # the halving plans for.  Halving saves a sparse form the top half of
-    # B_K for one P step, and moves a dense form's work from B_K to the
-    # rest of B, which meets the same probe; the saving clearly wins only
-    # where B_K's cost grows faster than K, as the short values c*w^2
-    # spread it over more pieces.  p is the probe the plan has reached.
+    # B_K for one P step; a dense form builds all of B whatever K is, and
+    # folds B_K only in its probes.  The saving clearly wins only where
+    # B_K's cost grows faster than K, as the short values c*w^2 spread it
+    # over more pieces.  p is the probe the plan has reached.
     k, p = max(isqrt(width) // _START_SHARE, 1), _PROBE_SHIFTS
     pieces = -(-width // _PIECE)
 
@@ -600,7 +593,7 @@ def _start(groups: list[Group], values: list[int], width: int) -> int:
         hi = values[k] if k < len(values) else None
         return sum(min(_costs(m, s, width)) for parts, _ in groups for m, s in _cut(parts, width, 0, hi))
 
-    while p and k > 1:
+    while k > 1:
         step = pieces * sum(len(longest[p : 2 * p]) for _, longest in groups)
         if not step or cost(k) <= 2 * cost(k // 2) + step:
             break

@@ -51,6 +51,23 @@ def test_parse_errors():
         parse_form("x^2+y^2+z^2+z^2")
 
 
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        (" x^2 ++ z^2", 6),  # the empty term before the second '+'
+        ("x^2 + y^2 + w^2", 12),
+        ("(x^2+y^2+z^2", 0),  # the '(' opens no term
+        ("x^2+y^2+z^2 )", 12),
+        (" 0x^2+y^2+z^2", 1),
+        ("x^2 + y(2z + 1) + z^2", 6),
+    ],
+)
+def test_parse_error_positions_index_the_text_as_given(text, position):
+    with pytest.raises(FormParseError) as e:
+        parse_form(text)
+    assert e.value.position == position
+
+
 def test_printed_form_parses_back():
     texts = [
         "x^2+y^2+z^2",

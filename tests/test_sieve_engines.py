@@ -309,7 +309,7 @@ def test_value_mask_repr_leaves_out_the_mask():
 # bits B_K leaves unreached are then tested against the short values past
 # K (completion).  A form that leaves too many bits missing grows the
 # probe P while it looks sparse and some longest-slot shifts are left;
-# otherwise it builds the rest of B and finishes the fold (dense).
+# otherwise it drops the probe and folds all of B with every shift (dense).
 # Each path is forced here and checked against the dense reference and
 # the brute-force oracles, at one and two workers.
 
@@ -318,12 +318,12 @@ PATHS = {
     "residual": {"_BITS_PER_CANDIDATE": 0},
     # the same from K = 1: B_1 leaves bits that only later short values reach
     "completion": {"_BITS_PER_CANDIDATE": 0, "_START_SHARE": 1 << 30},
-    # a probe of no shifts leaves every bit missing and never grows: the
-    # rest of B is built at once, and every shift goes to the fold
+    # a probe of no shifts leaves every bit missing and never grows: all of
+    # B is built at once and meets every shift
     "dense": {"_PROBE_SHIFTS": 0},
     # a probe of one shift that every form grows, dense ones too, until one
-    # bit in 64 is missing or the shifts run out; then the rest of B is
-    # folded with all the shifts taken so far
+    # bit in 64 is missing or the shifts run out; after the probe, all of B
+    # meets every shift
     "probe": {"_PROBE_SHIFTS": 1, "_SPARSE_SHARE": 0, "_SPARSE_DROP": 0, "_BITS_PER_CANDIDATE": 64},
 }
 
@@ -414,8 +414,8 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
 
     def spy_or_shifts(base, shifts, width):
         # value_mask's own folds take a group's longest shifts: a prefix of
-        # them in the first probe and for the rest of B, later ones when P
-        # grows
+        # them in the first probe, later ones when P grows; the dense finish
+        # folds inside _fold
         if not nested and shifts and all(shifts != group[: len(shifts)] for group in longest):
             taken.add("probe grown")
         return or_shifts(base, shifts, width)
@@ -436,8 +436,8 @@ GAUSS = ((1, 0), (1, 0), (1, 0))
 # missing, and the probe grows once
 GROWING = ((1, 1), (2, 1), (4, 1))
 # x^2+y^2+z(4z+1) to 10^4: the probe takes all 101 longest-slot shifts and
-# still leaves too many bits missing, so the rest of B is built and the
-# fold finishes with no shifts left
+# still leaves too many bits missing, so all of B is built and meets all
+# 101 again
 EXHAUSTED = ((1, 0), (1, 0), (4, 1))
 
 
@@ -486,43 +486,53 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
 
 
 @pytest.mark.parametrize(
-    "coeffs,calls",
+    "form,limit,calls",
     [
         # Gauss never grows the probe: B_K of the first 79 squares meets the
-        # first 64 shifts, the rest of B (238 squares) meets them too, and
-        # all of B the other 253
+        # first 64 shifts, then B_K is completed with the other 238 squares
+        # and all of B meets all 317 shifts
         (
-            (1, 1, 1),
+            DiagonalForm((1, 1, 1)),
+            10**5,
             [
                 ("pairs", 0, 6241), ("or", 79), ("or", 64),
-                ("pairs", 6241, None), ("or", 238), ("or", 64),
-                ("or", 253),
+                ("pairs", 6241, None), ("or", 238), ("or", 317),
             ],
         ),
         (
-            (10, 5, 2),
+            DiagonalForm((10, 5, 2)),
+            10**5,
             [
                 ("pairs", 0, 62410), ("or", 79), ("or", 64),
-                ("pairs", 62410, None), ("or", 22), ("or", 64),
-                ("or", 160),
+                ("pairs", 62410, None), ("or", 22), ("or", 224),
             ],
         ),
-        # x^2+y^2+11z^2 grows the probe once, to 128 shifts, and then the
-        # rest of B meets all of them
+        # x^2+y^2+11z^2 grows the probe once, to 128 shifts, before all of B
+        # meets every shift
         (
-            (1, 1, 11),
+            DiagonalForm((1, 1, 11)),
+            10**5,
             [
                 ("pairs", 0, 68651), ("or", 79), ("or", 64), ("or", 64),
-                ("pairs", 68651, None), ("or", 17), ("or", 128),
-                ("or", 189),
+                ("pairs", 68651, None), ("or", 17), ("or", 317),
+            ],
+        ),
+        # 8x^2+y(8y+7)+z(10z+1) grows the probe three times, to 512 shifts,
+        # from a B_K of isqrt(width) // 8 short values, and then turns dense
+        (
+            PolySum.of((8, 0), (8, 7), (10, 1)),
+            10**6,
+            [
+                ("pairs", 0, 125000), ("or", 633), ("or", 64), ("or", 64), ("or", 128), ("or", 256),
+                ("pairs", 125000, None), ("or", 229), ("or", 707),
             ],
         ),
     ],
+    ids=["x^2+y^2+z^2", "10x^2+5y^2+2z^2", "x^2+y^2+11z^2", "8x^2+y(8y+7)+z(10z+1)"],
 )
-def test_dense_work_is_pinned(monkeypatch, coeffs, calls):
-    # the fold to 10^5 folds each (slice of B, shift) pair once, call for
-    # call
-    assert fold_calls(monkeypatch, DiagonalForm(coeffs), 10**5) == calls
+def test_dense_work_is_pinned(monkeypatch, form, limit, calls):
+    # after the probe, all of B meets every shift, call for call
+    assert fold_calls(monkeypatch, form, limit) == calls
 
 
 def test_sparse_work_is_pinned(monkeypatch):
