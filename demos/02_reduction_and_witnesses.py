@@ -1,7 +1,7 @@
 """Completing the square, searching for witnesses, constructive pipelines.
 
 Every sum of terms x(ax+b) turns into a congruence-constrained diagonal
-form: n is attained exactly when 4*L*n + C is attained by the constrained
+form: n is attained exactly when M*n + C is attained by the constrained
 form.  A witness can then be found either by scanning the constrained
 space (method="search") or by replaying the constructive pipeline for one
 of the twelve proven clauses (method="constructive"); either way the
@@ -27,7 +27,7 @@ poly = triple_poly((1, 2, 3))
 rd = reduce(poly)
 classes = ", ".join(f"{v} = {c.residue} (mod {c.modulus})" for v, c in zip("xyz", rd.constrained.classes))
 print(f"{poly}  represents n  iff  {DiagonalForm(rd.constrained.coeffs)} with {classes}")
-print(f"represents 4*{rd.L}*n + {rd.C} = {4 * rd.L}n + {rd.C}")
+print(f"represents {rd.M}n + {rd.C}")
 
 print()
 print("== search witnesses ==")

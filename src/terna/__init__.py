@@ -69,7 +69,6 @@ from .witnesses import (
     CONJECTURED_TRIPLES,
     PROVEN_QUADRUPLES,
     PROVEN_TRIPLES,
-    all_recipes,
     diagonal_bridge,
     quadruple_poly,
     quadruple_witness,

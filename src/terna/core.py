@@ -7,14 +7,15 @@ Completing the square in each variable,
     x(ax+b) = ((2ax+b)**2 - b**2) / (4a),
 
 turns the question "is n a value of the PolySum over the integers" into
-"is 4*L*n + C a value of a diagonal form whose variables lie in
-congruence classes", where L = lcm(a1,a2,a3) and C = sum (L/ai)*bi**2.
+"is M*n + C a value of a diagonal form whose variables lie in
+congruence classes", where M = 4*L, L = lcm(a1,a2,a3) and
+C = sum (L/ai)*bi**2.
 ``reduce`` performs that rewrite, ``embed``/``lift`` move witnesses back
 and forth.  One type, ``DiagonalForm``, holds both kinds of diagonal form:
 its classes default to every integer, the plain form.
 
 All arithmetic is plain Python ``int``: exact at every magnitude, so no
-overflow bound applies (values such as 4*L*n + C stay exact even for
+overflow bound applies (values such as M*n + C stay exact even for
 n far beyond 2**40).
 """
 
@@ -172,13 +173,13 @@ class Witness:
 class ReductionData:
     """Output of completing the square on a PolySum.
 
-    L is lcm of the quadratic coefficients, C = sum (L/ai)*bi^2, and the
-    diagonal form ``constrained`` has coefficients L/ai with variable
-    classes (bi mod 2ai).  For every integer triple,
-    sum (L/ai)*(2*ai*xi+bi)^2 = 4*L*evaluate(source, triple) + C.
+    M = 4*L, where L is the lcm of the quadratic coefficients,
+    C = sum (L/ai)*bi^2, and the diagonal form ``constrained`` has
+    coefficients L/ai with variable classes (bi mod 2ai).  For every
+    integer triple, sum (L/ai)*(2*ai*xi+bi)^2 = M*evaluate(source, triple) + C.
     """
 
-    L: int
+    M: int
     C: int
     constrained: DiagonalForm
     source: PolySum
@@ -192,14 +193,15 @@ def evaluate(p: PolySum, w) -> int:
 
 
 def reduce(p: PolySum) -> ReductionData:
-    """Complete the square in each variable of p."""
+    """Complete the square in each variable of p: n is a value of p iff
+    M*n + C is a value of the constrained form, with M = 4*lcm(ai)."""
     a1, a2, a3 = (t.a for t in p.terms)
     L = a1 * a2 // gcd(a1, a2)
     L = L * a3 // gcd(L, a3)
     coeffs = tuple(L // t.a for t in p.terms)
     C = sum((L // t.a) * t.b * t.b for t in p.terms)
     classes = tuple(CongruenceClass(2 * t.a, t.b % (2 * t.a)) for t in p.terms)
-    return ReductionData(L, C, DiagonalForm(coeffs, classes), p)
+    return ReductionData(4 * L, C, DiagonalForm(coeffs, classes), p)
 
 
 def embed(rd: ReductionData, w) -> tuple[int, int, int]:

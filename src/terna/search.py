@@ -38,15 +38,15 @@ Two complementary engines:
   is a value, in limit + 1 bits whatever M is; the default (1, 0) is the
   plain range.  Every input is first made one DiagonalForm, with classes,
   on one progression (``_constrained``): n is a value of a PolySum iff
-  4*L*n + C' is a value of its reduction (``reduce``), so (M, C) becomes
-  (4*L*M, 4*L*C + C'); a DiagonalForm is taken as it is.  Each
+  M'*n + C' is a value of its reduction (``reduce``, M' = 4*lcm(ai)), so
+  (M, C) becomes (M'*M, M'*C + C'); a DiagonalForm is taken as it is.  Each
   variable's values c*w^2 over its class are enumerated with an early
   cutoff and bucketed by residue mod M, keeping the quotients.  Each
   residue pair of the two shorter lists, short and middle, sums into a
   quotient bitset B_s for the pair residue s, carry added, which goes
   with the longest list's quotients v of residue C - s (mod M).  On
   (1, 0) there is one group (B, v), for a PolySum too: its values less
-  their minima are multiples of 4L.  Every sumset is an OR of shifted
+  their minima are multiples of M'.  Every sumset is an OR of shifted
   copies of 2^17-bit pieces of one operand, the one spanning fewer
   pieces per shift.
 
@@ -299,13 +299,13 @@ def _slots(cf: DiagonalForm, limit: int) -> list[tuple[int, list[int]]]:
 def _constrained(form: Form, progression: tuple[int, int]) -> tuple[DiagonalForm, int, int, Optional[ReductionData]]:
     # (cf, M', C', rd) with M*n + C a value of form iff M'*n + C' is a value
     # of cf: completing the square (rd, None for a DiagonalForm) takes a
-    # PolySum value n to 4*L*n + C'
+    # PolySum value n to rd.M*n + rd.C
     M, C = progression
     if isinstance(form, DiagonalForm):
         return form, M, C, None
     if isinstance(form, PolySum):
         rd = reduce(form)
-        return rd.constrained, 4 * rd.L * M, 4 * rd.L * C + rd.C, rd
+        return rd.constrained, rd.M * M, rd.M * C + rd.C, rd
     raise TypeError(f"not a form: {type(form).__name__}")
 
 

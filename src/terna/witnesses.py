@@ -3,10 +3,10 @@
 For each proven triple (a, b, c), giving x(ax+1)+y(by+1)+z(cz+1), and
 each proven quadruple (a, b, c, d), giving x(ax+b)+y(ay+c)+z(az+d),
 ``triple_witness`` / ``quadruple_witness`` produce an explicit integer
-triple representing n.  Each clause is one Recipe: its pipeline outline,
-its builder, and its reduction.  The reduction is the clause identity:
-reduce() completes the square to 4L*n + C = a value of the constrained
-form, so the target t = 4L*n + C and the form are read off it.  Both
+triple representing n.  Each clause is one Recipe: its id, its builder,
+and its reduction.  The reduction is the clause identity: reduce()
+completes the square to M*n + C = a value of the constrained form, with
+M = 4*lcm(ai), so the target t = M*n + C and the form are read off it.  Both
 methods first get a triple of the form with value t, up to sign:
 method="constructive" passes t to the clause's builder, which replays the
 published-style pipeline (an intermediate square decomposition of t, by
@@ -72,14 +72,13 @@ def quadruple_poly(quad: tuple[int, int, int, int]) -> PolySum:
 
 @dataclass(frozen=True)
 class Recipe:
-    """One clause: the pipeline outline, the builder, and the polynomial's
-    reduction.  The reduction is the clause identity 4L*n + C = a value of
-    its constrained form, and the witness is lifted through it.  The
-    builder maps the target t = 4L*n + C to a triple of the constrained
-    form with value t, up to sign."""
+    """One clause: its id, its builder, and the polynomial's reduction.
+    The reduction is the clause identity M*n + C = a value of its
+    constrained form, and the witness is lifted through it.  The builder
+    maps the target t = M*n + C to a triple of the constrained form with
+    value t, up to sign."""
 
     id: str
-    steps: tuple[str, ...]
     build: Callable[[int], tuple[int, int, int]]
     reduction: ReductionData
 
@@ -150,6 +149,8 @@ def _build_ii(t: int):
 
 
 def _build_iii(t: int):
+    # every decomposition of 40n+17 has u, v, w odd and w = ±1 (mod 5), so
+    # sign changes alone move it into the classes
     return _scan(DiagonalForm((10, 5, 2)), t, "dickson-form", "is not 10u^2+5v^2+2w^2")
 
 
@@ -173,11 +174,13 @@ def _build_vi(t: int):
 def _build_vii(t: int):
     _need(not _is_square(t), "nonsquare-input", f"{t} is a perfect square")
     big_x, big_y, big_z = rep_x2_3y2_6z2((t - 1) // 6, 0)
+    # X even makes Z, X/2 and Y odd
     return big_z, big_x // 2, big_y
 
 
 def _build_a(t: int):
     u, v, x6 = _scan(DiagonalForm((1, 1, 36)), t, "imported-form", "is not u^2+v^2+36x^2")
+    # u and v are prime to 3 and of opposite parity
     odd_, even_ = (u, v) if u % 2 else (v, u)
     return 6 * x6, odd_, even_
 
@@ -192,6 +195,7 @@ def _build_c(t: int):
     # t/2 = 6(n + 1) + 1
     u, v, w = rep_x2_y2_2z2_coprime3(t // 12)
     p, q = u + v, u - v
+    # exactly one of u ± v is divisible by 3
     if p % 3 == 0:
         p, q = q, p
     return p, 2 * w, q
@@ -199,85 +203,28 @@ def _build_c(t: int):
 
 def _build_d(t: int):
     p, q, even = _three_squares_by_parity(t)
+    # p^2 = 1 (mod 16) iff p = ±1 (mod 8)
     first, third = (p, q) if p % 8 in (1, 7) else (q, p)
     return first, even, third
 
 
-# Clause table: key -> (id, builder, pipeline outline).  The key's
-# reduction is the clause identity; the tests restate each identity.
+# Clause table: key -> (id, builder).  The key's reduction is the clause
+# identity; the tests restate each identity.
 _RECIPES: dict[tuple, Recipe] = {
-    key: Recipe(cid, steps, build, reduce(triple_poly(key) if len(key) == 3 else quadruple_poly(key)))
-    for key, (cid, build, steps) in {
-        (1, 2, 3): (
-            "i", _build_i,
-            ("24n+11 = u^2+v^2+w^2 with u,v,w odd",
-             "rotate to w^2 + 2*((u+v)/2)^2 + 2*((u-v)/2)^2",
-             "if 3 divides the odd half, rewrite w^2+2v'^2 with coordinates coprime to 3",
-             "rewrite r^2+2s^2 (a multiple of 3) as 3r0^2+6s0^2",
-             "flip signs into classes and lift"),
-        ),
-        (1, 2, 4): (
-            "ii", _build_ii,
-            ("32n+14 = odd^2+odd^2+even^2",
-             "halve: 16n+7 = (2u)^2 + w^2 + 2v^2 with u,v,w odd",
-             "flip signs into classes and lift"),
-        ),
-        (1, 2, 5): (
-            "iii", _build_iii,
-            ("40n+17 = 10u^2+5v^2+2w^2 (u,v,w odd, w = ±1 mod 5 forced)",
-             "flip signs into classes and lift"),
-        ),
-        (2, 2, 4): (
-            "iv", _build_iv,
-            ("16n+5 = (2u)^2+(2v)^2+w^2 with w odd",
-             "rotate to 2(u+v)^2 + 2(u-v)^2 + w^2",
-             "flip signs into classes and lift"),
-        ),
-        (2, 2, 5): (
-            "v", _build_v,
-            ("20n+6 = 5u^2+5v^2+w^2 with w odd (constructed)",
-             "double and rotate: 40n+12 = 5(u+v)^2 + 5(u-v)^2 + 2w^2",
-             "flip signs into classes and lift"),
-        ),
-        (2, 3, 3): (
-            "vi", _build_vi,
-            ("24n+7 = u^2+v^2+3w^2",
-             "rotate to 3w^2 + 2((u+v)/2)^2 + 2((u-v)/2)^2",
-             "flip signs into classes and lift"),
-        ),
-        (2, 3, 4): (
-            "vii", _build_vii,
-            ("48n+13 = X^2+3Y^2+6Z^2 with X even (constructed)",
-             "read off 6u^2 + 4v^2 + 3w^2 with u,v,w odd",
-             "flip signs into classes and lift"),
-        ),
-        (3, 0, 1, 2): (
-            "a", _build_a,
-            ("12n+5 = u^2+v^2+36x^2 (u, v coprime to 3, opposite parity forced)",
-             "flip signs into classes and lift"),
-        ),
-        (3, 1, 1, 2): (
-            "b0", _build_b,
-            ("12n+6 = u^2+v^2+w^2 with 3 coprime to uvw, u odd, v odd, w even",
-             "flip signs into classes and lift"),
-        ),
-        (3, 1, 2, 2): (
-            "b1", _build_b,
-            ("12n+9 = u^2+v^2+w^2 with 3 coprime to uvw, u odd, v even, w even",
-             "flip signs into classes and lift"),
-        ),
-        (3, 1, 2, 3): (
-            "c", _build_c,
-            ("6n+7 = u^2+v^2+2w^2 with 3 coprime to uvw (constructed)",
-             "rotate: 12n+14 = (u+v)^2 + (u-v)^2 + (2w)^2, exactly one of u±v divisible by 3",
-             "flip signs into classes and lift"),
-        ),
-        (4, 1, 2, 3): (
-            "d", _build_d,
-            ("16n+14 = u^2+v^2+w^2 with u,v odd, w even",
-             "sort the odd squares by residue mod 16",
-             "flip signs into classes and lift"),
-        ),
+    key: Recipe(cid, build, reduce(triple_poly(key) if len(key) == 3 else quadruple_poly(key)))
+    for key, (cid, build) in {
+        (1, 2, 3): ("i", _build_i),
+        (1, 2, 4): ("ii", _build_ii),
+        (1, 2, 5): ("iii", _build_iii),
+        (2, 2, 4): ("iv", _build_iv),
+        (2, 2, 5): ("v", _build_v),
+        (2, 3, 3): ("vi", _build_vi),
+        (2, 3, 4): ("vii", _build_vii),
+        (3, 0, 1, 2): ("a", _build_a),
+        (3, 1, 1, 2): ("b0", _build_b),
+        (3, 1, 2, 2): ("b1", _build_b),
+        (3, 1, 2, 3): ("c", _build_c),
+        (4, 1, 2, 3): ("d", _build_d),
     }.items()
 }
 
@@ -289,10 +236,6 @@ def recipe(key: tuple) -> Recipe:
     return _RECIPES[key]
 
 
-def all_recipes() -> list[Recipe]:
-    return list(_RECIPES.values())
-
-
 def _witness(key: tuple, n: int, method: str) -> Witness:
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -300,7 +243,7 @@ def _witness(key: tuple, n: int, method: str) -> Witness:
         raise ValueError(f"method must be 'constructive' or 'search', got {method!r}")
     rec = _RECIPES[key]
     rd = rec.reduction
-    form, target = rd.constrained, 4 * rd.L * n + rd.C
+    form, target = rd.constrained, rd.M * n + rd.C
     pre = None
     try:
         # messages are formatted only on failure: formatting them on every

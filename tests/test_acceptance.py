@@ -235,7 +235,7 @@ def test_criterion_10_reduction_equivalence():
                 for z in range(-20, 21):
                     w = (x, y, z)
                     ws = embed(rd, w)
-                    if sum(c * wi * wi for c, wi in zip(coeffs, ws)) != 4 * rd.L * evaluate(poly, w) + rd.C:
+                    if sum(c * wi * wi for c, wi in zip(coeffs, ws)) != rd.M * evaluate(poly, w) + rd.C:
                         bad.append((str(poly), w))
                     elif tuple(lift(rd, ws)) != w:
                         bad.append((str(poly), w, "lift"))
@@ -244,7 +244,7 @@ def test_criterion_10_reduction_equivalence():
         multiplier, constant, coeffs, classes = oracles.CLAUSE_IDENTITIES[key]
         rd = reduce(poly)
         form = DiagonalForm(coeffs, tuple(CongruenceClass(m, r) for m, r in classes))
-        if (multiplier, constant, form) != (4 * rd.L, rd.C, rd.constrained) or recipe(key).reduction != rd:
+        if (multiplier, constant, form) != (rd.M, rd.C, rd.constrained) or recipe(key).reduction != rd:
             table_bad.append(recipe(key).id)
     ok = not bad and not table_bad
     report(10, "witness bijection on the +/-20 box for 12 clauses + the 10 other sums; identities = generic reduction",

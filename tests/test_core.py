@@ -41,17 +41,17 @@ def test_evaluate_examples():
 
 def test_reduce_examples():
     rd = reduce(PolySum.of((1, 1), (2, 1), (3, 1)))
-    assert (rd.L, rd.C) == (6, 11)
+    assert (rd.M, rd.C) == (24, 11)
     assert rd.constrained.coeffs == (6, 3, 2)
     assert [(c.modulus, c.residue) for c in rd.constrained.classes] == [(2, 1), (4, 1), (6, 1)]
 
     rd = reduce(PolySum.of((2, 1), (3, 1), (7, 1)))
-    assert (rd.L, rd.C) == (42, 41)
+    assert (rd.M, rd.C) == (168, 41)
     assert rd.constrained.coeffs == (21, 14, 6)
     assert [(c.modulus, c.residue) for c in rd.constrained.classes] == [(4, 1), (6, 1), (14, 1)]
 
     rd = reduce(PolySum.of((3, 0), (3, 1), (3, 2)))
-    assert (rd.L, rd.C) == (3, 5)
+    assert (rd.M, rd.C) == (12, 5)
     assert rd.constrained.coeffs == (1, 1, 1)
     assert [(c.modulus, c.residue) for c in rd.constrained.classes] == [(6, 0), (6, 1), (6, 2)]
 
@@ -119,7 +119,7 @@ REDUCTION_POLYS = [
 
 @pytest.mark.parametrize("pairs", REDUCTION_POLYS)
 def test_reduction_equivalence_small_box(pairs):
-    # evaluate(p, t) = n  <=>  sum (L/ai)(2ai ti + bi)^2 = 4Ln + C,
+    # evaluate(p, t) = n  <=>  sum (L/ai)(2ai ti + bi)^2 = Mn + C,
     # pointwise on a box, plus lift/embed inverse round trips.
     p = PolySum.of(*pairs)
     rd = reduce(p)
@@ -129,7 +129,7 @@ def test_reduction_equivalence_small_box(pairs):
             for z in range(-8, 9):
                 w = (x, y, z)
                 ws = embed(rd, w)
-                assert sum(c * wi * wi for c, wi in zip(coeffs, ws)) == 4 * rd.L * evaluate(p, w) + rd.C
+                assert sum(c * wi * wi for c, wi in zip(coeffs, ws)) == rd.M * evaluate(p, w) + rd.C
                 assert tuple(lift(rd, ws)) == w
 
 

@@ -1,24 +1,37 @@
-"""The benchmark's span tracer (``perfbench/spans.py``) replaces names in
-terna's modules from outside; a name that is no longer bound there breaks
-every traced run.  This checks each of them here, in the fast suite, with
-the tracer loaded by file path and left as it is."""
+"""The benchmark (``perfbench/``) reaches into terna from outside: its span
+tracer (``perfbench/spans.py``) replaces names in terna's modules, and its
+workloads (``perfbench/workloads.py``) import public names.  A name that is
+no longer bound there breaks every run of the benchmark.  This checks each
+of them here, in the fast suite, with both files loaded by path and left as
+they are."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_wrapped() -> dict[str, dict[str, str]]:
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WRAPPED
+    # a module's dataclasses look it up in sys.modules while it runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
-@pytest.mark.parametrize("mod, attr", [(mod, attr) for mod, attrs in load_wrapped().items() for attr in attrs])
+@pytest.mark.parametrize("mod, attr", [(mod, attr) for mod, attrs in load("spans").WRAPPED.items() for attr in attrs])
 def test_wrapped_name_is_bound(mod, attr):
     assert callable(getattr(importlib.import_module(mod), attr, None))
+
+
+def test_workload_imports_are_bound():
+    # an import of a removed name raises ImportError here
+    assert load("workloads").WITNESS_CLAUSE_IDS

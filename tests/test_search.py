@@ -216,4 +216,4 @@ def test_exact_arithmetic_beyond_word_sizes():
 
     rd = reduce(p)
     ws = embed(rd, big)
-    assert sum(c * w * w for c, w in zip(rd.constrained.coeffs, ws)) == 4 * rd.L * n + rd.C
+    assert sum(c * w * w for c, w in zip(rd.constrained.coeffs, ws)) == rd.M * n + rd.C

@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,45 @@ def test_dense_reference_independent_of_workers():
     for pairs, limit in CASES:
         form = PolySum.of(*pairs)
         assert _dense_value_mask(form, limit, workers=2) == _dense_value_mask(form, limit, workers=1)
+
+
+class _RefusedPool:
+    # a pool that cannot start, as where processes may not be spawned
+    def __init__(self, max_workers):
+        raise OSError("process pools are not available")
+
+
+class _BrokenPool:
+    # a pool whose workers die before they return
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, *args):
+        raise BrokenExecutor("a worker died")
+
+
+@pytest.mark.parametrize("pool", [_RefusedPool, _BrokenPool], ids=["refused", "broken"])
+def test_fold_falls_back_in_process(monkeypatch, pool):
+    # a pool that cannot start or breaks leaves _fold to fold in-process,
+    # with the same result
+    form = DiagonalForm((1, 1, 1))
+    serial = value_mask(form, 10**5, workers=1)
+    started = []
+
+    def start(max_workers):
+        started.append(max_workers)
+        return pool(max_workers)
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", start)
+    assert value_mask(form, 10**5, workers=2) == serial
+    assert started and set(started) == {2}
 
 
 def test_candidate_stage_keeps_48(monkeypatch):
