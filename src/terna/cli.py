@@ -247,12 +247,10 @@ def _cmd_lemma(args) -> int:
             _expect(len(vals) == 2, "lemma 2.3iii needs: n delta")
             x, y, z = rep_x2_3y2_6z2(vals[0], vals[1])
             print(f"6*{vals[0]}+1 = {x}^2+3*{y}^2+6*{z}^2 (x = {vals[1]} mod 2)")
-        elif args.id == "3.1":
+        else:  # 3.1, the last of the parser's choices
             _expect(len(vals) == 1, "lemma 3.1 needs: n")
             x, y, z = rep_x2_y2_2z2_coprime3(vals[0])
             print(f"6*{vals[0]}+1 = {x}^2+{y}^2+2*{z}^2 (none divisible by 3)")
-        else:
-            raise TernaError(f"unknown lemma id {args.id!r}")
     except PreconditionError:
         raise  # an argument outside the lemma's domain is a usage error
     except TernaError as e:

@@ -1,19 +1,18 @@
 """Symbolic exceptional sets of classical diagonal forms.
 
 An ExceptionalFamily describes the exceptional set of its diagonal form
-as a union of scaled arithmetic progressions {s^k * (m*l + r) : k, l >= 0}
-plus a finite explicit set.  The three built-in families, ``FAMILIES`` by
-CLI name, are the classically known exceptional sets E(x^2+y^2+z^2),
-E(x^2+y^2+3z^2) and E(10x^2+5y^2+2z^2).  ``membership`` writes a family
-out as one byte per n, and ``crosscheck`` compares that, byte for byte,
-with the missing values of a fresh sieve of the family's form and reports
-every disagreement.
+as a union of scaled arithmetic progressions {s^k * (m*l + r) : k, l >= 0}.
+The three built-in families, ``FAMILIES`` by CLI name, are the classically
+known exceptional sets E(x^2+y^2+z^2), E(x^2+y^2+3z^2) and
+E(10x^2+5y^2+2z^2).  ``membership`` writes a family out as one byte per n,
+and ``crosscheck`` compares that, byte for byte, with the missing values of
+a fresh sieve of the family's form and reports every disagreement.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 from .core import DiagonalForm
@@ -53,18 +52,17 @@ class ProgressionPattern:
 
 @dataclass(frozen=True)
 class ExceptionalFamily:
-    """The exceptional set of form, as patterns plus a finite extra set."""
+    """The exceptional set of form, as a union of patterns."""
 
     form: DiagonalForm
     patterns: tuple[ProgressionPattern, ...]
-    extra: frozenset[int] = field(default_factory=frozenset)
 
 
 def member(fam: ExceptionalFamily, n: int) -> bool:
-    """True iff n lies in some pattern of fam or in its finite extra set."""
+    """True iff n lies in some pattern of fam."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return n in fam.extra or any(p.contains(n) for p in fam.patterns)
+    return any(p.contains(n) for p in fam.patterns)
 
 
 GAUSS_LEGENDRE = ExceptionalFamily(
@@ -107,7 +105,7 @@ class CrosscheckReport:
 
 def membership(fam: ExceptionalFamily, limit: int) -> bytearray:
     """Byte n is 1 iff member(fam, n), for 0 <= n <= limit: one slice
-    assignment per pattern and scale level, plus the extra set."""
+    assignment per pattern and scale level."""
     out = bytearray(limit + 1)
     for p in fam.patterns:
         scale = 1
@@ -118,9 +116,6 @@ def membership(fam: ExceptionalFamily, limit: int) -> bytearray:
             if p.scale is None or p.residue == 0:
                 break
             scale *= p.scale
-    for n in fam.extra:
-        if n <= limit:
-            out[n] = 1
     return out
 
 

@@ -34,8 +34,6 @@ _ODD = CongruenceClass(2, 1)
 # the |w| of its members run through the integers prime to 3, ascending
 _PRIME_TO_3 = CongruenceClass(3, 1)
 
-_SIGN_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
 
 class NoOddRepresentationError(TernaError):
     """w is a value of x^2+2y^2, but admits no decomposition with both
@@ -44,10 +42,8 @@ class NoOddRepresentationError(TernaError):
 
 
 def _is_square(m: int) -> bool:
-    if m < 0:
-        return False
-    r = isqrt(m)
-    return r * r == m
+    # every caller passes m >= 0
+    return isqrt(m) ** 2 == m
 
 
 @dataclass(frozen=True)
@@ -67,9 +63,11 @@ def five_descent(u: int, v: int) -> tuple[tuple[int, int], DescentTrace]:
     """Rewrite u^2 + v^2 (a positive multiple of 5) as x^2 + y^2 with 5 | xy ruled out.
 
     Strips the common 5-power a of (u, v), then applies a times the rotation
-    (u', v') -> (3u'+4v', 4u'-3v') after flipping signs so that u' != 2v' (mod 5);
-    each rotation multiplies the square sum by 25.  Sign choices are tried in
-    the fixed order (+,+), (+,-), (-,+), (-,-).
+    (u', v') -> (3u'+4v', 4u'-3v'), each of which multiplies the square sum
+    by 25.  The signs are (+,+), or (+,-) when u' = 2v' (mod 5), so that
+    u' != 2v' (mod 5) after them; both would fail only if 5 | u' and 5 | v',
+    which the stripping rules out and each rotation keeps out (its new v'
+    is -(u' - 2v') mod 5).
     """
     total = u * u + v * v
     if total == 0 or total % 5:
@@ -82,14 +80,9 @@ def five_descent(u: int, v: int) -> tuple[tuple[int, int], DescentTrace]:
     u0, v0 = u // 5**a, v // 5**a
     steps = []
     for _ in range(a):
-        for d, e in _SIGN_ORDER:
-            up, vp = d * u0, e * v0
-            if (up - 2 * vp) % 5:
-                break
-        else:  # unreachable: would need 5 | u0 and 5 | v0
-            raise ConstructionError("sign-choice", f"no valid signs for ({u0}, {v0})")
-        u1, v1 = 3 * up + 4 * vp, 4 * up - 3 * vp
-        steps.append(DescentStep((u0, v0), (d, e), (u1, v1)))
+        e = -1 if (u0 - 2 * v0) % 5 == 0 else 1
+        u1, v1 = 3 * u0 + 4 * e * v0, 4 * u0 - 3 * e * v0
+        steps.append(DescentStep((u0, v0), (1, e), (u1, v1)))
         u0, v0 = u1, v1
     if u0 * u0 + v0 * v0 != total or u0 * v0 % 5 == 0:
         raise ConstructionError("descent-exit", f"({u0}, {v0}) invalid for {total}")
@@ -115,19 +108,18 @@ def rep_5x2_5y2_z2_odd(n: int, r: int) -> tuple[int, int, int]:
     """(x, y, z) with 5x^2 + 5y^2 + z^2 = 20n + r and z odd, for r in {6, 14}.
 
     Proceeds through 20n+r = (2w)^2 + u^2 + v^2 (u, v odd; w searched
-    descending from the largest possible value), a case analysis of
-    (2w)^2 mod 5 that isolates an odd square = r (mod 5) for the z slot
-    (via five_descent when the remaining pair sums to a multiple of 5),
-    and the final extraction x = (P-2Q)/5, y = (2P+Q)/5 after aligning
-    P = 2Q (mod 5) by sign flips.
+    descending from the largest possible value).  The z slot takes the odd
+    square = r (mod 5): u or v when 5 does not divide u^2 + v^2, one of the
+    pair five_descent makes of them otherwise (u when both qualify, which
+    happens when (2w)^2 = -r (mod 5)).  The other square X^2 and (2w)^2 then
+    sum to 0 (mod 5), so P = +-X makes P = 2(2w) (mod 5), and
+    x = (P - 2(2w))/5, y = (2P + 2w)/5.
     """
     if r not in (6, 14):
         raise PreconditionError(f"r must be 6 or 14, got {r}")
     if n < 0:
         raise PreconditionError("n must be nonnegative")
     t = 20 * n + r
-    rm5 = r % 5
-    neg_rm5 = (-r) % 5
 
     for w in range(isqrt(t // 4), -1, -1):
         pair = _pair(1, _ODD, 1, _ODD, t - 4 * w * w)
@@ -137,35 +129,13 @@ def rep_5x2_5y2_z2_odd(n: int, r: int) -> tuple[int, int, int]:
     else:
         raise ConstructionError("three-squares", f"no (2w)^2+odd^2+odd^2 decomposition of {t}")
 
-    sq2w = (4 * w * w) % 5
-    if sq2w == neg_rm5:
-        z, big_x = u, v
-    elif sq2w == rm5:
-        (s, t1), _ = five_descent(u, v)
-        if (t1 * t1) % 5 == rm5:
-            z, big_x = t1, s
-        elif (s * s) % 5 == rm5:
-            z, big_x = s, t1
-        else:
-            raise ConstructionError("descent-split", f"neither square of ({s},{t1}) is {rm5} mod 5")
-    elif sq2w == 0:
-        if (u * u) % 5 == rm5 and v % 5 == 0:
-            z, big_x = u, v
-        elif (v * v) % 5 == rm5 and u % 5 == 0:
-            z, big_x = v, u
-        else:
-            raise ConstructionError("w-divisible", f"({u},{v}) squares do not split as (0, {rm5}) mod 5")
-    else:
-        raise ConstructionError("mod5-case", f"(2w)^2 = {sq2w} (mod 5) matches no case")
-    if z % 2 == 0 or (z * z) % 5 != rm5:
-        raise ConstructionError("z-slot", f"z={z} not odd with z^2 = {rm5} (mod 5)")
+    a, b = (u, v) if (u * u + v * v) % 5 else five_descent(u, v)[0]
+    z, big_x = (a, b) if (a * a - r) % 5 == 0 else (b, a)
+    if z % 2 == 0 or (z * z - r) % 5:
+        raise ConstructionError("z-slot", f"z={z} not odd with z^2 = {r % 5} (mod 5)")
 
-    big_y = 2 * w
-    for p, q in ((big_x, big_y), (-big_x, big_y), (big_y, big_x), (-big_y, big_x)):
-        if (p - 2 * q) % 5 == 0:
-            break
-    else:
-        raise ConstructionError("mod5-align", f"cannot align ({big_x}, {big_y})")
+    q = 2 * w
+    p = big_x if (big_x - 2 * q) % 5 == 0 else -big_x
     x, y = (p - 2 * q) // 5, (2 * p + q) // 5
     if 5 * x * x + 5 * y * y + z * z != t:
         raise ConstructionError("final-identity", f"5*{x}^2+5*{y}^2+{z}^2 != {t}")

@@ -170,16 +170,12 @@ def filter_universal_quadruples(
     return out
 
 
-def reverify_quadruples(
-    quads: list[tuple[int, int, int, int]],
-    n_limit: int,
-    workers: int = 1,
-) -> list[tuple[int, int, int, int]]:
+def reverify_quadruples(quads: list[tuple[int, int, int, int]], n_limit: int) -> list[tuple[int, int, int, int]]:
     """The subset of quads, in order, with no counterexample n <= n_limit:
-    one exact sieve (``exceptional_set``) of [0, n_limit] per quadruple.
-    It re-checks filter survivors at larger bounds, and is an engine
-    independent of the filter's sumset."""
-    return [q for q in quads if exceptional_set(quadruple_poly(q), n_limit, workers=workers).is_empty()]
+    one exact single-worker sieve (``exceptional_set``) of [0, n_limit] per
+    quadruple.  It re-checks filter survivors at larger bounds, and is an
+    engine independent of the filter's sumset."""
+    return [q for q in quads if exceptional_set(quadruple_poly(q), n_limit).is_empty()]
 
 
 def verify_conjectured_triples(

@@ -1,11 +1,15 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
-from terna import DiagonalForm, PolySum, exceptional_set
+from terna import DiagonalForm, PolySum, cli, crosscheck, exceptional_set
 from terna.cli import ArityError, FormParseError, main, parse_form
+from terna.families import GAUSS_LEGENDRE
+from terna.search import SieveReport
+from terna.witnesses import BridgeReport
 
 
 def run(capsys, *argv):
@@ -253,10 +257,28 @@ def test_cli_crosscheck(capsys):
     assert "matches sieve" in out
 
 
+def test_cli_crosscheck_reports_discrepancies(capsys, monkeypatch):
+    # Gauss-Legendre's patterns on x^2+y^2+3z^2, as in the families tests
+    wrong = dataclasses.replace(GAUSS_LEGENDRE, form=DiagonalForm((1, 1, 3)))
+    monkeypatch.setitem(cli.FAMILIES, "gauss", wrong)
+    bad = crosscheck(wrong, 203).discrepancies
+    code, out, _ = run(capsys, "crosscheck", "--family", "gauss", "--limit", "203", "--threads", "1")
+    assert code == 1
+    assert out == f"x^2+y^2+3z^2: {len(bad)} discrepancies, first {bad[:10]}\n"
+
+
 def test_cli_conjecture(capsys):
     code, out, _ = run(capsys, "conjecture", "--limit", "500")
     assert code == 0
     assert out.count("empty") == 6
+
+
+def test_cli_conjecture_reports_a_finding(capsys, monkeypatch):
+    reports = [((2, 2, 6), SieveReport("f", 500, (), 0)), ((2, 3, 7), SieveReport("g", 500, (11, 40), 0))]
+    monkeypatch.setattr(cli, "verify_conjectured_triples", lambda limit, workers: reports)
+    code, out, _ = run(capsys, "conjecture", "--limit", "500", "--threads", "1")
+    assert code == 1
+    assert out == "(2,2,6) up to 500: empty\n(2,3,7) up to 500: EXCEPTIONS (11, 40)\n"
 
 
 def test_cli_scan_remark21(capsys):
@@ -271,6 +293,14 @@ def test_cli_bridge(capsys):
     assert "agreement" in out
 
 
+def test_cli_bridge_reports_a_mismatch(capsys, monkeypatch):
+    report = BridgeReport(50, ((3, True, False),), (), (3,))
+    monkeypatch.setattr(cli, "diagonal_bridge", lambda limit, workers: report)
+    code, out, _ = run(capsys, "bridge", "--remark12", "--limit", "50", "--threads", "1")
+    assert code == 1
+    assert out == "mismatch at n=3: polynomial=True diagonal=False\n"
+
+
 def test_cli_lemma(capsys):
     code, out, _ = run(capsys, "lemma", "--id", "2.1", "5", "5")
     assert code == 0 and "7^2+1^2" in out
@@ -283,6 +313,8 @@ def test_cli_lemma(capsys):
     assert code == 0
     code, out, _ = run(capsys, "lemma", "--id", "2.3ii", "12")
     assert code == 0
+    assert run(capsys, "lemma", "--id", "2.3i", "3") == (0, "3 = 1^2+2*1^2 (both odd)\n", "")
+    assert run(capsys, "lemma", "--id", "2.3iii", "1", "0") == (0, "6*1+1 = 2^2+3*1^2+6*0^2 (x = 0 mod 2)\n", "")
     code, out, _ = run(capsys, "lemma", "--id", "3.1", "4")
     assert code == 0
     # a lemma search that cannot succeed is a reported finding, not a crash:

@@ -19,6 +19,9 @@ def test_gauss_legendre_membership():
     assert member(GAUSS_LEGENDRE, 28)  # 4 * 7
     assert not member(GAUSS_LEGENDRE, 3)
     assert not member(GAUSS_LEGENDRE, 0)
+    with pytest.raises(ValueError):
+        member(GAUSS_LEGENDRE, -1)
+    assert not GAUSS_LEGENDRE.patterns[0].contains(-1)
     for n in range(2000):
         assert member(GAUSS_LEGENDRE, n) == oracles.gauss_legendre_excluded(n)
 
@@ -50,13 +53,6 @@ def test_pattern_validation():
         ProgressionPattern(4, 8, 9)
 
 
-def test_extra_finite_set():
-    fam = ExceptionalFamily(DiagonalForm((1, 1, 1)), (ProgressionPattern(None, 100, 99),), frozenset({5}))
-    assert member(fam, 5)
-    assert not member(fam, 6)
-    assert member(fam, 199)
-
-
 def test_member_multiplicative_consistency():
     for fam in FAMILIES.values():
         for pattern in fam.patterns:
@@ -73,9 +69,7 @@ def test_membership_bitmap_matches_member(fam):
 
 
 def test_membership_bitmap_residue_zero_and_extra():
-    fam = ExceptionalFamily(
-        DiagonalForm((1, 1, 1)), (ProgressionPattern(3, 6, 0), ProgressionPattern(None, 100, 99)), frozenset({5, 10**9})
-    )
+    fam = ExceptionalFamily(DiagonalForm((1, 1, 1)), (ProgressionPattern(3, 6, 0), ProgressionPattern(None, 100, 99)))
     for limit in (0, 1, 5, 3000):
         assert membership(fam, limit) == bytearray(member(fam, n) for n in range(limit + 1))
 
@@ -113,7 +107,7 @@ def test_crosscheck_detects_wrong_pairing():
 
 
 def test_crosscheck_detects_wrong_extra():
-    # the right patterns with two wrong extra values, one past the limit
-    fam = dataclasses.replace(GAUSS_LEGENDRE, extra=frozenset({5, 204}))
+    # the right patterns with one wrong pattern, {5, 1005, ...}, wrong once below the limit
+    fam = dataclasses.replace(GAUSS_LEGENDRE, patterns=GAUSS_LEGENDRE.patterns + (ProgressionPattern(None, 1000, 5),))
     report = crosscheck(fam, 203)
     assert report.discrepancies == discrepancies(fam, (1, 1, 1), 203) == (5,)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -57,6 +58,21 @@ def test_five_descent_exhaustive_small():
             s = u * u + v * v
             if s and s % 5 == 0:
                 descent_valid(u, v)
+
+
+def test_pinned_lemma_2_2_and_descent():
+    # rep_5x2_5y2_z2_odd for r in {6, 14} and n <= 2000, then five_descent
+    # with its trace on every (u, v) in [-60, 60]^2 with 5 | u^2 + v^2 > 0,
+    # byte for byte
+    rows = [(n, r, rep_5x2_5y2_z2_odd(n, r)) for r in (6, 14) for n in range(2001)]
+    rows += [
+        (u, v, five_descent(u, v))
+        for u in range(-60, 61)
+        for v in range(-60, 61)
+        if u * u + v * v and (u * u + v * v) % 5 == 0
+    ]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "847eeb672fb16b0eb8e32bb33a4bda5ce04391c365417dadc03ba281ee044536"
 
 
 def rep22_valid(n, r):
@@ -135,6 +151,8 @@ def test_check_3x2_6y2_examples():
     assert check_3x2_6y2(12) == (True, True)
     assert check_3x2_6y2(1) == (False, False)
     assert check_3x2_6y2(2) == (False, False)
+    with pytest.raises(PreconditionError):
+        check_3x2_6y2(-1)
 
 
 def test_check_3x2_6y2_agreement():
@@ -179,6 +197,8 @@ def test_rep_x2_3y2_6z2_examples():
         rep_x2_3y2_6z2(4, 0)  # 25
     with pytest.raises(PreconditionError):
         rep_x2_3y2_6z2(2, 2)
+    with pytest.raises(PreconditionError):
+        rep_x2_3y2_6z2(-1, 0)
 
 
 def test_rep_x2_3y2_6z2_range():

@@ -35,6 +35,8 @@ def test_represent_examples():
     assert represent(PolySum.of((2, 1), (3, 1), (6, 1)), 48) is None
     w = represent(PolySum.of((1, 1), (2, 1), (3, 1)), 1)
     assert w is not None and evaluate(PolySum.of((1, 1), (2, 1), (3, 1)), w) == 1
+    with pytest.raises(TypeError, match="not a form: object"):
+        represent(object(), 1)
 
 
 def test_represent_deterministic():

@@ -9,6 +9,7 @@ from terna import (
     CongruenceClass,
     ConstructionError,
     DiagonalForm,
+    PolySum,
     Witness,
     diagonal_bridge,
     embed,
@@ -227,6 +228,17 @@ def test_search_method_checks_the_clause_identity(monkeypatch):
     assert (info.value.step, info.value.clause, info.value.n, info.value.pre) == ("clause-identity", "i", 5, (1, 1, 1))
 
 
+def test_builder_step_failure_names_clause_n_and_step(monkeypatch):
+    # a failed _need inside a builder is reported against its clause and n;
+    # at n = 5 clause i asks _pair for 33 = 3x^2 + 6y^2
+    monkeypatch.setattr(witnesses, "_pair", lambda *args: None)
+    with pytest.raises(ConstructionError) as info:
+        triple_witness((1, 2, 3), 5)
+    err = info.value
+    assert (err.step, err.clause, err.n, err.pre) == ("3x2+6y2", "i", 5, None)
+    assert "33 is not of the form 3x^2+6y^2" in str(err)
+
+
 def test_lemma_errors_name_the_clause_only_inside_a_pipeline(monkeypatch):
     monkeypatch.setattr(lemmas, "represent", lambda form, t: None)
     with pytest.raises(ConstructionError) as info:
@@ -261,6 +273,17 @@ def test_diagonal_bridge_small():
     report = diagonal_bridge(100)
     assert report.agrees()
     assert report.poly_exceptions == ()
+    assert report.diagonal_failures == ()
+
+
+def test_diagonal_bridge_names_each_mismatch(monkeypatch):
+    # a left side that misses values the diagonal side attains: every n it
+    # misses is a mismatch (n, False, True), and the right side stays whole
+    monkeypatch.setattr(witnesses, "triple_poly", lambda t: PolySum.of((2, 1), (3, 1), (70, 1)))
+    report = diagonal_bridge(100)
+    missed = exceptional_set(PolySum.of((2, 1), (3, 1), (70, 1)), 100).exceptions
+    assert missed and report.poly_exceptions == missed
+    assert report.mismatches == tuple((n, False, True) for n in missed)
     assert report.diagonal_failures == ()
     # n = 0 row: 41 = 21 + 14 + 6
     assert oracles.three_square_reps(41, (21, 14, 6))
