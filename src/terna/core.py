@@ -22,7 +22,7 @@ n far beyond 2**40).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 
 class TernaError(Exception):
@@ -196,8 +196,7 @@ def reduce(p: PolySum) -> ReductionData:
     """Complete the square in each variable of p: n is a value of p iff
     M*n + C is a value of the constrained form, with M = 4*lcm(ai)."""
     a1, a2, a3 = (t.a for t in p.terms)
-    L = a1 * a2 // gcd(a1, a2)
-    L = L * a3 // gcd(L, a3)
+    L = lcm(a1, a2, a3)
     coeffs = tuple(L // t.a for t in p.terms)
     C = sum((L // t.a) * t.b * t.b for t in p.terms)
     classes = tuple(CongruenceClass(2 * t.a, t.b % (2 * t.a)) for t in p.terms)

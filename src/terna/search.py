@@ -177,19 +177,16 @@ def _slot_key(c: int, k: CongruenceClass) -> tuple[int, int, int]:
 def _walk(k: CongruenceClass, bound: int, flags: bytes) -> Iterator[int]:
     # the members w of k with |w| <= bound, w >= 0 only for a sign-symmetric
     # class, in the scan order, less each member whose flag is 0; flags hold
-    # one byte per member in that order and repeat, and flags with no 0
-    # build no compress.  Positives and negatives alternate until one range
-    # runs out, so a last positive comes in turn; a last negative is left
-    # over, and its flag is 2p + 1 for p positives.
+    # one byte per member in that order and repeat, so flags with no 0
+    # (_EVERY) keep every member.  Positives and negatives alternate until
+    # one range runs out, so a last positive comes in turn; a last negative
+    # is left over, and its flag is 2p + 1 for p positives.
     m, r = k.modulus, k.residue
     pos = range(r, bound + 1, m)
     if (-r) % m == r:
-        return compress(pos, cycle(flags)) if 0 in flags else pos
+        return compress(pos, cycle(flags))
     neg = iter(range(r - m, -bound - 1, -m))
-    walk = map(next, cycle((iter(pos), neg)))
-    if 0 not in flags:
-        return chain(walk, neg)
-    walk = compress(walk, cycle(flags))
+    walk = compress(map(next, cycle((iter(pos), neg))), cycle(flags))
     return chain(walk, neg) if flags[(2 * len(pos) + 1) % len(flags)] else walk
 
 
@@ -249,16 +246,6 @@ def represent(form: Form, n: int) -> Union[Witness, tuple[int, int, int], None]:
     proof that n is not represented.
     """
     return next(_hits(form, n), None)
-
-
-# nothing in src/ calls these delegates; perfbench/spans.py wraps them in
-# terna.witnesses, which imports them for that alone
-def represent_diag(f: DiagonalForm, m: int) -> Optional[tuple[int, int, int]]:
-    return represent(f, m)
-
-
-def represent_constrained(cf: DiagonalForm, m: int) -> Optional[tuple[int, int, int]]:
-    return represent(cf, m)
 
 
 def represent_all(form: Form, n: int) -> list:

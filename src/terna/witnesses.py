@@ -21,9 +21,10 @@ The paper's other universal sums are plain PolySums (LIOUVILLE_TRIPLES
 through triple_poly, SMALL_QUADRUPLES through quadruple_poly, and
 MIXED_SQUARE_SUMS); ``represent`` finds their witnesses.
 
-A pipeline that breaks an invariant raises ConstructionError naming the
-clause, n, the failing step and the triple it got; such an error would
-falsify the clause, so it must never trigger.
+Only a false imported claim or a broken engine can fail a step: a
+builder's scan or lemma that finds nothing, x2+2y2-coprime3, 3x2+6y2,
+sign, clause-identity or lift.  The step raises ConstructionError naming
+the clause, n, the step and the triple it got; it must never trigger.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ from .core import (
     normalize_sign,
     reduce,
 )
-from .lemmas import _PRIME_TO_3, _is_square, _pair, rep_5x2_5y2_z2_odd, rep_x2_3y2_6z2, rep_x2_y2_2z2_coprime3
+from .lemmas import _PRIME_TO_3, _pair, rep_5x2_5y2_z2_odd, rep_x2_3y2_6z2, rep_x2_y2_2z2_coprime3
 from .search import attainable, exceptional_set, represent
-from .search import represent_constrained, represent_diag  # noqa: F401  perfbench/spans.py traces them here
+
+represent_diag = represent_constrained = represent  # nothing calls these; perfbench/spans.py wraps them here
 
 PROVEN_TRIPLES = ((1, 2, 3), (1, 2, 4), (1, 2, 5), (2, 2, 4), (2, 2, 5), (2, 3, 3), (2, 3, 4))
 CONJECTURED_TRIPLES = ((2, 2, 6), (2, 3, 5), (2, 3, 7), (2, 3, 8), (2, 3, 9), (2, 3, 10))
@@ -107,34 +109,31 @@ _COPRIME3 = tuple(_cf((1, 1, 1), ((6, 1 + delta), (6, 1), (6, 2))) for delta in 
 
 
 def _three_squares_by_parity(t: int) -> tuple[int, int, int]:
-    # the first decomposition, as (odd, odd, even) absolute values
+    # the first decomposition, as (odd, odd, even) absolute values: t = 6
+    # (mod 8) is a sum of three squares only as 1 + 1 + 4
     vals = _scan(DiagonalForm((1, 1, 1)), t, "three-squares", "is not a sum of three squares")
-    odds, evens = [v for v in vals if v % 2], [v for v in vals if v % 2 == 0]
-    _need(len(odds) == 2, "parity-pattern", f"{t} decomposition is not odd+odd+even")
-    return odds[0], odds[1], evens[0]
+    return tuple(sorted(vals, key=lambda v: v % 2 == 0))
 
 
 # Each builder maps its clause's target t to the clause's triple in slot
 # order, up to sign.
 def _build_i(t: int):
     u, v, w = _scan(_ODD3, t, "three-odd-squares", "has no all-odd decomposition")
+    # the halves add up to the odd u, so one is even: it goes first
     ubar, vbar = (u + v) // 2, abs(u - v) // 2
     if ubar % 2:
         ubar, vbar = vbar, ubar
-    _need(ubar % 2 == 0 and vbar % 2 == 1, "parity-split", f"halves of ({u},{v}) are not odd/even")
     if vbar % 3:
-        r_, s_, t_ = w, ubar, vbar
+        r_, t_ = w, vbar
     else:
+        # t = 2 (mod 3) makes 3 | w, so 3 | m, and m = 3 (mod 8) makes both
+        # odd in m = s^2 + 2t^2 with 3 coprime to s*t; existence imported
         m = w * w + 2 * vbar * vbar
-        _need(m % 3 == 0, "multiple-of-3", f"{m} should be divisible by 3")
-        # m = s^2 + 2t^2 with 3 coprime to s*t; existence imported
         hit = _pair(1, _PRIME_TO_3, 2, _PRIME_TO_3, m)
         _need(hit is not None, "x2+2y2-coprime3", f"{m} admits no decomposition coprime to 3")
-        s1, t1 = (abs(x) for x in hit)
-        _need(s1 % 2 == 1 and t1 % 2 == 1, "rewrite-parity", f"({s1},{t1}) not both odd")
-        r_, s_, t_ = s1, ubar, t1
+        r_, t_ = map(abs, hit)
     # m = 3r0^2 + 6s0^2, smallest r0 first
-    m = r_ * r_ + 2 * s_ * s_
+    m = r_ * r_ + 2 * ubar * ubar
     hit = _pair(6, _UNCONSTRAINED, 3, _UNCONSTRAINED, m)
     _need(hit is not None, "3x2+6y2", f"{m} is not of the form 3x^2+6y^2")
     s0, r0 = hit
@@ -166,13 +165,13 @@ def _build_v(t: int):
 
 
 def _build_vi(t: int):
+    # t = 7 (mod 8) makes u and v even
     u, v, w = _scan(DiagonalForm((1, 1, 3)), t, "dickson-form", "is not u^2+v^2+3w^2")
-    _need((u - v) % 2 == 0, "uv-parity", f"({u},{v})")
     return w, (u + v) // 2, abs(u - v) // 2
 
 
 def _build_vii(t: int):
-    _need(not _is_square(t), "nonsquare-input", f"{t} is a perfect square")
+    # t = 13 (mod 16) is not a square, as the lemma requires
     big_x, big_y, big_z = rep_x2_3y2_6z2((t - 1) // 6, 0)
     # X even makes Z, X/2 and Y odd
     return big_z, big_x // 2, big_y
@@ -194,10 +193,8 @@ def _build_b(t: int):
 def _build_c(t: int):
     # t/2 = 6(n + 1) + 1
     u, v, w = rep_x2_y2_2z2_coprime3(t // 12)
-    p, q = u + v, u - v
     # exactly one of u ± v is divisible by 3
-    if p % 3 == 0:
-        p, q = q, p
+    p, q = (u + v, u - v) if (u + v) % 3 else (u - v, u + v)
     return p, 2 * w, q
 
 

@@ -13,7 +13,7 @@ from terna import (
     represent,
     represent_all,
 )
-from terna.search import DEFAULT_MAX_BITS, represent_constrained, represent_diag
+from terna.search import DEFAULT_MAX_BITS
 
 
 def cf(coeffs, classes):
@@ -45,17 +45,17 @@ def test_represent_deterministic():
 
 
 def test_represent_diag_examples():
-    assert represent_diag(DiagonalForm((1, 1, 1)), 7) is None
-    assert represent_diag(DiagonalForm((1, 1, 3)), 6) is None
-    assert represent_diag(DiagonalForm((21, 14, 6)), 41) == (1, 1, 1)
+    assert represent(DiagonalForm((1, 1, 1)), 7) is None
+    assert represent(DiagonalForm((1, 1, 3)), 6) is None
+    assert represent(DiagonalForm((21, 14, 6)), 41) == (1, 1, 1)
 
 
 def test_represent_constrained_examples():
     c1 = cf((6, 3, 2), ((2, 1), (4, 1), (6, 1)))
-    assert represent_constrained(c1, 11) == (1, 1, 1)
-    assert represent_constrained(c1, 10) is None
+    assert represent(c1, 11) == (1, 1, 1)
+    assert represent(c1, 10) is None
     c2 = cf((1, 1, 1), ((6, 0), (6, 1), (6, 2)))
-    assert represent_constrained(c2, 5) == (0, 1, 2)
+    assert represent(c2, 5) == (0, 1, 2)
 
 
 def test_count_representations():
@@ -112,7 +112,7 @@ def test_sieve_constrained_matches_scan():
     c = cf((6, 3, 2), ((2, 1), (4, 1), (6, 1)))
     report = exceptional_set(c, 500)
     for m in range(501):
-        assert (m in report.exceptions) == (represent_constrained(c, m) is None)
+        assert (m in report.exceptions) == (represent(c, m) is None)
 
 
 def test_sieve_below_smallest_value():

@@ -36,7 +36,6 @@ from terna import (
 )
 from terna import search, witnesses
 from terna.lemmas import _is_square
-from terna.search import represent_constrained
 
 
 def random_polys(seed: int, count: int, spread: int) -> list[tuple[tuple, int]]:
@@ -186,7 +185,7 @@ ASYMMETRIC_LARGE_M_CASES = large_m_cases(20261024, 60, symmetric=False)
 @pytest.mark.parametrize("cf, m", random_constrained(20261019, 150) + RESIDUE_CASES)
 def test_constrained_scan_matches_box_order(cf, m):
     expected = box_hits(cf, m)
-    assert represent_constrained(cf, m) == (expected[0] if expected else None)
+    assert represent(cf, m) == (expected[0] if expected else None)
     assert list(search._scan_all(cf, m)) == expected
     assert represent_all(cf, m) == expected
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -134,6 +135,56 @@ def test_clause_identities_hold_exactly():
             assert sum(c * w * w for c, w in zip(coeffs, triple)) == multiplier * n + constant
             for w, (m, r) in zip(triple, classes):
                 assert r in (w % m, -w % m)
+
+
+def _odd_odd_even(*w):
+    return sorted(x % 2 for x in w) == [0, 1, 1]
+
+
+# The residue facts the builders rely on instead of checking them: for every
+# (x, y, z) mod q with c1*x^2 + c2*y^2 + c3*z^2 = r (mod q), the claim holds.
+# With a key, r is the one residue mod q of scale*(M*n + C) over every n,
+# read from the clause's reduction; scale is 2 where the builder scans 2t.
+# Coefficients (0, 0, 0) make the claim a plain fact about every residue.
+RESIDUE_FACTS = [
+    # ii and d scan 32n+14 and 16n+14: 6 is a sum of three squares mod 8
+    # only as 1 + 1 + 4
+    ("ii-odd-odd-even", (1, 2, 4), 2, 8, 6, (1, 1, 1), _odd_odd_even),
+    ("d-odd-odd-even", (4, 1, 2, 3), 1, 8, 6, (1, 1, 1), _odd_odd_even),
+    # i: the halves (u+v)/2 and (u-v)/2 of odd u and v add up to u
+    ("i-halves-split", None, 1, 8, 0, (0, 0, 0), lambda u, v, _: u % 2 == 0 or v % 2 == 0 or (u + v) // 2 % 2 != abs(u - v) // 2 % 2),
+    # i: t = u^2 + v^2 + w^2 = w^2 + 2ubar^2 + 2vbar^2 = 2 (mod 3), and
+    # 3 | vbar makes 3 | m = w^2 + 2vbar^2
+    ("i-multiple-of-3", (1, 2, 3), 1, 3, 2, (1, 2, 2), lambda w, _, vbar: vbar % 3 or (w * w + 2 * vbar * vbar) % 3 == 0),
+    # i: w and vbar odd make m = 3 (mod 8), and m = s^2 + 2t^2 then has s
+    # and t odd
+    ("i-m-3-mod-8", None, 1, 8, 0, (0, 0, 0), lambda w, vbar, _: w % 2 == 0 or vbar % 2 == 0 or (w * w + 2 * vbar * vbar) % 8 == 3),
+    ("i-rewrite-odd", None, 1, 8, 3, (1, 2, 0), lambda s, t, _: s % 2 == 1 and t % 2 == 1),
+    # iii: 40n+17 = 10u^2 + 5v^2 + 2w^2 has u, v, w odd and w = ±1 (mod 5)
+    ("iii-odd-and-w", (1, 2, 5), 1, 40, 17, (10, 5, 2), lambda u, v, w: u % 2 and v % 2 and w % 2 and w % 5 in (1, 4)),
+    # vi: 24n+7 = u^2 + v^2 + 3w^2 is 4 + 3 mod 8, with u and v even
+    ("vi-uv-even", (2, 3, 3), 1, 8, 7, (1, 1, 3), lambda u, v, _: u % 2 == 0 and v % 2 == 0),
+    # vii: 48n+13 = 13 (mod 16) is no square, and X^2 + 3Y^2 + 6Z^2 with X
+    # even has Y, Z and X/2 odd
+    ("vii-nonsquare", (2, 3, 4), 1, 16, 13, (1, 0, 0), lambda *w: False),
+    ("vii-odd-slots", (2, 3, 4), 1, 16, 13, (1, 3, 6), lambda x, y, z: x % 2 or (y % 2 and z % 2 and x // 2 % 2)),
+    # a: 12n+5 = u^2 + v^2 + 36x^2 has u and v prime to 3, of opposite parity
+    ("a-prime-to-3", (3, 0, 1, 2), 1, 12, 5, (1, 1, 36), lambda u, v, _: u % 3 and v % 3 and (u + v) % 2),
+    # c: with 3 prime to uv, exactly one of u ± v is divisible by 3
+    ("c-one-of-u-pm-v", None, 1, 3, 0, (0, 0, 0), lambda u, v, _: u * v % 3 == 0 or ((u + v) % 3 == 0) != ((u - v) % 3 == 0)),
+    # d: for odd p, p^2 = 1 (mod 16) iff p = ±1 (mod 8)
+    ("d-square-1-mod-16", None, 1, 16, 0, (0, 0, 0), lambda p, _, __: p % 2 == 0 or (p * p % 16 == 1) == (p % 8 in (1, 7))),
+]
+
+
+@pytest.mark.parametrize("key, scale, q, r, coeffs, claim", [row[1:] for row in RESIDUE_FACTS], ids=[row[0] for row in RESIDUE_FACTS])
+def test_residue_facts_hold_for_every_n(key, scale, q, r, coeffs, claim):
+    if key is not None:
+        rd = recipe(key).reduction
+        assert {scale * (rd.M * n + rd.C) % q for n in range(q)} == {r}
+    for w in itertools.product(range(q), repeat=3):
+        if sum(c * x * x for c, x in zip(coeffs, w)) % q == r:
+            assert claim(*w), w
 
 
 def test_pinned_witnesses():
