@@ -4,19 +4,18 @@ An ExceptionalFamily describes the exceptional set of its diagonal form
 as a union of scaled arithmetic progressions {s^k * (m*l + r) : k, l >= 0}.
 The three built-in families, ``FAMILIES`` by CLI name, are the classically
 known exceptional sets E(x^2+y^2+z^2), E(x^2+y^2+3z^2) and
-E(10x^2+5y^2+2z^2).  ``membership`` writes a family out as one byte per n,
-and ``crosscheck`` compares that, byte for byte, with the missing values of
-a fresh sieve of the family's form and reports every disagreement.
+E(10x^2+5y^2+2z^2).  ``membership`` writes a family out as a bit mask,
+bit n for n, and ``crosscheck`` XORs that with the mask of the missing
+values of a fresh sieve of the family's form and reports every set bit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
 
 from .core import DiagonalForm
-from .search import attainable, exceptional_set  # noqa: F401  perfbench/spans.py traces exceptional_set here
+from .search import _every, _set_bits, attainable, exceptional_set  # noqa: F401  perfbench/spans.py traces exceptional_set here
 
 
 @dataclass(frozen=True)
@@ -103,15 +102,14 @@ class CrosscheckReport:
         return not self.discrepancies
 
 
-def membership(fam: ExceptionalFamily, limit: int) -> bytearray:
-    """Byte n is 1 iff member(fam, n), for 0 <= n <= limit: one slice
-    assignment per pattern and scale level."""
-    out = bytearray(limit + 1)
+def membership(fam: ExceptionalFamily, limit: int) -> int:
+    """Bit n is set iff member(fam, n), for 0 <= n <= limit: one run of
+    evenly spaced bits per pattern and scale level."""
+    out = 0
     for p in fam.patterns:
         scale = 1
         while scale * p.residue <= limit:
-            start, step = scale * p.residue, scale * p.modulus
-            out[start::step] = b"\x01" * len(range(start, limit + 1, step))
+            out |= _every(scale * p.residue, scale * p.modulus, limit + 1)
             # with residue 0 every scaled level lies inside the first
             if p.scale is None or p.residue == 0:
                 break
@@ -124,12 +122,6 @@ def crosscheck(fam: ExceptionalFamily, limit: int, workers: int = 1) -> Crossche
     fam's form; the report names the family by its form."""
     t0 = time.perf_counter()
     # the sieve checks the bit cap before it allocates, so it runs first
-    sieved = attainable(fam.form, limit, workers=workers).missing_flags()
-    expected = membership(fam, limit)
-    bad = ()
-    if sieved != expected:
-        # one byte per n, so the nonzero bytes of the XOR are the n that differ
-        diff = int.from_bytes(sieved, "little") ^ int.from_bytes(expected, "little")
-        bad = tuple(compress(range(limit + 1), diff.to_bytes(limit + 1, "little")))
+    bad = tuple(_set_bits(attainable(fam.form, limit, workers=workers).absent() ^ membership(fam, limit)))
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return CrosscheckReport(str(fam.form), limit, bad, elapsed_ms)

@@ -28,7 +28,7 @@ from .core import (
     PreconditionError,
     TernaError,
 )
-from .search import _set_bits, represent, value_mask
+from .search import _every, _set_bits, represent, value_mask
 
 _ODD = CongruenceClass(2, 1)
 # the |w| of its members run through the integers prime to 3, ascending
@@ -182,9 +182,8 @@ def scan_3x2_6y2(limit: int) -> list[int]:
     (expected empty), computed with value bitmasks."""
     lhs = _pair_mask(3, _UNCONSTRAINED, 6, _UNCONSTRAINED, limit)
     rhs = _pair_mask(1, _UNCONSTRAINED, 2, _UNCONSTRAINED, limit)
-    # bits 0, 3, 6, ... up to limit, built after both masks checked the bit
-    # cap: the sum of 8^i is (8^k - 1) / 7
-    return _set_bits(lhs ^ (rhs & ((1 << 3 * (limit // 3 + 1)) - 1) // 7))
+    # bits 0, 3, 6, ... up to limit, built after both masks checked the bit cap
+    return _set_bits(lhs ^ (rhs & _every(0, 3, limit + 1)))
 
 
 def rep_x2_3y2_6z2(n: int, parity: int) -> tuple[int, int, int]:

@@ -71,9 +71,9 @@ Two complementary engines:
   folded with every v, the full fold.  That fold may be split into
   chunks for worker processes whose masks merge by bitwise OR, which is
   associative and commutative, so worker count never changes the result.
-  The exceptions are then read off the bitset's clear bits at C speed: a
-  few by a regex skip of zero bytes, many (Gauss, Dickson) by eight
-  byte-table bit planes spread to one byte per bit and ``compress``.
+  The exceptions are then read off the bitset's clear bits at C speed:
+  the complement's nonzero bytes are found by one translate and split of
+  its bytes, and each byte's bits come from a table.
   Work is O(values enumerated) plus O(shifts * N/wordsize), far below one
   search per n.
 
@@ -83,14 +83,14 @@ Enumeration cutoffs use math.isqrt throughout; no floating point.
 from __future__ import annotations
 
 import os
-import re
 import time
 from bisect import bisect_left
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, compress, cycle
+from itertools import accumulate, chain, compress, count, cycle
 from math import gcd, isqrt
+from operator import add
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
@@ -110,9 +110,7 @@ Form = Union[PolySum, DiagonalForm]
 # and survey.  A sieve's peak is several bitsets: the traced peak of
 # (2,3,7) to 10^7 is 5.65 of them (perfbench search.peak_over_bitset,
 # Python 3.11), in the P step of value_mask, which folds B_K beside the
-# probe.
-# Reading a dense set (_flags) adds one byte per bit, 8 bitsets, where the
-# list of at least width/_DENSE_SHARE 40-byte positions is over 3 already.
+# probe; the read of the bits it leaves missing peaks at 5.51.
 DEFAULT_MAX_BITS = 1 << 31
 
 
@@ -140,13 +138,10 @@ class ValueMask:
 
     def missing(self) -> list[int]:
         """The n in [0, limit] not in the set, ascending."""
-        return _set_bits(self._absent())
+        return _set_bits(self.absent())
 
-    def missing_flags(self) -> bytearray:
-        """Byte n is 1 iff n is not in the set, for 0 <= n <= limit."""
-        return _flags(self._absent(), self.limit + 1)
-
-    def _absent(self) -> int:
+    def absent(self) -> int:
+        """Bit n is set iff n is not in the set, for 0 <= n <= limit."""
         present = self.mask >> -self.offset if self.offset <= 0 else self.mask << self.offset
         return present ^ ((1 << (self.limit + 1)) - 1)
 
@@ -327,17 +322,9 @@ _SPARSE_DROP = 2
 # From /8, (2,3,7) to 10^7 shifts 20 773 pieces against 37 053 from /4.
 _START_SHARE = 4
 
-_NONZERO_BYTE = re.compile(rb"[^\x00]")
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
-_PLANES = [bytes(b >> j & 1 for b in range(256)) for j in range(8)]
-
-# _set_bits reads x through _flags when one bit in _DENSE_SHARE is set.
-# Regex skip against flags and compress, random 10^6-bit ints of density
-# 1/8, 1/10, 1/12, 1/14, 1/16: 40.0/35.2, 34.0/32.1, 30.2/29.9, 28.8/30.0,
-# 24.8/30.5 ms; the exceptional sets of x^2+y^2+z^2, x^2+y^2+3z^2 and
-# 10x^2+5y^2+2z^2 to 10^6: 62.5/35.7, 49.2/33.6, 83.9/44.6 ms (medians of
-# 15, interleaved; Python 3.11, 2-core x86-64 VM).
-_DENSE_SHARE = 12
+# translate table: every nonzero byte to 1
+_NONZERO = bytes(b > 0 for b in range(256))
 
 
 def _bits(positions: Iterable[int], width: int) -> int:
@@ -347,24 +334,23 @@ def _bits(positions: Iterable[int], width: int) -> int:
     return int.from_bytes(raw, "little")
 
 
-def _flags(x: int, width: int) -> bytearray:
-    # byte k is bit k of x < 2**width: bit plane j of x's bytes to bytes j::8
-    raw = x.to_bytes((width + 7) // 8, "little")
-    out = bytearray(8 * len(raw))
-    for j, plane in enumerate(_PLANES):
-        out[j::8] = raw.translate(plane)
-    del out[width:]
-    return out
+def _every(start: int, step: int, stop: int) -> int:
+    # bits start, start + step, ... below stop: a run of k such bits doubles
+    # to 2k in one shift, and the last doubling is cut at stop
+    x, k, n = 1, 1, len(range(start, stop, step))
+    while k < n:
+        x |= x << k * step
+        k *= 2
+    return x << start & (1 << stop) - 1
 
 
 def _set_bits(x: int) -> list[int]:
-    # positions of the set bits of x >= 0, ascending; a sparse x has its
-    # zero bytes skipped by the regex engine
-    width = x.bit_length()
-    if x.bit_count() * _DENSE_SHARE >= width:
-        return list(compress(range(width), _flags(x, width)))
-    raw = x.to_bytes((width + 7) // 8, "little")
-    return [8 * i + j for i in (m.start() for m in _NONZERO_BYTE.finditer(raw)) for j in _BYTE_BITS[raw[i]]]
+    # positions of the set bits of x >= 0, ascending: each nonzero byte ends
+    # one run of zero bytes, so nonzero byte k (from 0) sits at the summed
+    # lengths of runs 0 to k, plus k
+    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    runs = raw.translate(_NONZERO).split(b"\x01")[:-1]
+    return [8 * i + j for i in map(add, accumulate(map(len, runs)), count()) for j in _BYTE_BITS[raw[i]]]
 
 
 # bits per piece of a fold: 16 KiB, with 32 KiB accumulators
@@ -544,7 +530,10 @@ def value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int,
                 acc |= _or_shifts(base, longest[lo:p], width)
         missing = width - acc.bit_count()
         if missing * _BITS_PER_CANDIDATE <= width:
-            unreached = _set_bits(acc ^ ((1 << width) - 1))
+            # complemented in place, so acc is not held beside its
+            # complement while the reader holds its byte strings
+            acc ^= (1 << width) - 1
+            unreached = _set_bits(acc)
             del acc
             for base, (_, longest) in zip(bases, groups):
                 unreached = _unreached(unreached, base, width, longest[p:])

@@ -65,13 +65,13 @@ def test_member_multiplicative_consistency():
 
 @pytest.mark.parametrize("fam", FAMILIES.values(), ids=lambda f: str(f.form))
 def test_membership_bitmap_matches_member(fam):
-    assert membership(fam, 10**4) == bytearray(member(fam, n) for n in range(10**4 + 1))
+    assert membership(fam, 10**4) == sum(member(fam, n) << n for n in range(10**4 + 1))
 
 
 def test_membership_bitmap_residue_zero_and_extra():
     fam = ExceptionalFamily(DiagonalForm((1, 1, 1)), (ProgressionPattern(3, 6, 0), ProgressionPattern(None, 100, 99)))
     for limit in (0, 1, 5, 3000):
-        assert membership(fam, limit) == bytearray(member(fam, n) for n in range(limit + 1))
+        assert membership(fam, limit) == sum(member(fam, n) << n for n in range(limit + 1))
 
 
 @pytest.mark.parametrize("key", sorted(FAMILIES))
@@ -84,7 +84,7 @@ def test_crosscheck_agrees_to_1e4(key):
 
 
 def test_crosscheck_checks_the_bit_cap_before_writing_the_family(monkeypatch):
-    # a limit over the cap is refused before membership writes limit bytes
+    # a limit over the cap is refused before membership builds limit bits
     monkeypatch.setattr(search, "DEFAULT_MAX_BITS", 1000)
     calls = []
     monkeypatch.setattr(families, "membership", lambda *args: calls.append(args))

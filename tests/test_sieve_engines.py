@@ -157,8 +157,12 @@ def test_set_bits():
     for width in (9, 64, 1000, 5000):
         x = rng.getrandbits(width)
         assert search._set_bits(x) == naive_set_bits(x)
+    # zero runs of thousands of bytes below the first set byte and between
+    # set bytes
+    x = 1 << 40_000 | 0b1010_0101 << 40_003 | 1 << 99_999 | 0xFF << 100_008 | 1 << 200_000
+    assert search._set_bits(x) == naive_set_bits(x)
     # every width across the first byte boundaries: all ones, the top bit
-    # alone and a random int, which take both regimes
+    # alone and a random int
     for width in range(1, 71):
         for x in ((1 << width) - 1, 1 << width - 1, rng.getrandbits(width) | 1 << width - 1):
             assert search._set_bits(x) == naive_set_bits(x)
@@ -169,38 +173,39 @@ def random_bits(rng: random.Random, width: int, count: int) -> int:
     return sum(1 << k for k in rng.sample(range(width - 1), count - 1)) | 1 << width - 1
 
 
-# W a multiple of the cutoff, so that CUT bits sit exactly on it
-W = search._DENSE_SHARE << 12
-CUT = W // search._DENSE_SHARE  # the fewest set bits read as dense
+W = 12 << 12
 
 
 @pytest.mark.parametrize(
-    "count,dense",
-    [(W // 4096, False), (CUT - 1, False), (CUT, True), (W // 2, True), (W, True)],
-    ids=["1/4096", "below-cutoff", "at-cutoff", "1/2", "all-ones"],
+    "count",
+    [W // 4096, W // 12 - 1, W // 12, W // 2, W],
+    ids=["1/4096", "1/12-less-1", "1/12", "1/2", "all-ones"],
 )
-def test_set_bits_regimes(monkeypatch, count, dense):
-    # each regime gives the naive positions, and the cutoff decides which
-    # one reads x
-    spread = []
-    flags = search._flags
-    monkeypatch.setattr(search, "_flags", lambda x, width: spread.append(width) or flags(x, width))
+def test_set_bits_density_sweep(count):
+    # one reader for every density, from a few bits to all ones
     x = random_bits(random.Random(count), W, count)
     assert x.bit_count() == count
     assert search._set_bits(x) == naive_set_bits(x)
-    assert spread == ([W] if dense else [])
 
 
-def test_missing_flags_match_missing():
-    # x(x+4)+y^2+z^2 = (x+2)^2+y^2+z^2-4: offset -4, about one value in
-    # six missing, so missing() reads the dense regime
+@pytest.mark.parametrize(
+    "start,step,stop",
+    [(5, 3, 5), (9, 2, 4), (5, 3, 6), (5, 3, 9), (0, 3, 24), (0, 3, 25), (7, 8, 7 + 8 * 64), (7, 8, 7 + 8 * 65), (4, 1, 1000), (0, 1, 1)],
+    ids=["count-0", "start-past-stop", "count-1", "count-2", "count-8", "count-9", "count-64", "count-65", "step-1", "step-1-count-1"],
+)
+def test_every_matches_naive_bits(start, step, stop):
+    assert search._every(start, step, stop) == sum(1 << k for k in range(start, stop, step))
+
+
+def test_absent_matches_missing():
+    # x(x+4)+y^2+z^2 = (x+2)^2+y^2+z^2-4: offset -4, about one value in six
+    # missing
     pairs, limit = ((1, 4), (1, 0), (1, 0)), 2003
     mask = attainable(PolySum.of(*pairs), limit)
     expected = oracles.naive_exceptions(pairs, limit)
     assert mask.offset == -4
-    assert len(expected) * search._DENSE_SHARE >= limit + 1
     assert mask.missing() == expected
-    assert mask.missing_flags() == bytearray(n in expected for n in range(limit + 1))
+    assert mask.absent() == sum(1 << n for n in expected)
     # x^2+y^2+z^2 at 4n - 37, a value from n = 10 on: offset 10
     limit = 501
     mask = attainable(DiagonalForm((1, 1, 1)), limit, progression=(4, -37))
@@ -208,7 +213,7 @@ def test_missing_flags_match_missing():
     expected = [n for n in range(limit + 1) if n < 10 or not reach[4 * n - 37]]
     assert mask.offset == 10
     assert mask.missing() == expected
-    assert mask.missing_flags() == bytearray(n in expected for n in range(limit + 1))
+    assert mask.absent() == sum(1 << n for n in expected)
 
 
 P = search._PIECE
