@@ -277,7 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def threads(p):
-        p.add_argument("--threads", type=int, default=None, help="sieve worker processes (default: TERNA_THREADS or machine parallelism)")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="sieve worker processes at most (default: TERNA_THREADS or machine parallelism); "
+            "a sieve too small to pay for workers runs in process, with the same output",
+        )
 
     p = sub.add_parser("exceptions", help="exceptional set of a form up to a limit")
     p.add_argument("form")

@@ -33,6 +33,10 @@ from .search import _every, _set_bits, represent, value_mask
 _ODD = CongruenceClass(2, 1)
 # the |w| of its members run through the integers prime to 3, ascending
 _PRIME_TO_3 = CongruenceClass(3, 1)
+# x^2 + y^2 + 2z^2 with none of x, y, z divisible by 3
+_COPRIME3_112 = DiagonalForm((1, 1, 2), (_PRIME_TO_3,) * 3)
+# 3y^2 + 6z^2 + x^2 with x of parity 0 and of parity 1
+_X_PARITY_361 = tuple(DiagonalForm((3, 6, 1), (_UNCONSTRAINED, _UNCONSTRAINED, CongruenceClass(2, p))) for p in (0, 1))
 
 
 class NoOddRepresentationError(TernaError):
@@ -199,8 +203,7 @@ def rep_x2_3y2_6z2(n: int, parity: int) -> tuple[int, int, int]:
     t = 6 * n + 1
     if _is_square(t):
         raise PreconditionError(f"{t} is a perfect square")
-    form = DiagonalForm((3, 6, 1), (_UNCONSTRAINED, _UNCONSTRAINED, CongruenceClass(2, parity)))
-    hit = represent(form, t)
+    hit = represent(_X_PARITY_361[parity], t)
     if hit is not None:
         y, z, x = hit
         return x, y, z
@@ -214,7 +217,7 @@ def rep_x2_y2_2z2_coprime3(n: int) -> tuple[int, int, int]:
     if n < 1:
         raise PreconditionError("n must be positive")
     t = 6 * n + 1
-    hit = represent(DiagonalForm((1, 1, 2), (_PRIME_TO_3,) * 3), t)
+    hit = represent(_COPRIME3_112, t)
     if hit is not None:
         return tuple(abs(w) for w in hit)
     raise ConstructionError("exhausted", f"no x^2+y^2+2z^2 = {t} with 3 coprime to xyz")

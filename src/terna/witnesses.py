@@ -103,6 +103,13 @@ def _scan(form: DiagonalForm, t: int, step: str, absent: str) -> tuple[int, ...]
     return tuple(map(abs, hit))
 
 
+# the builders' fixed forms, built once: the three squares, the Dickson
+# forms of clauses iii and vi, and the forms of clauses iv and a
+_SQUARES3 = DiagonalForm((1, 1, 1))
+_F1052 = DiagonalForm((10, 5, 2))
+_F113 = DiagonalForm((1, 1, 3))
+_F441 = DiagonalForm((4, 4, 1))
+_F1136 = DiagonalForm((1, 1, 36))
 _ODD3 = _cf((1, 1, 1), ((2, 1), (2, 1), (2, 1)))
 # clause b: v (parity 1 - delta, solved), u odd, w even, all prime to 3
 _COPRIME3 = tuple(_cf((1, 1, 1), ((6, 1 + delta), (6, 1), (6, 2))) for delta in (0, 1))
@@ -111,7 +118,7 @@ _COPRIME3 = tuple(_cf((1, 1, 1), ((6, 1 + delta), (6, 1), (6, 2))) for delta in 
 def _three_squares_by_parity(t: int) -> tuple[int, int, int]:
     # the first decomposition, as (odd, odd, even) absolute values: t = 6
     # (mod 8) is a sum of three squares only as 1 + 1 + 4
-    vals = _scan(DiagonalForm((1, 1, 1)), t, "three-squares", "is not a sum of three squares")
+    vals = _scan(_SQUARES3, t, "three-squares", "is not a sum of three squares")
     return tuple(sorted(vals, key=lambda v: v % 2 == 0))
 
 
@@ -150,11 +157,11 @@ def _build_ii(t: int):
 def _build_iii(t: int):
     # every decomposition of 40n+17 has u, v, w odd and w = ±1 (mod 5), so
     # sign changes alone move it into the classes
-    return _scan(DiagonalForm((10, 5, 2)), t, "dickson-form", "is not 10u^2+5v^2+2w^2")
+    return _scan(_F1052, t, "dickson-form", "is not 10u^2+5v^2+2w^2")
 
 
 def _build_iv(t: int):
-    u, v, w = _scan(DiagonalForm((4, 4, 1)), t, "three-squares", "is not (2u)^2+(2v)^2+w^2")
+    u, v, w = _scan(_F441, t, "three-squares", "is not (2u)^2+(2v)^2+w^2")
     return u + v, u - v, w
 
 
@@ -166,7 +173,7 @@ def _build_v(t: int):
 
 def _build_vi(t: int):
     # t = 7 (mod 8) makes u and v even
-    u, v, w = _scan(DiagonalForm((1, 1, 3)), t, "dickson-form", "is not u^2+v^2+3w^2")
+    u, v, w = _scan(_F113, t, "dickson-form", "is not u^2+v^2+3w^2")
     return w, (u + v) // 2, abs(u - v) // 2
 
 
@@ -178,7 +185,7 @@ def _build_vii(t: int):
 
 
 def _build_a(t: int):
-    u, v, x6 = _scan(DiagonalForm((1, 1, 36)), t, "imported-form", "is not u^2+v^2+36x^2")
+    u, v, x6 = _scan(_F1136, t, "imported-form", "is not u^2+v^2+36x^2")
     # u and v are prime to 3 and of opposite parity
     odd_, even_ = (u, v) if u % 2 else (v, u)
     return 6 * x6, odd_, even_

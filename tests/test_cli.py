@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from terna import DiagonalForm, PolySum, cli, crosscheck, exceptional_set
+from terna import DiagonalForm, PolySum, cli, crosscheck, exceptional_set, search
 from terna.cli import ArityError, FormParseError, main, parse_form
 from terna.families import GAUSS_LEGENDRE
 from terna.search import SieveReport
@@ -136,7 +136,9 @@ def test_cli_deterministic_output(capsys):
     assert first == second
 
 
-def test_cli_threads_do_not_change_output(capsys):
+def test_cli_threads_do_not_change_output(capsys, monkeypatch):
+    # two piece-operations per worker, so that --threads 2 starts the pool
+    monkeypatch.setattr(search, "_POOL_PIECES", 2)
     base = ("exceptions", "x^2+y^2+3z^2", "--limit", "5000", "--json", "--no-timing")
     _, solo, _ = run(capsys, *base, "--threads", "1")
     _, duo, _ = run(capsys, *base, "--threads", "2")

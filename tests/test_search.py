@@ -12,6 +12,7 @@ from terna import (
     exceptional_set,
     represent,
     represent_all,
+    search,
 )
 from terna.search import DEFAULT_MAX_BITS
 
@@ -147,7 +148,10 @@ def test_monotone_consistency():
         assert list(small) == [n for n in large if n <= 1000]
 
 
-def test_parallel_determinism():
+def test_parallel_determinism(monkeypatch):
+    # two piece-operations per worker, so that these one-piece folds start
+    # the pool at two workers
+    monkeypatch.setattr(search, "_POOL_PIECES", 2)
     for form in (DiagonalForm((1, 1, 1)), PolySum.of((2, 1), (3, 1), (6, 1))):
         solo = exceptional_set(form, 20000, workers=1)
         duo = exceptional_set(form, 20000, workers=2)
@@ -155,13 +159,15 @@ def test_parallel_determinism():
 
 
 def test_clamp_workers():
-    from terna.search import clamp_workers
+    from terna.search import _POOL_PIECES, clamp_workers
 
-    assert clamp_workers(500, 2, 10**6) == 2  # one per CPU
-    assert clamp_workers(3, 8, 1000) == 3  # no more than asked for
-    assert clamp_workers(8, 8, 7) == 3  # at least two shifts each
-    assert clamp_workers(2, 2, 3) == 1
-    assert clamp_workers(1, 64, 1000) == 1
+    assert clamp_workers(500, 2, 10**9) == 2  # one per CPU
+    assert clamp_workers(3, 8, 10**9) == 3  # no more than asked for
+    assert clamp_workers(8, 8, 3 * _POOL_PIECES) == 3  # _POOL_PIECES piece-operations each
+    assert clamp_workers(2, 2, 2 * _POOL_PIECES - 1) == 1
+    assert clamp_workers(1, 64, 10**9) == 1
+    # Gauss to 10^6: 1 001 shifts over 8 pieces, too little for a worker
+    assert clamp_workers(2, 2, 8008) == 0
 
 
 def test_resource_cap():

@@ -13,7 +13,7 @@ import os
 import random
 import subprocess
 import sys
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -28,6 +28,14 @@ def _dense_value_mask(form, limit: int, workers: int = 1, progression: tuple[int
     # reference engine: value_mask with every shift folded
     offset, width, groups = _levels(form, limit, progression)
     return _fold([(_pairs(parts, width), longest) for parts, longest in groups], width, workers), offset
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    # two piece-operations per worker: the small widths here fold a few
+    # shifts over one piece, which the module's threshold leaves in
+    # process, so workers=2 would compare the in-process fold with itself
+    monkeypatch.setattr(search, "_POOL_PIECES", 2)
 
 
 # switch points: the module's own, one that tests candidates after the
@@ -61,6 +69,7 @@ PIECES = (search._PIECE, 64)
 @pytest.mark.parametrize("piece", PIECES)
 @pytest.mark.parametrize("switch", sorted(SWITCHES))
 @pytest.mark.parametrize("pairs,limit", CASES, ids=[f"{p}@{n}" for p, n in CASES])
+@pytest.mark.usefixtures("pooled")
 def test_engines_agree_with_oracle(monkeypatch, pairs, limit, switch, piece):
     monkeypatch.setattr(search, "_BITS_PER_CANDIDATE", SWITCHES[switch])
     monkeypatch.setattr(search, "_PIECE", piece)
@@ -74,6 +83,7 @@ def test_engines_agree_with_oracle(monkeypatch, pairs, limit, switch, piece):
     assert exceptional_set(form, limit, workers=2).exceptions == expected
 
 
+@pytest.mark.usefixtures("pooled")
 def test_dense_reference_independent_of_workers():
     for pairs, limit in CASES:
         form = PolySum.of(*pairs)
@@ -82,13 +92,13 @@ def test_dense_reference_independent_of_workers():
 
 class _RefusedPool:
     # a pool that cannot start, as where processes may not be spawned
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
         raise OSError("process pools are not available")
 
 
 class _BrokenPool:
     # a pool whose workers die before they return
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
         pass
 
     def __enter__(self):
@@ -102,6 +112,7 @@ class _BrokenPool:
 
 
 @pytest.mark.parametrize("pool", [_RefusedPool, _BrokenPool], ids=["refused", "broken"])
+@pytest.mark.usefixtures("pooled")
 def test_fold_falls_back_in_process(monkeypatch, pool):
     # a pool that cannot start or breaks leaves _fold to fold in-process,
     # with the same result
@@ -109,14 +120,54 @@ def test_fold_falls_back_in_process(monkeypatch, pool):
     serial = value_mask(form, 10**5, workers=1)
     started = []
 
-    def start(max_workers):
+    def start(max_workers, mp_context):
         started.append(max_workers)
-        return pool(max_workers)
+        return pool(max_workers, mp_context)
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "ProcessPoolExecutor", start)
     assert value_mask(form, 10**5, workers=2) == serial
     assert started and set(started) == {2}
+
+
+def test_pool_starts_only_past_the_threshold(monkeypatch):
+    # Gauss to 10^6 is 8 008 piece-operations, too few to pay for a
+    # worker's start: it folds in process at workers=2, and in the pool
+    # once the threshold is forced low, with the same mask
+    started = []
+
+    def spy(max_workers, mp_context):
+        started.append(max_workers)
+        return ProcessPoolExecutor(max_workers, mp_context)
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", spy)
+    form = DiagonalForm((1, 1, 1))
+    alone = value_mask(form, 10**6, workers=2)
+    assert started == []
+    monkeypatch.setattr(search, "_POOL_PIECES", 2)
+    assert value_mask(form, 10**6, workers=2) == alone
+    assert started == [2]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 43, 50])
+def test_chunks_deal_every_shift_once(k):
+    shifts = list(range(0, 300, 7))
+    chunks = search._chunks(shifts, k)
+    assert sorted(s for chunk in chunks for s in chunk) == shifts
+    assert len(chunks) == min(k, len(shifts)) and all(chunks)
+    assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+
+
+def test_chunks_share_the_piece_work():
+    # a shift s meets the base's pieces that land below width, fewer as s
+    # grows: dealt round-robin, two chunks of Gauss to 10^7 get within 1%
+    # of the same piece-operations (cut in halves, the first got about
+    # two thirds)
+    _, width, [(_, shifts)] = search._levels(DiagonalForm((1, 1, 1)), 10**7, (1, 0))
+    pieces = -(-width // search._PIECE)
+    work = [sum(pieces - s // search._PIECE for s in chunk) for chunk in search._chunks(shifts, 2)]
+    assert abs(work[0] - work[1]) * 100 < sum(work)
 
 
 def test_candidate_stage_keeps_48(monkeypatch):
@@ -283,6 +334,7 @@ PROBES = (search._PROBE_SHIFTS, 4)
     PROGRESSION_CASES,
     ids=[f"{c}{k}{p}@{n}" for c, k, p, n in PROGRESSION_CASES],
 )
+@pytest.mark.usefixtures("pooled")
 def test_progression_sieve(monkeypatch, coeffs, classes, progression, limit, switch, probe):
     monkeypatch.setattr(search, "_BITS_PER_CANDIDATE", SWITCHES[switch])
     monkeypatch.setattr(search, "_PROBE_SHIFTS", probe)
@@ -307,6 +359,7 @@ def test_progression_sieve(monkeypatch, coeffs, classes, progression, limit, swi
 
 @pytest.mark.parametrize("pairs,limit", CASES[:8], ids=[f"{p}@{n}" for p, n in CASES[:8]])
 @pytest.mark.parametrize("progression", [(3, 1), (7, 12), (12, 5)])
+@pytest.mark.usefixtures("pooled")
 def test_progression_sieve_polysum(pairs, limit, progression):
     # terms with negative values: the offset of the bits may be negative
     modulus, constant = progression
@@ -400,6 +453,7 @@ def assert_engines_agree(form, limit, progression, expected):
 
 @pytest.mark.parametrize("path", sorted(PATHS))
 @pytest.mark.parametrize("pairs,limit", PATH_POLYSUMS, ids=[f"{p}@{n}" for p, n in PATH_POLYSUMS])
+@pytest.mark.usefixtures("pooled")
 def test_paths_agree_polysum(monkeypatch, pairs, limit, path):
     force(monkeypatch, path)
     assert_engines_agree(PolySum.of(*pairs), limit, (1, 0), oracles.naive_exceptions(pairs, limit))
@@ -411,6 +465,7 @@ def test_paths_agree_polysum(monkeypatch, pairs, limit, path):
     PROGRESSION_CASES[:12] + MULTI_GROUP,
     ids=[f"{c}{k}{p}@{n}" for c, k, p, n in PROGRESSION_CASES[:12] + MULTI_GROUP],
 )
+@pytest.mark.usefixtures("pooled")
 def test_paths_agree_progression(monkeypatch, coeffs, classes, progression, limit, path):
     force(monkeypatch, path)
     modulus, constant = progression
@@ -620,6 +675,7 @@ def reference_mask(terms, limit: int, progression: tuple[int, int]) -> tuple[int
 
 
 @pytest.mark.parametrize("form,terms", REFERENCE_FORMS, ids=[str(f) for f, _ in REFERENCE_FORMS])
+@pytest.mark.usefixtures("pooled")
 def test_value_mask_matches_whole_range_reference(form, terms):
     expected = oracles.shifted_values_mask(terms, 10**5)
     for workers in (1, 2):
@@ -631,6 +687,7 @@ def test_value_mask_matches_whole_range_reference(form, terms):
     [(*REFERENCE_FORMS[0], (5, 3), 2000), (*REFERENCE_FORMS[4], (7, 2), 1500)],
     ids=["237-mod5", "x2+y2+11z2-mod7"],
 )
+@pytest.mark.usefixtures("pooled")
 def test_progressions_match_whole_range_reference(form, terms, progression, limit):
     # several residue pairs per progression, whose sums carry past M
     expected = reference_mask(terms, limit, progression)
@@ -644,9 +701,11 @@ import multiprocessing
 from terna import DiagonalForm, exceptional_set, search
 
 if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
+    search._pool_context = lambda: multiprocessing.get_context("spawn")
     # a broken pool raises here instead of falling back to the in-process fold
     search.BrokenExecutor = type("Unraised", (Exception,), {})
+    # two piece-operations per worker, so that folds to 10^5 start the pool
+    search._POOL_PIECES = 2
     for coeffs in ((1, 1, 1), (10, 5, 2)):
         one, two = (exceptional_set(DiagonalForm(coeffs), 10**5, workers=w).exceptions for w in (1, 2))
         print(len(one), one == two)
@@ -655,8 +714,8 @@ if __name__ == "__main__":
 
 def test_pool_under_spawn_start_method():
     # spawned workers import terna afresh instead of inheriting the parent's
-    # memory, as under macOS's default start method and Python 3.14's
-    # forkserver; both dense folds must still match one worker
+    # memory, as under macOS's default start method and the fork server the
+    # pool starts from on Linux; both dense folds must still match one worker
     src = str(Path(search.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     run = subprocess.run([sys.executable, "-c", SPAWNED_POOL], env=env, capture_output=True, text=True, timeout=300)
