@@ -128,10 +128,6 @@ class CongruenceClass:
     def contains(self, w: int) -> bool:
         return w % self.modulus == self.residue
 
-    def min_abs(self) -> int:
-        """Smallest |w| over members of the class."""
-        return min(self.residue, self.modulus - self.residue) if self.residue else 0
-
 
 # the class of every integer, the default of each variable of a DiagonalForm
 _UNCONSTRAINED = CongruenceClass(1, 0)

@@ -103,9 +103,8 @@ def _pair(c1: int, k1: CongruenceClass, c2: int, k2: CongruenceClass, m: int) ->
 
 def _pair_mask(c1: int, k1: CongruenceClass, c2: int, k2: CongruenceClass, limit: int) -> int:
     # bit v set iff v = c1*w1^2 + c2*w2^2 <= limit over the classes, as in
-    # _pair; the shift undoes the offset of classes without 0
-    mask, offset = value_mask(DiagonalForm((c1, c2, limit + 1), (k1, k2, _UNCONSTRAINED)), limit)
-    return mask << offset
+    # _pair
+    return value_mask(DiagonalForm((c1, c2, limit + 1), (k1, k2, _UNCONSTRAINED)), limit)
 
 
 def rep_5x2_5y2_z2_odd(n: int, r: int) -> tuple[int, int, int]:

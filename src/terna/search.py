@@ -34,21 +34,23 @@ Two complementary engines:
 * ``exceptional_set`` computes E(f) = {n <= N : n is not a value of f}
   for a whole range at once, from the attainable-value bitset built by
   ``value_mask`` (a Python int used as a bit array).  ``value_mask`` and
-  ``attainable`` sieve one progression (M, C): bit n says whether M*n + C
-  is a value, in limit + 1 bits whatever M is; the default (1, 0) is the
-  plain range.  Every input is first made one DiagonalForm, with classes,
-  on one progression (``_constrained``): n is a value of a PolySum iff
-  M'*n + C' is a value of its reduction (``reduce``, M' = 4*lcm(ai)), so
-  (M, C) becomes (M'*M, M'*C + C'); a DiagonalForm is taken as it is.  Each
-  variable's values c*w^2 over its class are enumerated with an early
-  cutoff and bucketed by residue mod M, keeping the quotients.  Each
-  residue pair of the two shorter lists, short and middle, sums into a
-  quotient bitset B_s for the pair residue s, carry added, which goes
-  with the longest list's quotients v of residue C - s (mod M).  On
-  (1, 0) there is one group (B, v), for a PolySum too: its values less
-  their minima are multiples of M'.  Every sumset is an OR of shifted
-  copies of 2^17-bit pieces of one operand, the one spanning fewer
-  pieces per shift.
+  ``attainable`` sieve one progression (M, C): bit n of the mask says
+  whether M*n + C is a value, for 0 <= n <= limit whatever M is; the
+  default (1, 0) is the plain range.  Every input is first made one
+  DiagonalForm, with classes, on one progression (``_constrained``): n is
+  a value of a PolySum iff M'*n + C' is a value of its reduction
+  (``reduce``, M' = 4*lcm(ai)), so (M, C) becomes (M'*M, M'*C + C'); a
+  DiagonalForm is taken as it is.  Each variable's values c*w^2 >= 0 over
+  its class up to M*limit + C enter as they are, bucketed by residue mod
+  M, keeping the quotients.  Each residue pair of the two shorter lists,
+  short and middle, sums into a quotient bitset B_s for the pair residue
+  s, carry added, which goes with the longest list's quotients v of
+  residue C - s (mod M).  Bit k of the fold stands for M*k + (C mod M),
+  and one shift by C // M at the end makes it bit n.  On (1, 0) there is
+  one group (B, v), for a PolySum too: the values c*(2aw+b)^2 of each of
+  its variables lie in one residue class mod M'.  Every sumset is an OR
+  of shifted copies of 2^17-bit pieces of one operand, the one spanning
+  fewer pieces per shift.
 
   A form's pair level starts as B_K, built from its first K short
   values only, and is folded with the first P v into a probe, P = 64 at
@@ -135,10 +137,9 @@ class SieveReport:
 
 @dataclass(frozen=True)
 class ValueMask:
-    """The n in [offset, limit] with M*n + C a value of a form, for one
-    progression (M, C), as bit n - offset of mask."""
+    """The n in [0, limit] with M*n + C a value of a form, for one
+    progression (M, C), as bit n of mask."""
 
-    offset: int
     limit: int
     mask: int = field(repr=False)  # str() of an int over 4300 digits raises
 
@@ -148,8 +149,7 @@ class ValueMask:
 
     def absent(self) -> int:
         """Bit n is set iff n is not in the set, for 0 <= n <= limit."""
-        present = self.mask >> -self.offset if self.offset <= 0 else self.mask << self.offset
-        return present ^ ((1 << (self.limit + 1)) - 1)
+        return self.mask ^ ((1 << (self.limit + 1)) - 1)
 
 
 # Modulus of _scan_all's residue test: 2^4 * 3^2, for the mod-8 and mod-9
@@ -263,25 +263,18 @@ def _hits(form: Form, n: int) -> Iterator:
 
 # --- value slots -----------------------------------------------------------
 #
-# A "slot" is the value multiset {c*w^2 : w in cl} of one variable of a
-# DiagonalForm, w running over its congruence class cl.  Slots carry
-# their minimum so sums can be offset into a nonnegative bit range.
+# A "slot" is the value set {c*w^2 : w in cl} of one variable of a
+# DiagonalForm, w running over its congruence class cl; its values are
+# >= 0 and enter the sieve as they are.
 
 
 def _square_slot(c: int, cap: int, cl: CongruenceClass) -> list[int]:
     if cap < 0:
         return []
-    # |w| from either the class or its negation; duplicates are harmless
+    # |w| from either the class or its negation: r and -r mod m are one
+    # class or two disjoint ones, so no value repeats
     bound = isqrt(cap // c)
     return [c * w * w for r in {cl.residue, -cl.residue % cl.modulus} for w in range(r, bound + 1, cl.modulus)]
-
-
-def _slots(cf: DiagonalForm, limit: int) -> list[tuple[int, list[int]]]:
-    """Per-variable (min value, values <= cap) with caps shrunk by the
-    minima of the other slots."""
-    mins = [c * cl.min_abs() ** 2 for c, cl in zip(cf.coeffs, cf.classes)]
-    total_min = sum(mins)
-    return [(m, _square_slot(c, limit - (total_min - m), cl)) for m, c, cl in zip(mins, cf.coeffs, cf.classes)]
 
 
 def _constrained(form: Form, progression: tuple[int, int]) -> tuple[DiagonalForm, int, int, Optional[ReductionData]]:
@@ -490,20 +483,20 @@ def _levels(form: Form, limit: int, progression: tuple[int, int]) -> tuple[int, 
     """(offset, width, groups) for progression = (M, C): M*(k + offset) + C
     is a value of form iff bit k - s of _pairs(parts, ...) is set for some
     (parts, shifts) in groups and shift s: the parts of B_s and the
-    longest-slot quotients of the module docstring, over each slot's values
-    less its minimum."""
+    longest-slot quotients of the module docstring.  offset is -(C // M):
+    bit k stands for M*k + (C mod M), and sums of values >= 0 start at
+    k = 0."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if progression[0] < 1:
         raise ValueError(f"progression modulus must be >= 1, got {progression[0]}")
     cf, M, C, _ = _constrained(form, progression)
-    slots = sorted(((m, sorted({v - m for v in vals})) for m, vals in _slots(cf, M * limit + C)), key=lambda s: len(s[1]))
-    # with the minima taken out, the sums are M*k + dr over bits k >= 0
-    dq, dr = divmod(C - sum(m for m, _ in slots), M)
+    dq, dr = divmod(C, M)
     width = max(limit + dq + 1, 0)
     if width > DEFAULT_MAX_BITS:
         raise ResourceLimitError(f"sieve needs {width} bits, cap is {DEFAULT_MAX_BITS}")
-    (_, short), (_, middle), (_, longest) = slots
+    slots = (sorted(_square_slot(c, M * limit + C, cl)) for c, cl in zip(cf.coeffs, cf.classes))
+    short, middle, longest = sorted(slots, key=len)
     middles = _buckets(middle, M)
     pairs: dict[int, list[Part]] = {}
     for a, shifts in _buckets(short, M).items():
@@ -553,14 +546,18 @@ def _pairs(parts: list[Part], width: int, lo: int = 0, hi: Optional[int] = None)
     return acc
 
 
-def value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> tuple[int, int]:
-    """(mask, offset): for progression = (M, C), M*n + C is a value of form
-    iff bit n - offset of mask is set, n <= limit.  offset is the least n
-    with M*n + C at least the form's smallest value; for the default
-    (1, 0), that value itself: 0 for a diagonal form, the sum of the terms'
-    minima (possibly negative) for a PolySum.  A sparse form folds only a
-    prefix of the pair level and tests the few bits it leaves missing."""
+def value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> int:
+    """For progression = (M, C), bit n of the mask is set iff M*n + C is a
+    value of form, 0 <= n <= limit.  A sparse form folds only a prefix of
+    the pair level and tests the few bits it leaves missing."""
     offset, width, groups = _levels(form, limit, progression)
+    mask = _mask(width, groups, workers)
+    # bit k of the fold is n = k + offset
+    return mask << offset if offset >= 0 else mask >> -offset
+
+
+def _mask(width: int, groups: list[Group], workers: int) -> int:
+    # the fold of _levels' groups, width bits
     values = sorted({q for parts, _ in groups for _, short in parts for q in short})
     k = _start(groups, values, width)
     cut = values[k] if k < len(values) else None
@@ -585,7 +582,7 @@ def value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int,
             del bases
             if unreached and cut is not None:
                 unreached = _complete(unreached, groups, cut)
-            return ((1 << width) - 1) ^ _bits(unreached, width), offset
+            return ((1 << width) - 1) ^ _bits(unreached, width)
         # P grows while every probe has shown a sparse form and some group
         # has shifts past it
         if not (p < most and missing * _SPARSE_SHARE <= width and missing * _SPARSE_DROP <= before):
@@ -596,7 +593,7 @@ def value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int,
     if cut is not None:
         for i, (parts, _) in enumerate(groups):
             bases[i] |= _pairs(parts, width, cut)
-    return _fold([(base, longest) for base, (_, longest) in zip(bases, groups)], width, workers), offset
+    return _fold([(base, longest) for base, (_, longest) in zip(bases, groups)], width, workers)
 
 
 def _start(groups: list[Group], values: list[int], width: int) -> int:
@@ -651,8 +648,7 @@ def _unreached(candidates: list[int], base: int, width: int, shifts: list[int]) 
 def attainable(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> ValueMask:
     """The n <= limit with M*n + C a value of form, as a ValueMask; the
     default progression (M, C) = (1, 0) gives the values up to limit."""
-    mask, offset = value_mask(form, limit, workers=workers, progression=progression)
-    return ValueMask(offset, limit, mask)
+    return ValueMask(limit, value_mask(form, limit, workers=workers, progression=progression))
 
 
 def env_workers() -> Optional[int]:

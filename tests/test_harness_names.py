@@ -35,3 +35,17 @@ def test_wrapped_name_is_bound(mod, attr):
 def test_workload_imports_are_bound():
     # an import of a removed name raises ImportError here
     assert load("workloads").WITNESS_CLAUSE_IDS
+
+
+def test_value_mask_is_traced_under_attainable():
+    # the benchmark reads the sieve's spans by name: exceptional_set must
+    # reach value_mask through attainable, each by its module global, so
+    # that both are traced and the first is a child of the second
+    from terna import PolySum, exceptional_set
+
+    tracer = load("spans").Tracer()
+    with tracer.installed():
+        exceptional_set(PolySum.of((2, 1), (3, 1), (7, 1)), 10**4)
+    masks = [i for i, name in enumerate(tracer.names) if name == "search.value_mask"]
+    assert masks
+    assert all(tracer.parent[i] >= 0 and tracer.names[tracer.parent[i]] == "search.attainable" for i in masks)

@@ -24,10 +24,15 @@ from terna import search
 from terna.search import _fold, _levels, _pairs, attainable, exceptional_set, value_mask
 
 
-def _dense_value_mask(form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> tuple[int, int]:
+def _aligned(mask: int, offset: int) -> int:
+    # bit k - offset of mask moved to bit k
+    return mask << offset if offset >= 0 else mask >> -offset
+
+
+def _dense_value_mask(form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> int:
     # reference engine: value_mask with every shift folded
     offset, width, groups = _levels(form, limit, progression)
-    return _fold([(_pairs(parts, width), longest) for parts, longest in groups], width, workers), offset
+    return _aligned(_fold([(_pairs(parts, width), longest) for parts, longest in groups], width, workers), offset)
 
 
 @pytest.fixture
@@ -75,7 +80,6 @@ def test_engines_agree_with_oracle(monkeypatch, pairs, limit, switch, piece):
     monkeypatch.setattr(search, "_PIECE", piece)
     form = PolySum.of(*pairs)
     dense = _dense_value_mask(form, limit)
-    assert dense[1] == sum(oracles.term_min(a, b) for a, b in pairs)
     assert value_mask(form, limit, workers=1) == dense
     assert value_mask(form, limit, workers=2) == dense
     expected = tuple(oracles.naive_exceptions(pairs, limit))
@@ -184,7 +188,7 @@ def test_candidate_stage_keeps_48(monkeypatch):
     monkeypatch.setattr(search, "_unreached", spy)
     form = PolySum.of((2, 1), (3, 1), (6, 1))
     report = exceptional_set(form, 10**5)
-    assert 48 in seen[0] and seen[-1] == [48]  # offset 0: bit n is value n
+    assert 48 in seen[0] and seen[-1] == [48]  # offset 0: bit k of the fold is value k
     assert value_mask(form, 10**5) == _dense_value_mask(form, 10**5)
     assert report.exceptions == (48,)
 
@@ -248,23 +252,27 @@ def test_every_matches_naive_bits(start, step, stop):
     assert search._every(start, step, stop) == sum(1 << k for k in range(start, stop, step))
 
 
-def test_absent_matches_missing():
-    # x(x+4)+y^2+z^2 = (x+2)^2+y^2+z^2-4: offset -4, about one value in six
-    # missing
-    pairs, limit = ((1, 4), (1, 0), (1, 0)), 2003
-    mask = attainable(PolySum.of(*pairs), limit)
-    expected = oracles.naive_exceptions(pairs, limit)
-    assert mask.offset == -4
+def assert_absent_matches(mask, limit: int, expected: list[int]):
+    # bit n of the mask is n, and no bit lies past limit
+    assert mask.mask.bit_length() <= limit + 1
     assert mask.missing() == expected
     assert mask.absent() == sum(1 << n for n in expected)
-    # x^2+y^2+z^2 at 4n - 37, a value from n = 10 on: offset 10
+
+
+def test_absent_matches_missing():
+    # x(x+4)+y^2+z^2 = (x+2)^2+y^2+z^2-4: its terms take negative values,
+    # and about one value in six is missing
+    pairs, limit = ((1, 4), (1, 0), (1, 0)), 2003
+    assert_absent_matches(attainable(PolySum.of(*pairs), limit), limit, oracles.naive_exceptions(pairs, limit))
+    # x^2+y^2+z^2 at 4n - 37, a value from n = 10 on
     limit = 501
-    mask = attainable(DiagonalForm((1, 1, 1)), limit, progression=(4, -37))
     reach = oracles.naive_class_values((1, 1, 1), [(1, 0)] * 3, 4 * limit - 37)
     expected = [n for n in range(limit + 1) if n < 10 or not reach[4 * n - 37]]
-    assert mask.offset == 10
-    assert mask.missing() == expected
-    assert mask.absent() == sum(1 << n for n in expected)
+    assert_absent_matches(attainable(DiagonalForm((1, 1, 1)), limit, progression=(4, -37)), limit, expected)
+    # x(4x+4)+y(5y+5)+z(6z+6): reduced on M = 240, its three slots' least
+    # values, 240, 300 and 360, are all at least M
+    pairs, limit = ((4, 4), (5, 5), (6, 6)), 2000
+    assert_absent_matches(attainable(PolySum.of(*pairs), limit), limit, oracles.naive_exceptions(pairs, limit))
 
 
 P = search._PIECE
@@ -350,18 +358,16 @@ def test_progression_sieve(monkeypatch, coeffs, classes, progression, limit, swi
     assert _dense_value_mask(form, limit, progression=progression) == mask
     assert _dense_value_mask(form, limit, workers=2, progression=progression) == mask
 
-    # bit v - offset of the dense mask is value v; values below offset are
-    # not attained
-    dense, offset = _dense_value_mask(form, top)
-    bits = [modulus * n + constant - offset for n in range(limit + 1)]
-    assert [n for n, k in enumerate(bits) if k < 0 or not dense >> k & 1] == expected
+    # bit v of the dense mask is value v
+    dense = _dense_value_mask(form, top)
+    assert [n for n in range(limit + 1) if not dense >> modulus * n + constant & 1] == expected
 
 
 @pytest.mark.parametrize("pairs,limit", CASES[:8], ids=[f"{p}@{n}" for p, n in CASES[:8]])
 @pytest.mark.parametrize("progression", [(3, 1), (7, 12), (12, 5)])
 @pytest.mark.usefixtures("pooled")
 def test_progression_sieve_polysum(pairs, limit, progression):
-    # terms with negative values: the offset of the bits may be negative
+    # terms with negative values: the fold's bits start below n = 0
     modulus, constant = progression
     limit //= modulus
     missing = set(oracles.naive_exceptions(pairs, modulus * limit + constant))
@@ -397,7 +403,7 @@ def test_sieve_rejects_negative_limit():
 
 def test_value_mask_repr_leaves_out_the_mask():
     # the mask of 10^5 bits has more decimal digits than str() allows
-    assert repr(attainable(DiagonalForm((1, 1, 1)), 10**5)) == "ValueMask(offset=0, limit=100000)"
+    assert repr(attainable(DiagonalForm((1, 1, 1)), 10**5)) == "ValueMask(limit=100000)"
 
 
 # --- truncated pair fold ------------------------------------------------------
@@ -665,19 +671,17 @@ REFERENCE_FORMS = [
 ]
 
 
-def reference_mask(terms, limit: int, progression: tuple[int, int]) -> tuple[int, int]:
+def reference_mask(terms, limit: int, progression: tuple[int, int]) -> int:
     # the reference over [0, M*limit + C], read at every M*n + C
     modulus, constant = progression
-    whole, low = oracles.shifted_values_mask(terms, modulus * limit + constant)
-    offset = -((constant - low) // modulus)  # the least n with M*n + C >= low
-    mask = sum(1 << n - offset for n in range(offset, limit + 1) if whole >> modulus * n + constant - low & 1)
-    return mask, offset
+    whole = _aligned(*oracles.shifted_values_mask(terms, modulus * limit + constant))
+    return sum(1 << n for n in range(limit + 1) if whole >> modulus * n + constant & 1)
 
 
 @pytest.mark.parametrize("form,terms", REFERENCE_FORMS, ids=[str(f) for f, _ in REFERENCE_FORMS])
 @pytest.mark.usefixtures("pooled")
 def test_value_mask_matches_whole_range_reference(form, terms):
-    expected = oracles.shifted_values_mask(terms, 10**5)
+    expected = _aligned(*oracles.shifted_values_mask(terms, 10**5))
     for workers in (1, 2):
         assert value_mask(form, 10**5, workers=workers) == expected
 
