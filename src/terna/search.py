@@ -68,16 +68,18 @@ Two complementary engines:
   missing, P doubles while every probe has shown a sparse form (at most
   one bit in 16 missing, and at most half as many after each P step):
   B_K is folded with the next P v.  Otherwise the form is dense (Gauss,
-  Dickson: about one bit in six missing): the probe is dropped, B_K is
-  completed to all of B with the short values past K, and all of B is
-  folded with every v, the full fold.  That fold may be split into
-  chunks for worker processes whose masks merge by bitwise OR, which is
-  associative and commutative, so worker count never changes the result.
-  Workers start only for a fold of at least _POOL_PIECES piece-operations
-  per worker, past which they pay for their start; a smaller fold runs in
-  process whatever workers asks.  The shifts are dealt to the chunks
-  round-robin, so each worker gets the same mix of low shifts, which meet
-  many pieces of the base, and high ones, which meet few.
+  Dickson: about one bit in six missing) and the probe is dropped.  Its
+  exceptions lie in classes of n at 2 and at the odd primes of its
+  coefficients, so it is folded by class of n mod q (``_split``): the
+  slots are bucketed mod Q = q*M, each B_s is built once, and class j
+  (n = q*i + j) folds its groups (B_s, longest quotients of residue
+  M*j + C - s mod Q), limit/q bits wide, _PROBE_SHIFTS shifts at a time
+  until all its bits are set: of Gauss's 16 classes to 10^6, only the
+  two that hold exceptions fold all their 250.  The class masks are
+  interleaved into bit n for n, a block at a time.  At q = 1, B_K is
+  completed to all of B and folded with every v.  Class folds may run in
+  worker processes, one class per task, so worker count never changes
+  the result; workers start only past _POOL_PIECES piece-operations each.
   The exceptions are then read off the bitset's clear bits at C speed:
   the complement's nonzero bytes are found by one translate and split of
   its bytes, and each byte's bits come from a table.
@@ -97,7 +99,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, compress, count, cycle
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add
 from typing import Iterable, Iterator, Optional, Union
 
@@ -118,7 +120,8 @@ Form = Union[PolySum, DiagonalForm]
 # and survey.  A sieve's peak is several bitsets: the traced peak of
 # (2,3,7) to 10^7 is 5.65 of them (perfbench search.peak_over_bitset,
 # Python 3.11), in the P step of value_mask, which folds B_K beside the
-# probe; the read of the bits it leaves missing peaks at 5.51.
+# probe; the read of the bits it leaves missing peaks at 5.51, and the
+# dense folds of the three family forms at 4.94-5.53, in their interleave.
 DEFAULT_MAX_BITS = 1 << 31
 
 
@@ -392,22 +395,30 @@ def _or_shifts(base: int, shifts: Iterable[int], width: int) -> int:
     return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in acc), "little")
 
 
-# Piece-operations per worker of a pooled fold (_fold): a fold of w
-# piece-operations, one piece of base shifted into an accumulator each, as
-# _costs counts them, starts min(w // _POOL_PIECES, threads, CPUs) workers.
-# value_mask to N at one worker against two, each run in a fresh process
-# that starts the fork server (medians of 5 alternated runs, ms; Python
-# 3.11, 2-core x86-64 VM whose two processes run at 1.4x one):
-#   N        work         x^2+y^2+z^2  x^2+y^2+3z^2  10x^2+5y^2+2z^2
-#   4*10^6    62k / 44k   390 / 541    343 / 488     218 / 385
-#   6*10^6   113k / 80k   706 / 718    617 / 685     444 / 473
-#   7*10^6   143k / 101k  949 / 1151   763 / 910     525 / 577
-#   8*10^6   175k / 124k  1411 / 1331  1028 / 946    743 / 630
-#   10^7     244k / 172k  1721 / 1328  1353 / 1178   912 / 821
-# (work: piece-operations of the first two forms / of the third).  Two
-# workers start from 2^17 piece-operations, near where they begin to pay;
-# in a process whose server runs already, they pay from about 2^16.
-_POOL_PIECES = 1 << 16
+# Piece-operations per worker of a pooled fold (_fold): class folds of w
+# piece-operations, every shift below each class's width, start
+# min(w // _POOL_PIECES, threads, CPUs) workers.  value_mask at one worker
+# / two, each in a fresh process that starts the fork server (medians of 5
+# alternated runs, ms; Python 3.11, 2-core x86-64 VM whose two processes
+# run at 1.4x one), for x^2+y^2+z^2, x^2+y^2+3z^2 and 10x^2+5y^2+2z^2: to
+# 4*10^6 (36k, 44k, 14k piece-operations) 131/327, 106/355, 69/276; to
+# 10^7 (142k, 139k, 22k) 439/655, 374/622, 202/409; to 3*10^7 (740k,
+# 603k, 116k) 1638/1854, 1380/1606, 561/787.  Two workers never paid, so
+# 2^19 keeps every measured fold in process.
+_POOL_PIECES = 1 << 19
+
+# Split factor of a dense fold (_split).  value_mask to 10^7 at _SPLIT =
+# 4/8/16/32 (medians of 5, interleaved, ms): x^2+y^2+z^2 963/577/439/416,
+# x^2+y^2+3z^2 399/376/376/332, 10x^2+5y^2+2z^2 257/206/199/214,
+# x^2+y^2+11z^2 670/637/592/719; to 10^6, 16 is best for x^2+y^2+z^2 (26
+# ms against 32-38) and 4 for x^2+y^2+11z^2 (36 against 53).
+_SPLIT = 16
+# Narrowest class of n mod q, in bits; a dense fold with narrower classes
+# runs whole (q = 1).  The split pays from classes of 2^12 to 2^13 bits:
+# value_mask split / whole (medians of 15, ms) of x^2+y^2+z^2 (q = 16) to
+# 2^16 1.82 / 1.47, 2^17 3.68 / 4.66; x^2+y^2+3z^2 (q = 48) to 2^17 4.07 /
+# 3.48, 2^18 6.90 / 16.0; x^2+y^2+11z^2 (q = 176) to 2^18 11.8 / 8.32.
+_FLOOR = 1 << 12
 
 
 @cache
@@ -434,34 +445,49 @@ def clamp_workers(requested: int, cpus: int, work: int) -> int:
     return min(requested, cpus, work // _POOL_PIECES)
 
 
-def _chunks(seq: list[int], k: int) -> list[list[int]]:
-    # k or fewer nonempty chunks, dealt round-robin: the shifts ascend and a
-    # low shift meets more pieces of the base than a high one, so each chunk
-    # gets the same mix of both
-    return [seq[i::k] for i in range(min(k, len(seq)))]
-
-
-def _fold(groups: list[tuple[int, list[int]]], width: int, workers: int) -> int:
-    # OR of base << s over every group's shifts, each group's shifts dealt
-    # into one chunk per worker
-    work = sum(len(shifts) for _, shifts in groups) * -(-width // _PIECE)
+def _fold(classes: list[Class], workers: int) -> list[bytes]:
+    # _fold_class of each class, its groups (B_s, shifts), in class order,
+    # one class per task
+    work = sum(len(shifts) * -(-width // _PIECE) for _, width, groups in classes for _, shifts in groups)
     n = clamp_workers(workers, os.cpu_count() or 1, work)
-    parts = [(base, part) for base, shifts in groups for part in _chunks(shifts, max(n, 1))]
-    acc = 0
     if n > 1:
         try:
             with ProcessPoolExecutor(max_workers=n, mp_context=_pool_context()) as pool:
-                for r in pool.map(_or_shifts, *zip(*parts), [width] * len(parts)):
-                    acc |= r
-            return acc
+                return list(pool.map(_fold_class, *zip(*classes)))
         except (OSError, BrokenExecutor):
-            # environments without working process pools fall back to the
-            # same chunked computation in-process; OR is idempotent, so
-            # what the pool merged already changes nothing
+            # without a working pool, the same class folds run in process
             pass
-    for base, part in parts:
-        acc |= _or_shifts(base, part, width)
-    return acc
+    return [_fold_class(*c) for c in classes]
+
+
+def _fold_class(offset: int, width: int, groups: list[tuple[int, list[int]]]) -> bytes:
+    # OR of base << s over the groups' shifts, bit k standing for i = k +
+    # offset of the class, as bytes with bit i for i.  The groups take turns,
+    # _PROBE_SHIFTS shifts at a time, until every bit of an i >= 0 is set
+    skip, acc = max(-offset, 0), 0
+    most = max((len(shifts) for _, shifts in groups), default=0)
+    batches = ((b, v[lo : lo + _PROBE_SHIFTS]) for lo in range(0, most, _PROBE_SHIFTS) for b, v in groups if lo < len(v))
+    for base, batch in batches:
+        acc |= _or_shifts(base, batch, width)
+        if (acc >> skip).bit_count() == width - skip:
+            break
+    acc = _aligned(acc, offset)
+    return acc.to_bytes((acc.bit_length() + 7) // 8, "little")
+
+
+def _interleave(masks: list[bytes]) -> int:
+    # bit q*i + j of the result is bit i of masks[j], q = len(masks): class
+    # j fills bytes q - 1 - j, 2q - 1 - j, ... of a block's plane of one byte
+    # per bit, most significant first, which int(plane, 2) reads back
+    q = len(masks)
+    size = max(_PIECE // (8 * q), 1)
+    top = -(-max(map(len, masks)) // size) * size
+    plane, out = bytearray(8 * q * size), bytearray(q * top)
+    for k in range(0, top, size):
+        for j, raw in enumerate(masks):
+            plane[q - 1 - j :: q] = format(int.from_bytes(raw[k : k + size], "little"), f"0{8 * size}b").encode()
+        out[q * k : q * (k + size)] = int(plane, 2).to_bytes(q * size, "little")
+    return int.from_bytes(out, "little")
 
 
 def _buckets(values: list[int], modulus: int) -> dict[int, list[int]]:
@@ -477,40 +503,42 @@ def _buckets(values: list[int], modulus: int) -> dict[int, list[int]]:
 Part = tuple[list[int], list[int]]
 # (parts of B_s, longest-slot shifts)
 Group = tuple[list[Part], list[int]]
+# (offset, width, [(s, longest-slot shifts)]) of one class of n
+Class = tuple[int, int, list[tuple[int, list[int]]]]
 
 
-def _levels(form: Form, limit: int, progression: tuple[int, int]) -> tuple[int, int, list[Group]]:
-    """(offset, width, groups) for progression = (M, C): M*(k + offset) + C
-    is a value of form iff bit k - s of _pairs(parts, ...) is set for some
-    (parts, shifts) in groups and shift s: the parts of B_s and the
-    longest-slot quotients of the module docstring.  offset is -(C // M):
-    bit k stands for M*k + (C mod M), and sums of values >= 0 start at
-    k = 0."""
+def _levels(form: Form, limit: int, progression: tuple[int, int], q: int = 1) -> tuple[dict[int, list[Part]], list[Class]]:
+    """(pairs, classes) for progression = (M, C), slots bucketed mod Q =
+    q*M: pairs[s] holds the parts of B_s, and classes[j] = (offset, width,
+    targets) has M*(q*(k + offset) + j) + C a value of form iff bit k - v of
+    _pairs(pairs[s], ...) is set for some (s, shifts) in targets, v in
+    shifts, the longest-slot quotients.  offset is -((M*j + C) // Q): bit k
+    stands for Q*k + ((M*j + C) mod Q), and sums of values >= 0 start at 0."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if progression[0] < 1:
         raise ValueError(f"progression modulus must be >= 1, got {progression[0]}")
     cf, M, C, _ = _constrained(form, progression)
-    dq, dr = divmod(C, M)
-    width = max(limit + dq + 1, 0)
-    if width > DEFAULT_MAX_BITS:
-        raise ResourceLimitError(f"sieve needs {width} bits, cap is {DEFAULT_MAX_BITS}")
+    if limit + C // M + 1 > DEFAULT_MAX_BITS:
+        raise ResourceLimitError(f"sieve needs {limit + C // M + 1} bits, cap is {DEFAULT_MAX_BITS}")
     slots = (sorted(_square_slot(c, M * limit + C, cl)) for c, cl in zip(cf.coeffs, cf.classes))
     short, middle, longest = sorted(slots, key=len)
-    middles = _buckets(middle, M)
+    Q = q * M
+    middles = _buckets(middle, Q)
     pairs: dict[int, list[Part]] = {}
-    for a, shifts in _buckets(short, M).items():
+    for a, shifts in _buckets(short, Q).items():
         for b, quotients in middles.items():
-            carry, s = divmod(a + b, M)
-            pairs.setdefault(s, []).append((quotients, [q + carry for q in shifts]))
-    thirds = _buckets(longest, M)
-    groups = []
-    for s, parts in sorted(pairs.items()):
-        quotients = thirds.get((dr - s) % M)
-        if quotients:
-            carry = int(s > dr)
-            groups.append((parts, [q + carry for q in quotients]))
-    return -dq, width, groups
+            carry, s = divmod(a + b, Q)
+            pairs.setdefault(s, []).append((quotients, [v + carry for v in shifts]))
+    thirds = _buckets(longest, Q)
+    order = sorted(pairs)
+    classes = []
+    for j in range(q):
+        dq, dr = divmod(M * j + C, Q)
+        # the longest-slot quotients of residue dr - s, plus 1 where s > dr
+        targets = [(s, v if s <= dr else [x + 1 for x in v]) for s in order if (v := thirds.get((dr - s) % Q))]
+        classes.append((-dq, max(len(range(j, limit + 1, q)) + dq, 0), targets))
+    return pairs, classes
 
 
 def _cut(parts: list[Part], width: int, lo: int, hi: Optional[int]) -> Iterator[tuple[list[int], list[int]]]:
@@ -549,15 +577,10 @@ def _pairs(parts: list[Part], width: int, lo: int = 0, hi: Optional[int] = None)
 def value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> int:
     """For progression = (M, C), bit n of the mask is set iff M*n + C is a
     value of form, 0 <= n <= limit.  A sparse form folds only a prefix of
-    the pair level and tests the few bits it leaves missing."""
-    offset, width, groups = _levels(form, limit, progression)
-    mask = _mask(width, groups, workers)
-    # bit k of the fold is n = k + offset
-    return mask << offset if offset >= 0 else mask >> -offset
-
-
-def _mask(width: int, groups: list[Group], workers: int) -> int:
-    # the fold of _levels' groups, width bits
+    the pair level and tests the few bits it leaves missing; a dense one
+    folds each class of n mod q on its own."""
+    pairs, [(offset, width, targets)] = _levels(form, limit, progression)
+    groups = [(pairs[s], longest) for s, longest in targets]
     values = sorted({q for parts, _ in groups for _, short in parts for q in short})
     k = _start(groups, values, width)
     cut = values[k] if k < len(values) else None
@@ -582,18 +605,53 @@ def _mask(width: int, groups: list[Group], workers: int) -> int:
             del bases
             if unreached and cut is not None:
                 unreached = _complete(unreached, groups, cut)
-            return ((1 << width) - 1) ^ _bits(unreached, width)
+            return _aligned(((1 << width) - 1) ^ _bits(unreached, width), offset)
         # P grows while every probe has shown a sparse form and some group
         # has shifts past it
         if not (p < most and missing * _SPARSE_SHARE <= width and missing * _SPARSE_DROP <= before):
             break
         lo, p, before = p, 2 * p, missing
-    # a dense form: the probe is dropped, and all of B meets every v
+    # a dense form: the probe is dropped
     del acc
-    if cut is not None:
-        for i, (parts, _) in enumerate(groups):
-            bases[i] |= _pairs(parts, width, cut)
-    return _fold([(base, longest) for base, (_, longest) in zip(bases, groups)], width, workers)
+    q = _split(form, limit, progression)
+    if q > 1:
+        # each B_s is built once, as wide as the widest class, and each
+        # class's shifts are cut at its width
+        del bases
+        pairs, classes = _levels(form, limit, progression, q)
+        top = max(width for _, width, _ in classes)
+        built = {s: _pairs(pairs[s], top) for s in sorted({s for _, _, targets in classes for s, _ in targets})}
+        masks = _fold([(o, w, [(built[s], v[: bisect_left(v, w)]) for s, v in targets]) for o, w, targets in classes], workers)
+        del pairs, classes, built
+        return _interleave(masks)
+    # all of B meets every v, in process
+    acc = 0
+    for base, (parts, longest) in zip(bases, groups):
+        if cut is not None:
+            base |= _pairs(parts, width, cut)
+        acc |= _or_shifts(base, longest, width)
+    return _aligned(acc, offset)
+
+
+def _aligned(mask: int, offset: int) -> int:
+    # bit k of mask moved to bit k + offset
+    return mask << offset if offset >= 0 else mask >> -offset
+
+
+def _split(form: Form, limit: int, progression: tuple[int, int]) -> int:
+    # q of a dense fold: lcm(M, _SPLIT * p1 * p2 ...) / M over the odd primes
+    # of each coefficient whose slot holds a value in (0, M*limit + C]; 1
+    # where a class of n mod q would be narrower than _FLOOR bits
+    cf, M, C, _ = _constrained(form, progression)
+    odd = 1
+    for c, cl in zip(cf.coeffs, cf.classes):
+        if c * (min(cl.residue, cl.modulus - cl.residue) or cl.modulus) ** 2 <= M * limit + C:
+            c, p = c // (c & -c), 3
+            while p * p <= c:
+                odd, c, p = (lcm(odd, p), c // p, p) if c % p == 0 else (odd, c, p + 2)
+            odd = lcm(odd, c)
+    q = lcm(M, _SPLIT * odd) // M
+    return q if limit // q >= _FLOOR else 1
 
 
 def _start(groups: list[Group], values: list[int], width: int) -> int:

@@ -137,8 +137,10 @@ def test_cli_deterministic_output(capsys):
 
 
 def test_cli_threads_do_not_change_output(capsys, monkeypatch):
-    # two piece-operations per worker, so that --threads 2 starts the pool
+    # two piece-operations per worker and classes of any width, so that
+    # --threads 2 folds the 48 classes of x^2+y^2+3z^2 in the pool
     monkeypatch.setattr(search, "_POOL_PIECES", 2)
+    monkeypatch.setattr(search, "_FLOOR", 1)
     base = ("exceptions", "x^2+y^2+3z^2", "--limit", "5000", "--json", "--no-timing")
     _, solo, _ = run(capsys, *base, "--threads", "1")
     _, duo, _ = run(capsys, *base, "--threads", "2")

@@ -149,9 +149,10 @@ def test_monotone_consistency():
 
 
 def test_parallel_determinism(monkeypatch):
-    # two piece-operations per worker, so that these one-piece folds start
-    # the pool at two workers
+    # two piece-operations per worker and classes of any width, so that
+    # Gauss's 16 class folds of one piece each start the pool at two workers
     monkeypatch.setattr(search, "_POOL_PIECES", 2)
+    monkeypatch.setattr(search, "_FLOOR", 1)
     for form in (DiagonalForm((1, 1, 1)), PolySum.of((2, 1), (3, 1), (6, 1))):
         solo = exceptional_set(form, 20000, workers=1)
         duo = exceptional_set(form, 20000, workers=2)
@@ -166,8 +167,9 @@ def test_clamp_workers():
     assert clamp_workers(8, 8, 3 * _POOL_PIECES) == 3  # _POOL_PIECES piece-operations each
     assert clamp_workers(2, 2, 2 * _POOL_PIECES - 1) == 1
     assert clamp_workers(1, 64, 10**9) == 1
-    # Gauss to 10^6: 1 001 shifts over 8 pieces, too little for a worker
-    assert clamp_workers(2, 2, 8008) == 0
+    # Gauss to 10^6: 16 class folds of one piece, 9 001 shifts in all, too
+    # little for a worker
+    assert clamp_workers(2, 2, 9001) == 0
 
 
 def test_resource_cap():

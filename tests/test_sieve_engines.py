@@ -9,6 +9,7 @@ the residual sieve switches to testing candidates and whichever path
 (residual, exact completion, dense) it takes.
 """
 
+import inspect
 import os
 import random
 import subprocess
@@ -21,7 +22,7 @@ import pytest
 import oracles
 from terna import CongruenceClass, DiagonalForm, PolySum
 from terna import search
-from terna.search import _fold, _levels, _pairs, attainable, exceptional_set, value_mask
+from terna.search import _levels, _pairs, attainable, exceptional_set, value_mask
 
 
 def _aligned(mask: int, offset: int) -> int:
@@ -29,10 +30,14 @@ def _aligned(mask: int, offset: int) -> int:
     return mask << offset if offset >= 0 else mask >> -offset
 
 
-def _dense_value_mask(form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> int:
-    # reference engine: value_mask with every shift folded
-    offset, width, groups = _levels(form, limit, progression)
-    return _aligned(_fold([(_pairs(parts, width), longest) for parts, longest in groups], width, workers), offset)
+def _dense_value_mask(form, limit: int, progression: tuple[int, int] = (1, 0)) -> int:
+    # reference engine: all of B folded with every shift over the whole
+    # width, in one class
+    pairs, [(offset, width, groups)] = _levels(form, limit, progression)
+    fold = 0
+    for s, longest in groups:
+        fold |= search._or_shifts(_pairs(pairs[s], width), longest, width)
+    return _aligned(fold, offset)
 
 
 @pytest.fixture
@@ -41,6 +46,13 @@ def pooled(monkeypatch):
     # shifts over one piece, which the module's threshold leaves in
     # process, so workers=2 would compare the in-process fold with itself
     monkeypatch.setattr(search, "_POOL_PIECES", 2)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    # classes of one bit and up: the small widths here would stay below the
+    # module's floor and fold whole
+    monkeypatch.setattr(search, "_FLOOR", 1)
 
 
 # switch points: the module's own, one that tests candidates after the
@@ -87,13 +99,6 @@ def test_engines_agree_with_oracle(monkeypatch, pairs, limit, switch, piece):
     assert exceptional_set(form, limit, workers=2).exceptions == expected
 
 
-@pytest.mark.usefixtures("pooled")
-def test_dense_reference_independent_of_workers():
-    for pairs, limit in CASES:
-        form = PolySum.of(*pairs)
-        assert _dense_value_mask(form, limit, workers=2) == _dense_value_mask(form, limit, workers=1)
-
-
 class _RefusedPool:
     # a pool that cannot start, as where processes may not be spawned
     def __init__(self, max_workers, mp_context):
@@ -118,9 +123,10 @@ class _BrokenPool:
 @pytest.mark.parametrize("pool", [_RefusedPool, _BrokenPool], ids=["refused", "broken"])
 @pytest.mark.usefixtures("pooled")
 def test_fold_falls_back_in_process(monkeypatch, pool):
-    # a pool that cannot start or breaks leaves _fold to fold in-process,
-    # with the same result
+    # a pool that cannot start or breaks leaves _fold to fold each of Gauss's
+    # 16 classes to 10^5 in process, with the same result
     form = DiagonalForm((1, 1, 1))
+    assert search._split(form, 10**5, (1, 0)) == 16
     serial = value_mask(form, 10**5, workers=1)
     started = []
 
@@ -135,9 +141,10 @@ def test_fold_falls_back_in_process(monkeypatch, pool):
 
 
 def test_pool_starts_only_past_the_threshold(monkeypatch):
-    # Gauss to 10^6 is 8 008 piece-operations, too few to pay for a
-    # worker's start: it folds in process at workers=2, and in the pool
-    # once the threshold is forced low, with the same mask
+    # Gauss to 10^6 folds 16 classes of 62 501 bits, 9 001 piece-operations
+    # at most, too few to pay for a worker's start: they fold in process at
+    # workers=2, and in the pool once the threshold is forced low, with the
+    # same mask; a dense form that stays whole (q = 1) never starts it
     started = []
 
     def spy(max_workers, mp_context):
@@ -152,26 +159,10 @@ def test_pool_starts_only_past_the_threshold(monkeypatch):
     monkeypatch.setattr(search, "_POOL_PIECES", 2)
     assert value_mask(form, 10**6, workers=2) == alone
     assert started == [2]
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 7, 43, 50])
-def test_chunks_deal_every_shift_once(k):
-    shifts = list(range(0, 300, 7))
-    chunks = search._chunks(shifts, k)
-    assert sorted(s for chunk in chunks for s in chunk) == shifts
-    assert len(chunks) == min(k, len(shifts)) and all(chunks)
-    assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
-
-
-def test_chunks_share_the_piece_work():
-    # a shift s meets the base's pieces that land below width, fewer as s
-    # grows: dealt round-robin, two chunks of Gauss to 10^7 get within 1%
-    # of the same piece-operations (cut in halves, the first got about
-    # two thirds)
-    _, width, [(_, shifts)] = search._levels(DiagonalForm((1, 1, 1)), 10**7, (1, 0))
-    pieces = -(-width // search._PIECE)
-    work = [sum(pieces - s // search._PIECE for s in chunk) for chunk in search._chunks(shifts, 2)]
-    assert abs(work[0] - work[1]) * 100 < sum(work)
+    whole = PolySum.of((8, 0), (8, 7), (10, 1))
+    assert search._split(whole, 10**6, (1, 0)) == 1
+    assert value_mask(whole, 10**6, workers=2) == value_mask(whole, 10**6)
+    assert started == [2]
 
 
 def test_candidate_stage_keeps_48(monkeypatch):
@@ -356,7 +347,6 @@ def test_progression_sieve(monkeypatch, coeffs, classes, progression, limit, swi
     mask = value_mask(form, limit, workers=1, progression=progression)
     assert value_mask(form, limit, workers=2, progression=progression) == mask
     assert _dense_value_mask(form, limit, progression=progression) == mask
-    assert _dense_value_mask(form, limit, workers=2, progression=progression) == mask
 
     # bit v of the dense mask is value v
     dense = _dense_value_mask(form, top)
@@ -376,7 +366,7 @@ def test_progression_sieve_polysum(pairs, limit, progression):
     for workers in (1, 2):
         assert attainable(form, limit, workers=workers, progression=progression).missing() == expected
         mask = value_mask(form, limit, workers=workers, progression=progression)
-        assert mask == _dense_value_mask(form, limit, workers=workers, progression=progression)
+        assert mask == _dense_value_mask(form, limit, progression=progression)
 
 
 def test_default_progression_is_the_plain_sieve():
@@ -386,8 +376,8 @@ def test_default_progression_is_the_plain_sieve():
     # second form has b > a and L = 6)
     for pairs, offset in [(((2, 1), (3, 1), (7, 1)), 0), (((3, 7), (2, 5), (6, 1)), -7)]:
         form = PolySum.of(*pairs)
-        levels = search._levels(form, 10**4, (1, 0))
-        assert (levels[0], levels[1], len(levels[2])) == (offset, 10**4 + 1 - offset, 1)
+        _, [level] = search._levels(form, 10**4, (1, 0))
+        assert (level[0], level[1], len(level[2])) == (offset, 10**4 + 1 - offset, 1)
         assert attainable(form, 10**4, progression=(1, 0)) == attainable(form, 10**4)
 
 
@@ -482,21 +472,26 @@ def test_paths_agree_progression(monkeypatch, coeffs, classes, progression, limi
 
 def test_multi_group_cases_have_groups_of_parts():
     for coeffs, classes, progression, limit in MULTI_GROUP:
-        _, _, groups = search._levels(constrained(coeffs, classes), limit, progression)
-        assert len(groups) > 1 and max(len(parts) for parts, _ in groups) > 1
+        pairs, [(_, _, groups)] = search._levels(constrained(coeffs, classes), limit, progression)
+        assert len(groups) > 1 and max(len(pairs[s]) for s, _ in groups) > 1
 
 
 def paths_taken(monkeypatch, form, limit) -> set[str]:
-    # "dense" when the fold is finished, "residual" when missing bits are
-    # tested, "completion" when B_K leaves some unreached, "probe grown"
-    # when B_K is folded with longest-slot shifts past the probe's first P
+    # "dense" when the probe is dropped and the split factor is taken,
+    # "residual" when missing bits are tested, "completion" when B_K leaves
+    # some unreached, "probe grown" when B_K is folded with longest-slot
+    # shifts past the probe's first P
     taken = set()
-    fold, complete, unreached, pairs, or_shifts = search._fold, search._complete, search._unreached, search._pairs, search._or_shifts
-    longest = [shifts for _, shifts in _levels(form, limit, (1, 0))[2]]
+    split, fold, complete = search._split, search._fold, search._complete
+    unreached, pairs, or_shifts = search._unreached, search._pairs, search._or_shifts
+    longest = [shifts for _, shifts in _levels(form, limit, (1, 0))[1][0][2]]
     nested = []
 
-    def spy_fold(*args):
+    def spy_split(*args):
         taken.add("dense")
+        return split(*args)
+
+    def spy_fold(*args):
         nested.append(1)
         try:
             return fold(*args)
@@ -520,12 +515,13 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
 
     def spy_or_shifts(base, shifts, width):
         # value_mask's own folds take a group's longest shifts: a prefix of
-        # them in the first probe, later ones when P grows; the dense finish
-        # folds inside _fold
+        # them in the first probe, later ones when P grows, all of them in a
+        # dense fold of one class; the class folds run inside _fold
         if not nested and shifts and all(shifts != group[: len(shifts)] for group in longest):
             taken.add("probe grown")
         return or_shifts(base, shifts, width)
 
+    monkeypatch.setattr(search, "_split", spy_split)
     monkeypatch.setattr(search, "_fold", spy_fold)
     monkeypatch.setattr(search, "_complete", spy_complete)
     monkeypatch.setattr(search, "_unreached", spy_unreached)
@@ -595,14 +591,20 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
     "form,limit,calls",
     [
         # Gauss never grows the probe: B_K of the first 79 squares meets the
-        # first 64 shifts, then B_K is completed with the other 238 squares
-        # and all of B meets all 317 shifts
+        # first 64 shifts.  Then each class of n mod 16 folds on its own: the
+        # pair level B_s of each of the 9 pair residues s mod 16 is built
+        # once, from every square.  Classes 0 and 12, which hold the
+        # exceptions, fold all 80 and 79 of their shifts; the other classes
+        # that a group reaches are full after the first 64 shifts of one
+        # group, or of two in classes 1, 2 and 9; no group reaches 7 or 15
         (
             DiagonalForm((1, 1, 1)),
             10**5,
             [
                 ("pairs", 0, 6241), ("or", 79), ("or", 64),
-                ("pairs", 6241, None), ("or", 238), ("or", 317),
+                ("pairs", 0, None), ("or", 80), *[("pairs", 0, None), ("or", 79), ("or", 79)] * 4,
+                ("pairs", 0, None), ("or", 79), *[("pairs", 0, None), ("or", 79), ("or", 79)] * 3,
+                ("or", 64), ("or", 16), *[("or", 64)] * 13, ("or", 64), ("or", 15), ("or", 64), ("or", 64),
             ],
         ),
         (
@@ -637,8 +639,34 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
     ids=["x^2+y^2+z^2", "10x^2+5y^2+2z^2", "x^2+y^2+11z^2", "8x^2+y(8y+7)+z(10z+1)"],
 )
 def test_dense_work_is_pinned(monkeypatch, form, limit, calls):
-    # after the probe, all of B meets every shift, call for call
+    # after the probe, each class folds until it is full, or, below the
+    # floor, all of B meets every shift, call for call
     assert fold_calls(monkeypatch, form, limit) == calls
+
+
+def test_full_classes_stop_early(monkeypatch):
+    # Gauss to 10^6: the class folds shift 1 461 pieces of 62 501 bits where
+    # the whole fold shifts 8 008 of 2^17, and would shift 9 001 if no class
+    # stopped when full
+    pieces = []
+    fold, or_shifts = search._fold, search._or_shifts
+
+    def spy_fold(classes, workers):
+        pieces.append(sum(len(shifts) * -(-width // search._PIECE) for _, width, groups in classes for _, shifts in groups))
+        monkeypatch.setattr(search, "_or_shifts", spy_or_shifts)
+        return fold(classes, workers)
+
+    def spy_or_shifts(base, shifts, width):
+        pieces.append(len(shifts) * -(-width // search._PIECE))
+        return or_shifts(base, shifts, width)
+
+    form = DiagonalForm((1, 1, 1))
+    _, [(_, width, [(_, longest)])] = _levels(form, 10**6, (1, 0))
+    assert len(longest) * -(-width // search._PIECE) == 8008
+    dense = _dense_value_mask(form, 10**6)
+    monkeypatch.setattr(search, "_fold", spy_fold)
+    assert value_mask(form, 10**6) == dense
+    assert (pieces[0], sum(pieces[1:])) == (9001, 1461)
 
 
 def test_sparse_work_is_pinned(monkeypatch):
@@ -672,10 +700,10 @@ REFERENCE_FORMS = [
 
 
 def reference_mask(terms, limit: int, progression: tuple[int, int]) -> int:
-    # the reference over [0, M*limit + C], read at every M*n + C
+    # the reference over [0, M*limit + C], read at every M*n + C >= 0
     modulus, constant = progression
     whole = _aligned(*oracles.shifted_values_mask(terms, modulus * limit + constant))
-    return sum(1 << n for n in range(limit + 1) if whole >> modulus * n + constant & 1)
+    return sum(1 << n for n in range(limit + 1) if modulus * n + constant >= 0 and whole >> modulus * n + constant & 1)
 
 
 @pytest.mark.parametrize("form,terms", REFERENCE_FORMS, ids=[str(f) for f, _ in REFERENCE_FORMS])
@@ -697,6 +725,95 @@ def test_progressions_match_whole_range_reference(form, terms, progression, limi
     expected = reference_mask(terms, limit, progression)
     for workers in (1, 2):
         assert value_mask(form, limit, workers=workers, progression=progression) == expected
+
+
+# --- class fold -----------------------------------------------------------------
+#
+# A dense form folds each class n = j (mod q) on its own and interleaves the
+# class masks.  With the floor forced to 1 (the split fixture) small sieves
+# split too, and must give the reference masks: the whole fold of
+# _dense_value_mask and the oracle's, at one and two workers.
+
+
+def class_terms(coeffs, classes) -> tuple:
+    # the oracle's terms c*w^2, w = r (mod m)
+    return tuple((c, m, r) for c, (m, r) in zip(coeffs, classes))
+
+
+SPLIT_CASES = (
+    [(PolySum.of(*pairs), pairs, (1, 0), limit) for pairs, limit in random_cases(20261020, 48)]
+    + [(constrained(c, k), class_terms(c, k), p, n) for c, k, p, n in PROGRESSION_CASES]
+    + [
+        # C < 0: x^2+y^2+z^2 at 4n - 37, q = 4, the classes' offsets
+        # (4j - 37) // 16 all below 0
+        (DiagonalForm((1, 1, 1)), class_terms((1, 1, 1), [(1, 0)] * 3), (4, -37), 1500),
+        # C >= Q: on 3n + 100, q = 16 and Q = 48, the offsets (3j + 100) // 48
+        # are 2 and 3
+        (DiagonalForm((1, 1, 1)), class_terms((1, 1, 1), [(1, 0)] * 3), (3, 100), 1500),
+        # class moduli that share q's primes: x^2+y^2+3z^2 with x = 1 (mod 3)
+        # and y even, q = 48; 10x^2+5y^2+2z^2 with z = 2 (mod 5), q = 80
+        (constrained((1, 1, 3), [(3, 1), (2, 0), (1, 0)]), class_terms((1, 1, 3), [(3, 1), (2, 0), (1, 0)]), (1, 0), 3000),
+        (constrained((10, 5, 2), [(1, 0), (1, 0), (5, 2)]), class_terms((10, 5, 2), [(1, 0), (1, 0), (5, 2)]), (1, 0), 3000),
+    ]
+)
+
+
+@pytest.mark.parametrize("form,terms,progression,limit", SPLIT_CASES, ids=[f"{t}{p}@{n}" for _, t, p, n in SPLIT_CASES])
+@pytest.mark.usefixtures("split", "pooled")
+def test_class_fold_matches_references(form, terms, progression, limit):
+    expected = reference_mask(terms, limit, progression)
+    assert _dense_value_mask(form, limit, progression) == expected
+    for workers in (1, 2):
+        assert value_mask(form, limit, workers=workers, progression=progression) == expected
+
+
+@pytest.mark.usefixtures("split")
+def test_split_cases_reach_the_class_fold(monkeypatch):
+    # the four chosen cases and more than a third of all are dense and fold
+    # by class (37 of 84); the others are sparse, or no wider than q bits
+    folded = []
+    fold = search._fold
+
+    def spy_fold(classes, workers):
+        folded.append(len(classes))
+        return fold(classes, workers)
+
+    monkeypatch.setattr(search, "_fold", spy_fold)
+    reached = []
+    for form, _, progression, limit in SPLIT_CASES:
+        folded.clear()
+        value_mask(form, limit, progression=progression)
+        reached.append(bool(folded))
+    assert all(reached[-4:]) and sum(reached) * 3 > len(reached)
+
+
+def mutant(monkeypatch, name: str, old: str, new: str):
+    # the module's function name with the one occurrence of old replaced
+    source = inspect.getsource(getattr(search, name))
+    assert source.count(old) == 1
+    scope = {}
+    exec(source.replace(old, new), vars(search), scope)
+    monkeypatch.setattr(search, name, scope[name])
+
+
+GAUSS_FORM = DiagonalForm((1, 1, 1))
+
+
+def test_class_stopped_short_of_full_is_caught(monkeypatch):
+    # mutation check: a class that stops once 63 bits in 64 are set, not
+    # when every bit is, leaves values of Gauss to 10^5 missing
+    dense = _dense_value_mask(GAUSS_FORM, 10**5)
+    assert value_mask(GAUSS_FORM, 10**5) == dense
+    mutant(monkeypatch, "_fold_class", ".bit_count() == width - skip", ".bit_count() * 64 >= (width - skip) * 63")
+    assert value_mask(GAUSS_FORM, 10**5) != dense
+
+
+def test_interleave_shifted_by_one_class_is_caught(monkeypatch):
+    # mutation check: class j's mask read as class j - 1's
+    dense = _dense_value_mask(GAUSS_FORM, 10**5)
+    interleave = search._interleave
+    monkeypatch.setattr(search, "_interleave", lambda masks: interleave(masks[1:] + masks[:1]))
+    assert value_mask(GAUSS_FORM, 10**5) != dense
 
 
 SPAWNED_POOL = """
