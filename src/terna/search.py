@@ -375,9 +375,10 @@ def _or_shifts(base: int, shifts: Iterable[int], width: int) -> int:
         return acc & (1 << width) - 1
     size = _PIECE // 8
     n = -(-width // _PIECE)
-    # a base narrower than width has fewer pieces to shift
+    # a base narrower than width has fewer pieces to shift, and a wider one
+    # shifts only its pieces below width
     nb = min(n, -(-base.bit_length() // _PIECE))
-    raw = memoryview(base.to_bytes(nb * size, "little"))
+    raw = memoryview(base.to_bytes((base.bit_length() + 7) // 8, "little"))
     pieces = [int.from_bytes(raw[i * size : (i + 1) * size], "little") for i in range(nb)]
     del raw
     acc = [0] * n
@@ -410,15 +411,15 @@ _POOL_PIECES = 1 << 19
 # Split factor of a dense fold (_split).  value_mask to 10^7 at _SPLIT =
 # 4/8/16/32 (medians of 5, interleaved, ms): x^2+y^2+z^2 963/577/439/416,
 # x^2+y^2+3z^2 399/376/376/332, 10x^2+5y^2+2z^2 257/206/199/214,
-# x^2+y^2+11z^2 670/637/592/719; to 10^6, 16 is best for x^2+y^2+z^2 (26
-# ms against 32-38) and 4 for x^2+y^2+11z^2 (36 against 53).
+# x^2+y^2+11z^2 670/637/592/719; to 10^6, 16 is best for x^2+y^2+z^2 (23
+# ms against 24-38) and 4 for x^2+y^2+11z^2 (34 against 41, 44 whole).
 _SPLIT = 16
-# Narrowest class of n mod q, in bits; a dense fold with narrower classes
-# runs whole (q = 1).  The split pays from classes of 2^12 to 2^13 bits:
-# value_mask split / whole (medians of 15, ms) of x^2+y^2+z^2 (q = 16) to
-# 2^16 1.82 / 1.47, 2^17 3.68 / 4.66; x^2+y^2+3z^2 (q = 48) to 2^17 4.07 /
-# 3.48, 2^18 6.90 / 16.0; x^2+y^2+11z^2 (q = 176) to 2^18 11.8 / 8.32.
-_FLOOR = 1 << 12
+# Narrowest class of n mod q, in bits; narrower classes fold whole (q = 1).
+# value_mask split / whole at classes of 2^12, 6 250 and 2^13 bits (medians
+# of 7-11): x^2+y^2+z^2 (q = 16) 1.35, 0.98, 0.73; x^2+y^2+11z^2 (176) 1.03,
+# 0.86, 0.80; x^2+y^2+3z^2 (48) and 10x^2+5y^2+2z^2 (80) 0.56-0.87 at each;
+# at 2^13, q = 1680 of x^2+3y^2+35z^2 0.48 and of 3x^2+5y^2+7z^2 0.59.
+_FLOOR = 1 << 13
 
 
 @cache

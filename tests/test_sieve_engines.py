@@ -124,10 +124,10 @@ class _BrokenPool:
 @pytest.mark.usefixtures("pooled")
 def test_fold_falls_back_in_process(monkeypatch, pool):
     # a pool that cannot start or breaks leaves _fold to fold each of Gauss's
-    # 16 classes to 10^5 in process, with the same result
+    # 16 classes to 2^17 in process, with the same result
     form = DiagonalForm((1, 1, 1))
-    assert search._split(form, 10**5, (1, 0)) == 16
-    serial = value_mask(form, 10**5, workers=1)
+    assert search._split(form, 2**17, (1, 0)) == 16
+    serial = value_mask(form, 2**17, workers=1)
     started = []
 
     def start(max_workers, mp_context):
@@ -136,7 +136,7 @@ def test_fold_falls_back_in_process(monkeypatch, pool):
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "ProcessPoolExecutor", start)
-    assert value_mask(form, 10**5, workers=2) == serial
+    assert value_mask(form, 2**17, workers=2) == serial
     assert started and set(started) == {2}
 
 
@@ -269,19 +269,22 @@ def test_absent_matches_missing():
 P = search._PIECE
 
 
-@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, P - 1, P, P + 1, 3 * P + 5])
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, P - 1, P, P + 1, 2 * P, 3 * P + 5])
 def test_or_shifts_matches_naive_or(width):
     # a bitset of one piece is shifted whole, a wider one piece by piece;
-    # both must be the OR of base << s over the shifts s < width
+    # both must be the OR of base << s over the shifts s < width, also where
+    # the base is wider than width, as a class fold's B_s built for a wider
+    # class is
     rng = random.Random(width)
     base = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width) if width else 0
-    ones = [k for k, bit in enumerate(reversed(bin(base)[2:])) if bit == "1"]
     spread = rng.sample(range(2 * width + 2), min(6, 2 * width + 2))
-    for shifts in ([], [0], [width, width + 1, 3 * width + 8], [0, 1, width - 1, width, P, P + 3], spread):
-        raw = bytearray((width + 7) // 8)
-        for k in (p + s for p in ones for s in shifts if 0 <= s and p + s < width):
-            raw[k >> 3] |= 1 << (k & 7)
-        assert search._or_shifts(base, [s for s in shifts if s >= 0], width) == int.from_bytes(raw, "little")
+    for base in (base, base | rng.getrandbits(2) << width | 1 << width + 2):
+        ones = [k for k, bit in enumerate(reversed(bin(base)[2:])) if bit == "1"]
+        for shifts in ([], [0], [width, width + 1, 3 * width + 8], [0, 1, width - 1, width, P, P + 3], spread):
+            raw = bytearray((width + 7) // 8)
+            for k in (p + s for p in ones for s in shifts if 0 <= s and p + s < width):
+                raw[k >> 3] |= 1 << (k & 7)
+            assert search._or_shifts(base, [s for s in shifts if s >= 0], width) == int.from_bytes(raw, "little")
 
 
 # --- progression sieve ------------------------------------------------------
@@ -591,20 +594,32 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
     "form,limit,calls",
     [
         # Gauss never grows the probe: B_K of the first 79 squares meets the
-        # first 64 shifts.  Then each class of n mod 16 folds on its own: the
-        # pair level B_s of each of the 9 pair residues s mod 16 is built
-        # once, from every square.  Classes 0 and 12, which hold the
-        # exceptions, fold all 80 and 79 of their shifts; the other classes
-        # that a group reaches are full after the first 64 shifts of one
-        # group, or of two in classes 1, 2 and 9; no group reaches 7 or 15
+        # first 64 shifts, then B_K is completed with the other 238 squares
+        # and all of B meets all 317 shifts
         (
             DiagonalForm((1, 1, 1)),
             10**5,
             [
                 ("pairs", 0, 6241), ("or", 79), ("or", 64),
-                ("pairs", 0, None), ("or", 80), *[("pairs", 0, None), ("or", 79), ("or", 79)] * 4,
-                ("pairs", 0, None), ("or", 79), *[("pairs", 0, None), ("or", 79), ("or", 79)] * 3,
-                ("or", 64), ("or", 16), *[("or", 64)] * 13, ("or", 64), ("or", 15), ("or", 64), ("or", 64),
+                ("pairs", 6241, None), ("or", 238), ("or", 317),
+            ],
+        ),
+        # to 2^17, classes of n mod 16 are 2^13 bits wide and fold on their
+        # own: after the same probe, the pair level B_s of each of the 9 pair
+        # residues s mod 16 is built once, from every square.  Classes 0 and
+        # 12, which hold the exceptions, fold all 91 and 90 of their shifts;
+        # the other classes that a group reaches are full after the first 64
+        # shifts of one group, or of two in classes 1, 2 and 9; no group
+        # reaches 7 or 15
+        (
+            DiagonalForm((1, 1, 1)),
+            2**17,
+            [
+                ("pairs", 0, 8100), ("or", 90), ("or", 64),
+                ("pairs", 0, None), ("or", 91), ("pairs", 0, None), ("or", 91), ("or", 91),
+                ("pairs", 0, None), ("or", 91), ("or", 90), *[("pairs", 0, None), ("or", 91), ("or", 91)] * 2,
+                ("pairs", 0, None), ("or", 91), *[("pairs", 0, None), ("or", 90), ("or", 90)] * 3,
+                ("or", 64), ("or", 27), *[("or", 64)] * 13, ("or", 64), ("or", 27), ("or", 64), ("or", 64),
             ],
         ),
         (
@@ -636,7 +651,7 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
             ],
         ),
     ],
-    ids=["x^2+y^2+z^2", "10x^2+5y^2+2z^2", "x^2+y^2+11z^2", "8x^2+y(8y+7)+z(10z+1)"],
+    ids=["x^2+y^2+z^2", "x^2+y^2+z^2 by class", "10x^2+5y^2+2z^2", "x^2+y^2+11z^2", "8x^2+y(8y+7)+z(10z+1)"],
 )
 def test_dense_work_is_pinned(monkeypatch, form, limit, calls):
     # after the probe, each class folds until it is full, or, below the
@@ -787,6 +802,21 @@ def test_split_cases_reach_the_class_fold(monkeypatch):
     assert all(reached[-4:]) and sum(reached) * 3 > len(reached)
 
 
+@pytest.mark.usefixtures("split")
+def test_classes_on_a_piece_boundary(monkeypatch):
+    # Gauss to 2 048 with 64-bit pieces: class 0 is 129 bits wide and the
+    # others two whole pieces of 128.  Each B_s is built as wide as class 0,
+    # and B_0 holds 2 048 = 32^2 + 32^2 at bit 128, past the pieces of the
+    # classes 1, 4 and 9 that fold it
+    monkeypatch.setattr(search, "_PIECE", 64)
+    form = DiagonalForm((1, 1, 1))
+    _, classes = _levels(form, 2048, (1, 0), 16)
+    assert [width for _, width, _ in classes] == [129] + [128] * 15
+    expected = reference_mask(((1, 1, 0),) * 3, 2048, (1, 0))
+    assert _dense_value_mask(form, 2048) == expected
+    assert value_mask(form, 2048) == expected
+
+
 def mutant(monkeypatch, name: str, old: str, new: str):
     # the module's function name with the one occurrence of old replaced
     source = inspect.getsource(getattr(search, name))
@@ -797,23 +827,25 @@ def mutant(monkeypatch, name: str, old: str, new: str):
 
 
 GAUSS_FORM = DiagonalForm((1, 1, 1))
+# the least limit at which Gauss's 16 classes reach the floor and fold apart
+GAUSS_SPLIT = 16 * search._FLOOR
 
 
 def test_class_stopped_short_of_full_is_caught(monkeypatch):
     # mutation check: a class that stops once 63 bits in 64 are set, not
-    # when every bit is, leaves values of Gauss to 10^5 missing
-    dense = _dense_value_mask(GAUSS_FORM, 10**5)
-    assert value_mask(GAUSS_FORM, 10**5) == dense
+    # when every bit is, leaves values of Gauss to 2^17 missing
+    dense = _dense_value_mask(GAUSS_FORM, GAUSS_SPLIT)
+    assert value_mask(GAUSS_FORM, GAUSS_SPLIT) == dense
     mutant(monkeypatch, "_fold_class", ".bit_count() == width - skip", ".bit_count() * 64 >= (width - skip) * 63")
-    assert value_mask(GAUSS_FORM, 10**5) != dense
+    assert value_mask(GAUSS_FORM, GAUSS_SPLIT) != dense
 
 
 def test_interleave_shifted_by_one_class_is_caught(monkeypatch):
     # mutation check: class j's mask read as class j - 1's
-    dense = _dense_value_mask(GAUSS_FORM, 10**5)
+    dense = _dense_value_mask(GAUSS_FORM, GAUSS_SPLIT)
     interleave = search._interleave
     monkeypatch.setattr(search, "_interleave", lambda masks: interleave(masks[1:] + masks[:1]))
-    assert value_mask(GAUSS_FORM, 10**5) != dense
+    assert value_mask(GAUSS_FORM, GAUSS_SPLIT) != dense
 
 
 SPAWNED_POOL = """
@@ -825,8 +857,10 @@ if __name__ == "__main__":
     search._pool_context = lambda: multiprocessing.get_context("spawn")
     # a broken pool raises here instead of falling back to the in-process fold
     search.BrokenExecutor = type("Unraised", (Exception,), {})
-    # two piece-operations per worker, so that folds to 10^5 start the pool
+    # two piece-operations per worker and classes of one bit and up, so that
+    # both dense forms fold by class to 10^5 and start the pool
     search._POOL_PIECES = 2
+    search._FLOOR = 1
     for coeffs in ((1, 1, 1), (10, 5, 2)):
         one, two = (exceptional_set(DiagonalForm(coeffs), 10**5, workers=w).exceptions for w in (1, 2))
         print(len(one), one == two)
