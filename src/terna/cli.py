@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -34,7 +33,7 @@ from .lemmas import (
     rep_x2_3y2_6z2,
     rep_x2_y2_2z2_coprime3,
 )
-from .search import SieveReport, env_workers, exceptional_set, represent, represent_all
+from .search import SieveReport, exceptional_set, represent, represent_all
 from .survey import (
     DEFAULT_TEST_VALUES,
     filter_universal_quadruples,
@@ -121,7 +120,7 @@ def sieve_report_to_csv(report: SieveReport) -> str:
 
 def _cmd_exceptions(args) -> int:
     form = parse_form(args.form)
-    report = exceptional_set(form, args.limit, workers=args.threads)
+    report = exceptional_set(form, args.limit)
     if args.json:
         print(sieve_report_to_json(report, with_timing=not args.no_timing))
     elif args.csv:
@@ -187,7 +186,7 @@ def _cmd_survey(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     findings = 0
-    for triple, report in verify_conjectured_triples(args.limit, workers=args.threads):
+    for triple, report in verify_conjectured_triples(args.limit):
         status = "empty" if report.is_empty() else f"EXCEPTIONS {report.exceptions[:10]}"
         print(f"({triple[0]},{triple[1]},{triple[2]}) up to {args.limit}: {status}")
         if not report.is_empty():
@@ -196,7 +195,7 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_scan_remark21(args) -> int:
-    report = scan_5x2_5y2_4z2(args.limit, workers=args.threads)
+    report = scan_5x2_5y2_4z2(args.limit)
     for r in (6, 14):
         exc = report.exceptions[r]
         print(f"r={r}: exceptions {list(exc)}")
@@ -204,7 +203,7 @@ def _cmd_scan_remark21(args) -> int:
 
 
 def _cmd_bridge(args) -> int:
-    report = diagonal_bridge(args.limit, workers=args.threads)
+    report = diagonal_bridge(args.limit)
     if report.agrees():
         print(f"agreement for all n <= {report.limit}")
         return 0
@@ -214,7 +213,7 @@ def _cmd_bridge(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    report = crosscheck(FAMILIES[args.family], args.limit, workers=args.threads)
+    report = crosscheck(FAMILIES[args.family], args.limit)
     if report.agrees():
         print(f"{report.family}: formula matches sieve up to {report.limit}")
         return 0
@@ -280,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="sieve worker processes at most (default: TERNA_THREADS or machine parallelism); "
-            "a sieve too small to pay for workers runs in process, with the same output",
+            default=1,
+            metavar="K",
+            help="accepted and ignored: the sieve runs in one process; K below 1 is a usage error",
         )
 
     p = sub.add_parser("exceptions", help="exceptional set of a form up to a limit")
@@ -352,9 +351,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if getattr(args, "threads", 0) is None:
-            # only the sieving commands read it; an unparseable value is a usage error
-            args.threads = env_workers() or os.cpu_count() or 1
         threads = getattr(args, "threads", 1)
         _expect(threads >= 1, f"--threads must be >= 1, got {threads}")
         return args.func(args)

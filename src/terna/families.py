@@ -117,11 +117,11 @@ def membership(fam: ExceptionalFamily, limit: int) -> int:
     return out
 
 
-def crosscheck(fam: ExceptionalFamily, limit: int, workers: int = 1) -> CrosscheckReport:
+def crosscheck(fam: ExceptionalFamily, limit: int) -> CrosscheckReport:
     """All n <= limit where membership in fam disagrees with the sieve of
     fam's form; the report names the family by its form."""
     t0 = time.perf_counter()
     # the sieve checks the bit cap before it allocates, so it runs first
-    bad = tuple(_set_bits(attainable(fam.form, limit, workers=workers).absent() ^ membership(fam, limit)))
+    bad = tuple(_set_bits(attainable(fam.form, limit).absent() ^ membership(fam, limit)))
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return CrosscheckReport(str(fam.form), limit, bad, elapsed_ms)

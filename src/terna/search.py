@@ -77,12 +77,10 @@ Two complementary engines:
   until all its bits are set: of Gauss's 16 classes to 10^6, only the
   two that hold exceptions fold all their 250.  The class masks are
   interleaved into bit n for n, a block at a time.  At q = 1, B_K is
-  completed to all of B and folded with every v.  Class folds may run in
-  worker processes, one class per task, so worker count never changes
-  the result; workers start only past _POOL_PIECES piece-operations each.
-  The exceptions are then read off the bitset's clear bits at C speed:
-  the complement's nonzero bytes are found by one translate and split of
-  its bytes, and each byte's bits come from a table.
+  completed to all of B and folded with every v.  The exceptions are
+  then read off the bitset's clear bits at C speed: the complement's
+  nonzero bytes are found by one translate and split of its bytes, and
+  each byte's bits come from a table.
   Work is O(values enumerated) plus O(shifts * N/wordsize), far below one
   search per n.
 
@@ -91,11 +89,8 @@ Enumeration cutoffs use math.isqrt throughout; no floating point.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from bisect import bisect_left
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, compress, count, cycle
@@ -396,18 +391,6 @@ def _or_shifts(base: int, shifts: Iterable[int], width: int) -> int:
     return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in acc), "little")
 
 
-# Piece-operations per worker of a pooled fold (_fold): class folds of w
-# piece-operations, every shift below each class's width, start
-# min(w // _POOL_PIECES, threads, CPUs) workers.  value_mask at one worker
-# / two, each in a fresh process that starts the fork server (medians of 5
-# alternated runs, ms; Python 3.11, 2-core x86-64 VM whose two processes
-# run at 1.4x one), for x^2+y^2+z^2, x^2+y^2+3z^2 and 10x^2+5y^2+2z^2: to
-# 4*10^6 (36k, 44k, 14k piece-operations) 131/327, 106/355, 69/276; to
-# 10^7 (142k, 139k, 22k) 439/655, 374/622, 202/409; to 3*10^7 (740k,
-# 603k, 116k) 1638/1854, 1380/1606, 561/787.  Two workers never paid, so
-# 2^19 keeps every measured fold in process.
-_POOL_PIECES = 1 << 19
-
 # Split factor of a dense fold (_split).  value_mask to 10^7 at _SPLIT =
 # 4/8/16/32 (medians of 5, interleaved, ms): x^2+y^2+z^2 963/577/439/416,
 # x^2+y^2+3z^2 399/376/376/332, 10x^2+5y^2+2z^2 257/206/199/214,
@@ -420,45 +403,6 @@ _SPLIT = 16
 # 0.86, 0.80; x^2+y^2+3z^2 (48) and 10x^2+5y^2+2z^2 (80) 0.56-0.87 at each;
 # at 2^13, q = 1680 of x^2+3y^2+35z^2 0.48 and of 3x^2+5y^2+7z^2 0.59.
 _FLOOR = 1 << 13
-
-
-@cache
-def _pool_context() -> multiprocessing.context.BaseContext:
-    # A fork server where the platform has one, as on Linux from Python
-    # 3.14: the server is a fresh process, holding none of the caller's
-    # threads.  It imports this module once, beside the default __main__,
-    # so each worker starts with it: a fold of a few shifts at two workers
-    # takes 18 ms, against 97 ms with no preload and 8 ms by fork.  To
-    # 10^7, fork took 1240, 1060 and 636 ms in the runs above.  Set on the
-    # first pool, so that importing this module changes no process-wide
-    # setting.
-    if "forkserver" not in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context()
-    context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload(["__main__", __name__])
-    return context
-
-
-def clamp_workers(requested: int, cpus: int, work: int) -> int:
-    """Worker processes for a fold of `work` piece-operations: no more
-    than asked for, one per CPU, and _POOL_PIECES piece-operations each,
-    so a fold too small to pay for a worker's start gets none."""
-    return min(requested, cpus, work // _POOL_PIECES)
-
-
-def _fold(classes: list[Class], workers: int) -> list[bytes]:
-    # _fold_class of each class, its groups (B_s, shifts), in class order,
-    # one class per task
-    work = sum(len(shifts) * -(-width // _PIECE) for _, width, groups in classes for _, shifts in groups)
-    n = clamp_workers(workers, os.cpu_count() or 1, work)
-    if n > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=n, mp_context=_pool_context()) as pool:
-                return list(pool.map(_fold_class, *zip(*classes)))
-        except (OSError, BrokenExecutor):
-            # without a working pool, the same class folds run in process
-            pass
-    return [_fold_class(*c) for c in classes]
 
 
 def _fold_class(offset: int, width: int, groups: list[tuple[int, list[int]]]) -> bytes:
@@ -575,7 +519,7 @@ def _pairs(parts: list[Part], width: int, lo: int = 0, hi: Optional[int] = None)
     return acc
 
 
-def value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> int:
+def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) -> int:
     """For progression = (M, C), bit n of the mask is set iff M*n + C is a
     value of form, 0 <= n <= limit.  A sparse form folds only a prefix of
     the pair level and tests the few bits it leaves missing; a dense one
@@ -622,10 +566,10 @@ def value_mask(form: Form, limit: int, workers: int = 1, progression: tuple[int,
         pairs, classes = _levels(form, limit, progression, q)
         top = max(width for _, width, _ in classes)
         built = {s: _pairs(pairs[s], top) for s in sorted({s for _, _, targets in classes for s, _ in targets})}
-        masks = _fold([(o, w, [(built[s], v[: bisect_left(v, w)]) for s, v in targets]) for o, w, targets in classes], workers)
+        masks = [_fold_class(o, w, [(built[s], v[: bisect_left(v, w)]) for s, v in targets]) for o, w, targets in classes]
         del pairs, classes, built
         return _interleave(masks)
-    # all of B meets every v, in process
+    # all of B meets every v
     acc = 0
     for base, (parts, longest) in zip(bases, groups):
         if cut is not None:
@@ -704,35 +648,20 @@ def _unreached(candidates: list[int], base: int, width: int, shifts: list[int]) 
     return out
 
 
-def attainable(form: Form, limit: int, workers: int = 1, progression: tuple[int, int] = (1, 0)) -> ValueMask:
+def attainable(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) -> ValueMask:
     """The n <= limit with M*n + C a value of form, as a ValueMask; the
     default progression (M, C) = (1, 0) gives the values up to limit."""
-    return ValueMask(limit, value_mask(form, limit, workers=workers, progression=progression))
-
-
-def env_workers() -> Optional[int]:
-    """The worker count TERNA_THREADS asks for, or None when it is unset or
-    empty.  Raises ValueError when it is set to anything but an integer
-    of at least 1."""
-    env = os.environ.get("TERNA_THREADS")
-    if not env:
-        return None
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ValueError(f"TERNA_THREADS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"TERNA_THREADS must be >= 1, got {env!r}")
-    return workers
+    return ValueMask(limit, value_mask(form, limit, progression=progression))
 
 
 def exceptional_set(form: Form, limit: int, workers: int = 1) -> SieveReport:
     """All n in [0, limit] not attained by form, as a SieveReport.
 
-    Deterministic regardless of workers; raises ResourceLimitError, before
-    the bit array is allocated, when it would exceed DEFAULT_MAX_BITS.
+    workers is accepted and has no effect: the sieve runs in one process.
+    Raises ResourceLimitError, before the bit array is allocated, when it
+    would exceed DEFAULT_MAX_BITS.
     """
     t0 = time.perf_counter()
-    exceptions = tuple(attainable(form, limit, workers=workers).missing())
+    exceptions = tuple(attainable(form, limit).missing())
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return SieveReport(form=str(form), limit=limit, exceptions=exceptions, elapsed_ms=elapsed_ms)

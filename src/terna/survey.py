@@ -172,24 +172,18 @@ def filter_universal_quadruples(
 
 def reverify_quadruples(quads: list[tuple[int, int, int, int]], n_limit: int) -> list[tuple[int, int, int, int]]:
     """The subset of quads, in order, with no counterexample n <= n_limit:
-    one exact single-worker sieve (``exceptional_set``) of [0, n_limit] per
-    quadruple.  It re-checks filter survivors at larger bounds, and is an
-    engine independent of the filter's sumset."""
+    one exact sieve (``exceptional_set``) of [0, n_limit] per quadruple.
+    It re-checks filter survivors at larger bounds, and is an engine
+    independent of the filter's sumset."""
     return [q for q in quads if exceptional_set(quadruple_poly(q), n_limit).is_empty()]
 
 
-def verify_conjectured_triples(
-    limit: int,
-    workers: int = 1,
-) -> list[tuple[tuple[int, int, int], SieveReport]]:
+def verify_conjectured_triples(limit: int) -> list[tuple[tuple[int, int, int], SieveReport]]:
     """Exceptional set up to limit for each conjectured triple.
 
     An empty set is evidence for the conjecture at this range, not a proof.
     """
-    return [
-        (t, exceptional_set(triple_poly(t), limit, workers=workers))
-        for t in CONJECTURED_TRIPLES
-    ]
+    return [(t, exceptional_set(triple_poly(t), limit)) for t in CONJECTURED_TRIPLES]
 
 
 @dataclass(frozen=True)
@@ -201,11 +195,11 @@ class EvenSquareScanReport:
     exceptions: dict[int, tuple[int, ...]]
 
 
-def scan_5x2_5y2_4z2(limit: int, workers: int = 1) -> EvenSquareScanReport:
+def scan_5x2_5y2_4z2(limit: int) -> EvenSquareScanReport:
     """Scan 20n+r against 5x^2+5y^2+4z^2 for r in {6, 14}, n <= limit: one
     sieve of the form on each progression 20n+r, limit + 1 bits wide."""
     exceptions = {
-        r: tuple(attainable(DiagonalForm((5, 5, 4)), limit, workers=workers, progression=(20, r)).missing())
+        r: tuple(attainable(DiagonalForm((5, 5, 4)), limit, progression=(20, r)).missing())
         for r in (6, 14)
     }
     return EvenSquareScanReport(limit, exceptions)

@@ -303,14 +303,14 @@ class BridgeReport:
         return not self.mismatches
 
 
-def diagonal_bridge(limit: int, workers: int = 1) -> BridgeReport:
+def diagonal_bridge(limit: int) -> BridgeReport:
     """Compare the two sides for every n <= limit (expected: no mismatch).
     The right side sieves 21x^2+14y^2+6z^2 on the progression 168n+41
     alone, with x, y, z unconstrained: the classes that reduce() would
     derive are not used, so the two sides stay independent."""
     poly = triple_poly((2, 3, 7))
-    lhs_missing = frozenset(exceptional_set(poly, limit, workers=workers).exceptions)
-    rhs_failures = tuple(attainable(DiagonalForm((21, 14, 6)), limit, workers=workers, progression=(168, 41)).missing())
+    lhs_missing = frozenset(exceptional_set(poly, limit).exceptions)
+    rhs_failures = tuple(attainable(DiagonalForm((21, 14, 6)), limit, progression=(168, 41)).missing())
     rhs_missing = frozenset(rhs_failures)
     mismatches = tuple(
         (n, n not in lhs_missing, n not in rhs_missing)

@@ -70,7 +70,7 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_gauss_legendre_sieve_1e5():
     t0 = time.perf_counter()
-    result = exceptional_set(DiagonalForm((1, 1, 1)), 10**5, workers=1)
+    result = exceptional_set(DiagonalForm((1, 1, 1)), 10**5)
     elapsed = time.perf_counter() - t0
     expected = [n for n in range(10**5 + 1) if oracles.gauss_legendre_excluded(n)]
     ok = list(result.exceptions) == expected and elapsed < 60.0

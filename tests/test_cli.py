@@ -137,9 +137,8 @@ def test_cli_deterministic_output(capsys):
 
 
 def test_cli_threads_do_not_change_output(capsys, monkeypatch):
-    # two piece-operations per worker and classes of any width, so that
-    # --threads 2 folds the 48 classes of x^2+y^2+3z^2 in the pool
-    monkeypatch.setattr(search, "_POOL_PIECES", 2)
+    # classes of any width, so that x^2+y^2+3z^2 folds its 48 classes; the
+    # accepted --threads changes nothing
     monkeypatch.setattr(search, "_FLOOR", 1)
     base = ("exceptions", "x^2+y^2+3z^2", "--limit", "5000", "--json", "--no-timing")
     _, solo, _ = run(capsys, *base, "--threads", "1")
@@ -148,32 +147,11 @@ def test_cli_threads_do_not_change_output(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
-def test_cli_rejects_threads_below_one(capsys, monkeypatch, threads):
+def test_cli_rejects_threads_below_one(capsys, threads):
     code, out, err = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30", "--threads", threads)
     assert code == 2
     assert out == ""
     assert err == f"usage error: --threads must be >= 1, got {threads}\n"
-    monkeypatch.setenv("TERNA_THREADS", threads)
-    code, out, err = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: TERNA_THREADS must be >= 1, got '{threads}'\n"
-
-
-def test_cli_rejects_unparseable_terna_threads(capsys, monkeypatch):
-    monkeypatch.setenv("TERNA_THREADS", "junk")
-    code, out, err = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30")
-    assert code == 2
-    assert out == "" and "TERNA_THREADS" in err
-    # an explicit --threads does not read the environment
-    code, _, _ = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30", "--threads", "1")
-    assert code == 0
-    # a command that does not sieve does not read it
-    code, out, err = run(capsys, "lemma", "--id", "2.1", "5", "5")
-    assert code == 0 and "7^2+1^2" in out and err == ""
-    monkeypatch.setenv("TERNA_THREADS", "2")
-    code, _, _ = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30")
-    assert code == 0
 
 
 def test_cli_represent(capsys):
@@ -279,7 +257,7 @@ def test_cli_conjecture(capsys):
 
 def test_cli_conjecture_reports_a_finding(capsys, monkeypatch):
     reports = [((2, 2, 6), SieveReport("f", 500, (), 0)), ((2, 3, 7), SieveReport("g", 500, (11, 40), 0))]
-    monkeypatch.setattr(cli, "verify_conjectured_triples", lambda limit, workers: reports)
+    monkeypatch.setattr(cli, "verify_conjectured_triples", lambda limit: reports)
     code, out, _ = run(capsys, "conjecture", "--limit", "500", "--threads", "1")
     assert code == 1
     assert out == "(2,2,6) up to 500: empty\n(2,3,7) up to 500: EXCEPTIONS (11, 40)\n"
@@ -299,7 +277,7 @@ def test_cli_bridge(capsys):
 
 def test_cli_bridge_reports_a_mismatch(capsys, monkeypatch):
     report = BridgeReport(50, ((3, True, False),), (), (3,))
-    monkeypatch.setattr(cli, "diagonal_bridge", lambda limit, workers: report)
+    monkeypatch.setattr(cli, "diagonal_bridge", lambda limit: report)
     code, out, _ = run(capsys, "bridge", "--remark12", "--limit", "50", "--threads", "1")
     assert code == 1
     assert out == "mismatch at n=3: polynomial=True diagonal=False\n"

@@ -49,3 +49,40 @@ def test_value_mask_is_traced_under_attainable():
     masks = [i for i, name in enumerate(tracer.names) if name == "search.value_mask"]
     assert masks
     assert all(tracer.parent[i] >= 0 and tracer.names[tracer.parent[i]] == "search.attainable" for i in masks)
+
+
+# The benchmark passes two inputs that no longer change anything: the third
+# argument of exceptional_set (positional in workloads._sparse_ops, by
+# keyword in run.sieve_peak) and --threads 2 on every sieving command of
+# sieve-dense.  Both must stay accepted, and inert, until it stops.
+
+
+def test_exceptional_set_takes_the_unused_workers_argument():
+    from terna import DiagonalForm, PolySum, exceptional_set
+
+    for form, limit in ((PolySum.of((2, 1), (3, 1), (6, 1)), 1000), (DiagonalForm((1, 1, 1)), 1000)):
+        plain = exceptional_set(form, limit).exceptions
+        assert plain and exceptional_set(form, limit, 1).exceptions == plain
+        assert exceptional_set(form, limit, workers=1).exceptions == plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exceptions", "x^2+y^2+z^2", "--limit", "2000", "--json", "--no-timing"],
+        ["conjecture", "--limit", "200"],
+        ["scan-remark21", "--limit", "200"],
+        ["bridge", "--remark12", "--limit", "200"],
+        ["crosscheck", "--family", "gauss", "--limit", "2000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sieving_commands_ignore_threads(capsys, argv):
+    from terna import cli
+
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    assert cli.main([*argv, "--threads", "2"]) == 0
+    assert plain and capsys.readouterr().out == plain
+    assert cli.main([*argv, "--threads", "0"]) == 2
+    assert capsys.readouterr().out == ""

@@ -12,7 +12,6 @@ from terna import (
     exceptional_set,
     represent,
     represent_all,
-    search,
 )
 from terna.search import DEFAULT_MAX_BITS
 
@@ -148,30 +147,6 @@ def test_monotone_consistency():
         assert list(small) == [n for n in large if n <= 1000]
 
 
-def test_parallel_determinism(monkeypatch):
-    # two piece-operations per worker and classes of any width, so that
-    # Gauss's 16 class folds of one piece each start the pool at two workers
-    monkeypatch.setattr(search, "_POOL_PIECES", 2)
-    monkeypatch.setattr(search, "_FLOOR", 1)
-    for form in (DiagonalForm((1, 1, 1)), PolySum.of((2, 1), (3, 1), (6, 1))):
-        solo = exceptional_set(form, 20000, workers=1)
-        duo = exceptional_set(form, 20000, workers=2)
-        assert solo.exceptions == duo.exceptions
-
-
-def test_clamp_workers():
-    from terna.search import _POOL_PIECES, clamp_workers
-
-    assert clamp_workers(500, 2, 10**9) == 2  # one per CPU
-    assert clamp_workers(3, 8, 10**9) == 3  # no more than asked for
-    assert clamp_workers(8, 8, 3 * _POOL_PIECES) == 3  # _POOL_PIECES piece-operations each
-    assert clamp_workers(2, 2, 2 * _POOL_PIECES - 1) == 1
-    assert clamp_workers(1, 64, 10**9) == 1
-    # Gauss to 10^6: 16 class folds of one piece, 9 001 shifts in all, too
-    # little for a worker
-    assert clamp_workers(2, 2, 9001) == 0
-
-
 def test_resource_cap():
     with pytest.raises(ResourceLimitError):
         exceptional_set(DiagonalForm((1, 1, 1)), DEFAULT_MAX_BITS)
@@ -199,21 +174,6 @@ def test_sieve_report_fields():
     assert r.form == "x^2+y^2+z^2"
     assert r.elapsed_ms >= 0
     assert list(r.exceptions) == sorted(r.exceptions)
-
-
-def test_worker_default_env_fallback(monkeypatch):
-    from terna.search import env_workers
-
-    monkeypatch.setenv("TERNA_THREADS", "3")
-    assert env_workers() == 3
-    monkeypatch.setenv("TERNA_THREADS", "")
-    assert env_workers() is None
-    monkeypatch.delenv("TERNA_THREADS")
-    assert env_workers() is None
-    for bad in ("junk", "0"):
-        monkeypatch.setenv("TERNA_THREADS", bad)
-        with pytest.raises(ValueError, match="TERNA_THREADS"):
-            env_workers()
 
 
 def test_exact_arithmetic_beyond_word_sizes():

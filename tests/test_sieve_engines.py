@@ -4,18 +4,13 @@ On seeded random small forms, the residual-candidate sieve
 (``value_mask``) must give the same attainable-value bitset as the dense
 fold it replaces (``_dense_value_mask``, kept here as the reference), and
 ``exceptional_set`` the same exceptional set as the brute-force triple
-loop of ``oracles.naive_exceptions``, for any worker count, wherever
-the residual sieve switches to testing candidates and whichever path
-(residual, exact completion, dense) it takes.
+loop of ``oracles.naive_exceptions``, wherever the residual sieve
+switches to testing candidates and whichever path (residual, exact
+completion, dense) it takes.
 """
 
 import inspect
-import os
 import random
-import subprocess
-import sys
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from pathlib import Path
 
 import pytest
 
@@ -38,14 +33,6 @@ def _dense_value_mask(form, limit: int, progression: tuple[int, int] = (1, 0)) -
     for s, longest in groups:
         fold |= search._or_shifts(_pairs(pairs[s], width), longest, width)
     return _aligned(fold, offset)
-
-
-@pytest.fixture
-def pooled(monkeypatch):
-    # two piece-operations per worker: the small widths here fold a few
-    # shifts over one piece, which the module's threshold leaves in
-    # process, so workers=2 would compare the in-process fold with itself
-    monkeypatch.setattr(search, "_POOL_PIECES", 2)
 
 
 @pytest.fixture
@@ -86,83 +73,13 @@ PIECES = (search._PIECE, 64)
 @pytest.mark.parametrize("piece", PIECES)
 @pytest.mark.parametrize("switch", sorted(SWITCHES))
 @pytest.mark.parametrize("pairs,limit", CASES, ids=[f"{p}@{n}" for p, n in CASES])
-@pytest.mark.usefixtures("pooled")
 def test_engines_agree_with_oracle(monkeypatch, pairs, limit, switch, piece):
     monkeypatch.setattr(search, "_BITS_PER_CANDIDATE", SWITCHES[switch])
     monkeypatch.setattr(search, "_PIECE", piece)
     form = PolySum.of(*pairs)
     dense = _dense_value_mask(form, limit)
-    assert value_mask(form, limit, workers=1) == dense
-    assert value_mask(form, limit, workers=2) == dense
-    expected = tuple(oracles.naive_exceptions(pairs, limit))
-    assert exceptional_set(form, limit, workers=1).exceptions == expected
-    assert exceptional_set(form, limit, workers=2).exceptions == expected
-
-
-class _RefusedPool:
-    # a pool that cannot start, as where processes may not be spawned
-    def __init__(self, max_workers, mp_context):
-        raise OSError("process pools are not available")
-
-
-class _BrokenPool:
-    # a pool whose workers die before they return
-    def __init__(self, max_workers, mp_context):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, *args):
-        raise BrokenExecutor("a worker died")
-
-
-@pytest.mark.parametrize("pool", [_RefusedPool, _BrokenPool], ids=["refused", "broken"])
-@pytest.mark.usefixtures("pooled")
-def test_fold_falls_back_in_process(monkeypatch, pool):
-    # a pool that cannot start or breaks leaves _fold to fold each of Gauss's
-    # 16 classes to 2^17 in process, with the same result
-    form = DiagonalForm((1, 1, 1))
-    assert search._split(form, 2**17, (1, 0)) == 16
-    serial = value_mask(form, 2**17, workers=1)
-    started = []
-
-    def start(max_workers, mp_context):
-        started.append(max_workers)
-        return pool(max_workers, mp_context)
-
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", start)
-    assert value_mask(form, 2**17, workers=2) == serial
-    assert started and set(started) == {2}
-
-
-def test_pool_starts_only_past_the_threshold(monkeypatch):
-    # Gauss to 10^6 folds 16 classes of 62 501 bits, 9 001 piece-operations
-    # at most, too few to pay for a worker's start: they fold in process at
-    # workers=2, and in the pool once the threshold is forced low, with the
-    # same mask; a dense form that stays whole (q = 1) never starts it
-    started = []
-
-    def spy(max_workers, mp_context):
-        started.append(max_workers)
-        return ProcessPoolExecutor(max_workers, mp_context)
-
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", spy)
-    form = DiagonalForm((1, 1, 1))
-    alone = value_mask(form, 10**6, workers=2)
-    assert started == []
-    monkeypatch.setattr(search, "_POOL_PIECES", 2)
-    assert value_mask(form, 10**6, workers=2) == alone
-    assert started == [2]
-    whole = PolySum.of((8, 0), (8, 7), (10, 1))
-    assert search._split(whole, 10**6, (1, 0)) == 1
-    assert value_mask(whole, 10**6, workers=2) == value_mask(whole, 10**6)
-    assert started == [2]
+    assert value_mask(form, limit) == dense
+    assert exceptional_set(form, limit).exceptions == tuple(oracles.naive_exceptions(pairs, limit))
 
 
 def test_candidate_stage_keeps_48(monkeypatch):
@@ -292,7 +209,7 @@ def test_or_shifts_matches_naive_or(width):
 # value_mask/attainable with progression (M, C): bit n stands for M*n + C.
 # Checked against the brute-force oracle for M*n + C, against the dense
 # mask of the whole range [0, M*limit + C] read at M*n + C, and across
-# worker counts and switch points.
+# switch points.
 
 
 def random_class(rng: random.Random) -> tuple[int, int]:
@@ -325,7 +242,7 @@ def constrained(coeffs, classes) -> DiagonalForm:
 
 
 # probe shifts: the module's own, and four shifts of each group, so that
-# the fold finishes through the pool
+# the probe grows or is dropped on small sieves too
 PROBES = (search._PROBE_SHIFTS, 4)
 
 
@@ -336,7 +253,6 @@ PROBES = (search._PROBE_SHIFTS, 4)
     PROGRESSION_CASES,
     ids=[f"{c}{k}{p}@{n}" for c, k, p, n in PROGRESSION_CASES],
 )
-@pytest.mark.usefixtures("pooled")
 def test_progression_sieve(monkeypatch, coeffs, classes, progression, limit, switch, probe):
     monkeypatch.setattr(search, "_BITS_PER_CANDIDATE", SWITCHES[switch])
     monkeypatch.setattr(search, "_PROBE_SHIFTS", probe)
@@ -347,9 +263,7 @@ def test_progression_sieve(monkeypatch, coeffs, classes, progression, limit, swi
     expected = [n for n in range(limit + 1) if not reach[modulus * n + constant]]
 
     assert attainable(form, limit, progression=progression).missing() == expected
-    mask = value_mask(form, limit, workers=1, progression=progression)
-    assert value_mask(form, limit, workers=2, progression=progression) == mask
-    assert _dense_value_mask(form, limit, progression=progression) == mask
+    assert _dense_value_mask(form, limit, progression=progression) == value_mask(form, limit, progression=progression)
 
     # bit v of the dense mask is value v
     dense = _dense_value_mask(form, top)
@@ -358,7 +272,6 @@ def test_progression_sieve(monkeypatch, coeffs, classes, progression, limit, swi
 
 @pytest.mark.parametrize("pairs,limit", CASES[:8], ids=[f"{p}@{n}" for p, n in CASES[:8]])
 @pytest.mark.parametrize("progression", [(3, 1), (7, 12), (12, 5)])
-@pytest.mark.usefixtures("pooled")
 def test_progression_sieve_polysum(pairs, limit, progression):
     # terms with negative values: the fold's bits start below n = 0
     modulus, constant = progression
@@ -366,10 +279,8 @@ def test_progression_sieve_polysum(pairs, limit, progression):
     missing = set(oracles.naive_exceptions(pairs, modulus * limit + constant))
     expected = [n for n in range(limit + 1) if modulus * n + constant in missing]
     form = PolySum.of(*pairs)
-    for workers in (1, 2):
-        assert attainable(form, limit, workers=workers, progression=progression).missing() == expected
-        mask = value_mask(form, limit, workers=workers, progression=progression)
-        assert mask == _dense_value_mask(form, limit, progression=progression)
+    assert attainable(form, limit, progression=progression).missing() == expected
+    assert value_mask(form, limit, progression=progression) == _dense_value_mask(form, limit, progression=progression)
 
 
 def test_default_progression_is_the_plain_sieve():
@@ -408,7 +319,7 @@ def test_value_mask_repr_leaves_out_the_mask():
 # probe P while it looks sparse and some longest-slot shifts are left;
 # otherwise it drops the probe and folds all of B with every shift (dense).
 # Each path is forced here and checked against the dense reference and
-# the brute-force oracles, at one and two workers.
+# the brute-force oracles.
 
 PATHS = {
     # candidates tested after the first probe, from the module's K
@@ -443,16 +354,12 @@ def force(monkeypatch, path):
 
 
 def assert_engines_agree(form, limit, progression, expected):
-    mask = value_mask(form, limit, workers=1, progression=progression)
-    assert value_mask(form, limit, workers=2, progression=progression) == mask
-    assert _dense_value_mask(form, limit, progression=progression) == mask
-    for workers in (1, 2):
-        assert attainable(form, limit, workers=workers, progression=progression).missing() == expected
+    assert value_mask(form, limit, progression=progression) == _dense_value_mask(form, limit, progression=progression)
+    assert attainable(form, limit, progression=progression).missing() == expected
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
 @pytest.mark.parametrize("pairs,limit", PATH_POLYSUMS, ids=[f"{p}@{n}" for p, n in PATH_POLYSUMS])
-@pytest.mark.usefixtures("pooled")
 def test_paths_agree_polysum(monkeypatch, pairs, limit, path):
     force(monkeypatch, path)
     assert_engines_agree(PolySum.of(*pairs), limit, (1, 0), oracles.naive_exceptions(pairs, limit))
@@ -464,7 +371,6 @@ def test_paths_agree_polysum(monkeypatch, pairs, limit, path):
     PROGRESSION_CASES[:12] + MULTI_GROUP,
     ids=[f"{c}{k}{p}@{n}" for c, k, p, n in PROGRESSION_CASES[:12] + MULTI_GROUP],
 )
-@pytest.mark.usefixtures("pooled")
 def test_paths_agree_progression(monkeypatch, coeffs, classes, progression, limit, path):
     force(monkeypatch, path)
     modulus, constant = progression
@@ -485,7 +391,7 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
     # some unreached, "probe grown" when B_K is folded with longest-slot
     # shifts past the probe's first P
     taken = set()
-    split, fold, complete = search._split, search._fold, search._complete
+    split, fold, complete = search._split, search._fold_class, search._complete
     unreached, pairs, or_shifts = search._unreached, search._pairs, search._or_shifts
     longest = [shifts for _, shifts in _levels(form, limit, (1, 0))[1][0][2]]
     nested = []
@@ -519,13 +425,13 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
     def spy_or_shifts(base, shifts, width):
         # value_mask's own folds take a group's longest shifts: a prefix of
         # them in the first probe, later ones when P grows, all of them in a
-        # dense fold of one class; the class folds run inside _fold
+        # dense fold of one class; a split fold's calls run inside _fold_class
         if not nested and shifts and all(shifts != group[: len(shifts)] for group in longest):
             taken.add("probe grown")
         return or_shifts(base, shifts, width)
 
     monkeypatch.setattr(search, "_split", spy_split)
-    monkeypatch.setattr(search, "_fold", spy_fold)
+    monkeypatch.setattr(search, "_fold_class", spy_fold)
     monkeypatch.setattr(search, "_complete", spy_complete)
     monkeypatch.setattr(search, "_unreached", spy_unreached)
     monkeypatch.setattr(search, "_pairs", spy_pairs)
@@ -572,7 +478,7 @@ def test_each_path_is_taken(monkeypatch, path, pairs, limit, taken):
 
 def fold_calls(monkeypatch, form, limit) -> list[tuple]:
     # ("pairs", lo, hi) for each _pairs call and ("or", shifts) for each
-    # _or_shifts call, in order, at one worker
+    # _or_shifts call, in order
     calls = []
     pairs, or_shifts = search._pairs, search._or_shifts
 
@@ -663,13 +569,14 @@ def test_full_classes_stop_early(monkeypatch):
     # Gauss to 10^6: the class folds shift 1 461 pieces of 62 501 bits where
     # the whole fold shifts 8 008 of 2^17, and would shift 9 001 if no class
     # stopped when full
-    pieces = []
-    fold, or_shifts = search._fold, search._or_shifts
+    work, pieces = [], []
+    fold_class, or_shifts = search._fold_class, search._or_shifts
 
-    def spy_fold(classes, workers):
-        pieces.append(sum(len(shifts) * -(-width // search._PIECE) for _, width, groups in classes for _, shifts in groups))
+    def spy_fold_class(offset, width, groups):
+        # every B_s is built before the first class folds
+        work.append(sum(len(shifts) for _, shifts in groups) * -(-width // search._PIECE))
         monkeypatch.setattr(search, "_or_shifts", spy_or_shifts)
-        return fold(classes, workers)
+        return fold_class(offset, width, groups)
 
     def spy_or_shifts(base, shifts, width):
         pieces.append(len(shifts) * -(-width // search._PIECE))
@@ -679,9 +586,9 @@ def test_full_classes_stop_early(monkeypatch):
     _, [(_, width, [(_, longest)])] = _levels(form, 10**6, (1, 0))
     assert len(longest) * -(-width // search._PIECE) == 8008
     dense = _dense_value_mask(form, 10**6)
-    monkeypatch.setattr(search, "_fold", spy_fold)
+    monkeypatch.setattr(search, "_fold_class", spy_fold_class)
     assert value_mask(form, 10**6) == dense
-    assert (pieces[0], sum(pieces[1:])) == (9001, 1461)
+    assert (sum(work), sum(pieces)) == (9001, 1461)
 
 
 def test_sparse_work_is_pinned(monkeypatch):
@@ -722,11 +629,8 @@ def reference_mask(terms, limit: int, progression: tuple[int, int]) -> int:
 
 
 @pytest.mark.parametrize("form,terms", REFERENCE_FORMS, ids=[str(f) for f, _ in REFERENCE_FORMS])
-@pytest.mark.usefixtures("pooled")
 def test_value_mask_matches_whole_range_reference(form, terms):
-    expected = _aligned(*oracles.shifted_values_mask(terms, 10**5))
-    for workers in (1, 2):
-        assert value_mask(form, 10**5, workers=workers) == expected
+    assert value_mask(form, 10**5) == _aligned(*oracles.shifted_values_mask(terms, 10**5))
 
 
 @pytest.mark.parametrize(
@@ -734,12 +638,9 @@ def test_value_mask_matches_whole_range_reference(form, terms):
     [(*REFERENCE_FORMS[0], (5, 3), 2000), (*REFERENCE_FORMS[4], (7, 2), 1500)],
     ids=["237-mod5", "x2+y2+11z2-mod7"],
 )
-@pytest.mark.usefixtures("pooled")
 def test_progressions_match_whole_range_reference(form, terms, progression, limit):
     # several residue pairs per progression, whose sums carry past M
-    expected = reference_mask(terms, limit, progression)
-    for workers in (1, 2):
-        assert value_mask(form, limit, workers=workers, progression=progression) == expected
+    assert value_mask(form, limit, progression=progression) == reference_mask(terms, limit, progression)
 
 
 # --- class fold -----------------------------------------------------------------
@@ -747,7 +648,7 @@ def test_progressions_match_whole_range_reference(form, terms, progression, limi
 # A dense form folds each class n = j (mod q) on its own and interleaves the
 # class masks.  With the floor forced to 1 (the split fixture) small sieves
 # split too, and must give the reference masks: the whole fold of
-# _dense_value_mask and the oracle's, at one and two workers.
+# _dense_value_mask and the oracle's.
 
 
 def class_terms(coeffs, classes) -> tuple:
@@ -774,12 +675,11 @@ SPLIT_CASES = (
 
 
 @pytest.mark.parametrize("form,terms,progression,limit", SPLIT_CASES, ids=[f"{t}{p}@{n}" for _, t, p, n in SPLIT_CASES])
-@pytest.mark.usefixtures("split", "pooled")
+@pytest.mark.usefixtures("split")
 def test_class_fold_matches_references(form, terms, progression, limit):
     expected = reference_mask(terms, limit, progression)
     assert _dense_value_mask(form, limit, progression) == expected
-    for workers in (1, 2):
-        assert value_mask(form, limit, workers=workers, progression=progression) == expected
+    assert value_mask(form, limit, progression=progression) == expected
 
 
 @pytest.mark.usefixtures("split")
@@ -787,13 +687,13 @@ def test_split_cases_reach_the_class_fold(monkeypatch):
     # the four chosen cases and more than a third of all are dense and fold
     # by class (37 of 84); the others are sparse, or no wider than q bits
     folded = []
-    fold = search._fold
+    fold_class = search._fold_class
 
-    def spy_fold(classes, workers):
-        folded.append(len(classes))
-        return fold(classes, workers)
+    def spy_fold_class(*args):
+        folded.append(1)
+        return fold_class(*args)
 
-    monkeypatch.setattr(search, "_fold", spy_fold)
+    monkeypatch.setattr(search, "_fold_class", spy_fold_class)
     reached = []
     for form, _, progression, limit in SPLIT_CASES:
         folded.clear()
@@ -846,33 +746,3 @@ def test_interleave_shifted_by_one_class_is_caught(monkeypatch):
     interleave = search._interleave
     monkeypatch.setattr(search, "_interleave", lambda masks: interleave(masks[1:] + masks[:1]))
     assert value_mask(GAUSS_FORM, GAUSS_SPLIT) != dense
-
-
-SPAWNED_POOL = """
-import multiprocessing
-
-from terna import DiagonalForm, exceptional_set, search
-
-if __name__ == "__main__":
-    search._pool_context = lambda: multiprocessing.get_context("spawn")
-    # a broken pool raises here instead of falling back to the in-process fold
-    search.BrokenExecutor = type("Unraised", (Exception,), {})
-    # two piece-operations per worker and classes of one bit and up, so that
-    # both dense forms fold by class to 10^5 and start the pool
-    search._POOL_PIECES = 2
-    search._FLOOR = 1
-    for coeffs in ((1, 1, 1), (10, 5, 2)):
-        one, two = (exceptional_set(DiagonalForm(coeffs), 10**5, workers=w).exceptions for w in (1, 2))
-        print(len(one), one == two)
-"""
-
-
-def test_pool_under_spawn_start_method():
-    # spawned workers import terna afresh instead of inheriting the parent's
-    # memory, as under macOS's default start method and the fork server the
-    # pool starts from on Linux; both dense folds must still match one worker
-    src = str(Path(search.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-c", SPAWNED_POOL], env=env, capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["16664 True", "48959 True"]
