@@ -154,6 +154,14 @@ def test_cli_rejects_threads_below_one(capsys, threads):
     assert err == f"usage error: --threads must be >= 1, got {threads}\n"
 
 
+@pytest.mark.parametrize("threads", ["junk", "1.5"])
+def test_cli_rejects_unparseable_threads(capsys, threads):
+    code, out, err = run(capsys, "exceptions", "x^2+y^2+z^2", "--limit", "30", "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err and threads in err
+
+
 def test_cli_represent(capsys):
     code, out, _ = run(capsys, "represent", "x(2x+1)+y(3y+1)+z(6z+1)", "--n", "48")
     assert code == 0

@@ -12,6 +12,7 @@ from terna import (
     exceptional_set,
     represent,
     represent_all,
+    search,
 )
 from terna.search import DEFAULT_MAX_BITS
 
@@ -145,6 +146,19 @@ def test_monotone_consistency():
         small = exceptional_set(form, 1000).exceptions
         large = exceptional_set(form, 10**4).exceptions
         assert list(small) == [n for n in large if n <= 1000]
+
+
+def test_parallel_determinism(monkeypatch):
+    # the benchmark still passes workers to exceptional_set; with classes of
+    # any width, so that both forms fold one class at a time, any count
+    # returns what the default returns
+    monkeypatch.setattr(search, "_FLOOR", 1)
+    for form in (DiagonalForm((1, 1, 1)), PolySum.of((2, 1), (3, 1), (6, 1))):
+        plain = exceptional_set(form, 20000).exceptions
+        assert plain
+        for workers in (1, 2, 8):
+            assert exceptional_set(form, 20000, workers=workers).exceptions == plain
+    assert list(plain) == [n for n in range(20001) if represent(PolySum.of((2, 1), (3, 1), (6, 1)), n) is None]
 
 
 def test_resource_cap():
