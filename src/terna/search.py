@@ -33,26 +33,38 @@ Two complementary engines:
 
 * ``exceptional_set`` computes E(f) = {n <= N : n is not a value of f}
   for a whole range at once, from the attainable-value bitset built by
-  ``value_mask`` (a Python int used as a bit array).  ``value_mask`` and
-  ``attainable`` sieve one progression (M, C): bit n of the mask says
-  whether M*n + C is a value, for 0 <= n <= limit whatever M is; the
-  default (1, 0) is the plain range.  Every input is first made one
-  DiagonalForm, with classes, on one progression (``_constrained``): n is
-  a value of a PolySum iff M'*n + C' is a value of its reduction
-  (``reduce``, M' = 4*lcm(ai)), so (M, C) becomes (M'*M, M'*C + C'); a
-  DiagonalForm is taken as it is.  Each variable's values c*w^2 >= 0 over
-  its class up to M*limit + C enter as they are, bucketed by residue mod
-  M, keeping the quotients.  Each residue pair of the two shorter lists,
-  short and middle, sums into a quotient bitset B_s for the pair residue
-  s, carry added, which goes with the longest list's quotients v of
-  residue C - s (mod M).  Bit k of the fold stands for M*k + (C mod M),
-  and one shift by C // M at the end makes it bit n.  On (1, 0) there is
-  one group (B, v), for a PolySum too: the values c*(2aw+b)^2 of each of
-  its variables lie in one residue class mod M'.  Every sumset is an OR
-  of shifted copies of 2^17-bit pieces of one operand, the one spanning
-  fewer pieces per shift.
+  ``value_mask`` (a Python int used as a bit array), or for a dense form
+  from its class masks.  ``value_mask`` and ``attainable`` sieve one
+  progression (M, C): bit n of the mask says whether M*n + C is a value,
+  for 0 <= n <= limit whatever M is; the default (1, 0) is the plain
+  range.  Every input is first made one DiagonalForm, with classes, on
+  one progression (``_constrained``): n is a value of a PolySum iff
+  M'*n + C' is a value of its reduction (``reduce``, M' = 4*lcm(ai)), so
+  (M, C) becomes (M'*M, M'*C + C'); a DiagonalForm is taken as it is.  Each
+  variable's values c*w^2 >= 0 over its class up to M*limit + C enter as
+  they are, bucketed by residue mod M, keeping the quotients.  Each
+  residue pair of the two shorter lists, short and middle, sums into a
+  quotient bitset B_s for the pair residue s, carry added, which goes
+  with the longest list's quotients v of residue C - s (mod M).  Bit k
+  of the fold stands for M*k + (C mod M), and one shift by C // M at the
+  end makes it bit n.  On (1, 0) there is one group (B, v), for a
+  PolySum too: the values c*(2aw+b)^2 of each of its variables lie in
+  one residue class mod M'.  Every sumset is an OR of shifted copies of
+  2^17-bit pieces of one operand, the one spanning fewer pieces per
+  shift.
 
-  A form's pair level starts as B_K, built from its first K short
+  The form's residue image comes first (``_misses``): the sums of its
+  slots' residues c*w^2 mod Q, w over each class, with
+  Q = lcm(M, 16*p1^2*p2^2...) over the odd primes p of the coefficients
+  whose slots hold a value in (0, M*limit + C].  A class of n mod Q/M
+  whose target M*n + C mod Q lies outside the image is empty: every n in
+  it is an exception.  Gauss misses 2 classes of 16, x^2+y^2+3z^2 16 of
+  144 (9^k(9l+6) shows only at 3^2) and 10x^2+5y^2+2z^2 190 of 400.  A
+  form with an empty class is dense and goes straight to the class fold
+  below, with no probe; the image costs 0.02-0.1 ms for the forms of the
+  benchmark (Python 3.11, 2-core x86-64 VM).
+
+  Any other form's pair level starts as B_K, built from its first K short
   values only, and is folded with the first P v into a probe, P = 64 at
   first.  K starts at isqrt(width)/4 and is halved while the cost model
   of the pair fold says that B_K costs more than twice B_{K/2} plus the
@@ -67,20 +79,27 @@ Two complementary engines:
   10^7, and 48 is the one for x(2x+1)+y(3y+1)+z(6z+1).  When more are
   missing, P doubles while every probe has shown a sparse form (at most
   one bit in 16 missing, and at most half as many after each P step):
-  B_K is folded with the next P v.  Otherwise the form is dense (Gauss,
-  Dickson: about one bit in six missing) and the probe is dropped.  Its
-  exceptions lie in classes of n at 2 and at the odd primes of its
-  coefficients, so it is folded by class of n mod q (``_split``): the
-  slots are bucketed mod Q = q*M, each B_s is built once, and class j
-  (n = q*i + j) folds its groups (B_s, longest quotients of residue
-  M*j + C - s mod Q), limit/q bits wide, _PROBE_SHIFTS shifts at a time
-  until all its bits are set: of Gauss's 16 classes to 10^6, only the
-  two that hold exceptions fold all their 250.  The class masks are
-  interleaved into bit n for n, a block at a time.  At q = 1, B_K is
-  completed to all of B and folded with every v.  The exceptions are
-  then read off the bitset's clear bits at C speed: the complement's
-  nonzero bytes are found by one translate and split of its bytes, and
-  each byte's bits come from a table.
+  B_K is folded with the next P v.  Otherwise the form is dense with no
+  empty class (x(x+4)+y^2+z^2, whose 4^k(8l+7) pattern sits at 4n + 16,
+  past Q = 16), and the probe is dropped; at q = 1, B_K is completed to
+  all of B and folded with every v.
+
+  A dense form is folded by class of n mod q (``_split``, from 2 and the
+  odd primes p themselves, not p^2): the slots are bucketed mod q*M,
+  each B_s is built once, and class j (n = q*i + j) folds its groups
+  (B_s, longest quotients of residue M*j + C - s mod q*M), limit/q bits
+  wide, _PROBE_SHIFTS shifts at a time until all its bits are set: of
+  Gauss's 16 classes to 10^6, only the two that hold exceptions fold all
+  their 250, and the two empty ones have no group to fold.  Below the
+  floor q is 1, and the one class is all of B folded with every v.
+  ``value_mask`` interleaves the class masks into bit n for n, a block at
+  a time.  A dense ``exceptional_set`` reads each class on its own: a
+  class with no bit set is all of range(j, limit + 1, q), with no bit
+  read, and any other maps its clear bits i to q*i + j; one sort of the
+  runs orders them.  Every other sieve reads its exceptions off the
+  bitset's clear bits at C speed: the complement's nonzero bytes are
+  found by one translate and split of its bytes, and each byte's bits
+  come from a table.
   Work is O(values enumerated) plus O(shifts * N/wordsize), far below one
   search per n.
 
@@ -94,7 +113,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, compress, count, cycle
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import add
 from typing import Iterable, Iterator, Optional, Union
 
@@ -115,8 +134,12 @@ Form = Union[PolySum, DiagonalForm]
 # and survey.  A sieve's peak is several bitsets: the traced peak of
 # (2,3,7) to 10^7 is 5.65 of them (perfbench search.peak_over_bitset,
 # Python 3.11), in the P step of value_mask, which folds B_K beside the
-# probe; the read of the bits it leaves missing peaks at 5.51, and the
-# dense folds of the three family forms at 4.94-5.53, in their interleave.
+# probe; the read of the bits it leaves missing peaks at 5.51, and
+# value_mask of the three family forms at 3.71-4.19, in their interleave.
+# A dense exceptional_set interleaves nothing: its peak is its exceptions,
+# one int each in a list and then a tuple, 64.0 bitsets for Gauss's
+# 1 666 663, 49.0 and 188.3 for Dickson's (1,1,3) and (10,5,2) (tracemalloc
+# to 10^7).
 DEFAULT_MAX_BITS = 1 << 31
 
 
@@ -163,14 +186,15 @@ _EVERY = b"\x01"
 
 
 @cache
-def _slot_residues(c: int, g: int, r: int) -> frozenset[int]:
-    # c*w^2 mod _Q over w = r (mod g), for any class modulus of gcd g with _Q
-    return frozenset(c * w * w % _Q for w in range(r, _Q, g))
+def _slot_residues(c: int, g: int, r: int, modulus: int) -> frozenset[int]:
+    # c*w^2 mod modulus over w = r (mod g), for any class modulus of gcd g
+    # with modulus
+    return frozenset(c * w * w % modulus for w in range(r, modulus, g))
 
 
-def _slot_key(c: int, k: CongruenceClass) -> tuple[int, int, int]:
-    g = gcd(k.modulus, _Q)
-    return c % _Q, g, k.residue % g
+def _slot_key(c: int, k: CongruenceClass, modulus: int = _Q) -> tuple[int, int, int, int]:
+    g = gcd(k.modulus, modulus)
+    return c % modulus, g, k.residue % g, modulus
 
 
 def _walk(k: CongruenceClass, bound: int, flags: bytes) -> Iterator[int]:
@@ -190,7 +214,7 @@ def _walk(k: CongruenceClass, bound: int, flags: bytes) -> Iterator[int]:
 
 
 @cache
-def _column_flags(slot1: tuple[int, int, int], c2: int, m2: int, r2: int, mirror: bool, t: int) -> bytes:
+def _column_flags(slot1: tuple[int, int, int, int], c2: int, m2: int, r2: int, mirror: bool, t: int) -> bytes:
     # byte j is 1 iff t - c2*w^2 mod _Q is a residue of slot 1, w the j-th
     # member of the walk of r2 (mod m2): r2 + m2*j for a sign-symmetric
     # class, else r2 + m2*i at byte 2i and r2 - m2*(i + 1) at byte 2i + 1,
@@ -305,7 +329,11 @@ def _constrained(form: Form, progression: tuple[int, int]) -> tuple[DiagonalForm
 # 67 and loses 13-85x of them when P doubles; Gauss and Dickson miss one
 # in six or more and never grow P.  x^2+y^2+11z^2 misses one value in 23:
 # its 52 523 missing bits from /4 fall to 44 523 at P = 128, and all of B
-# is folded.
+# is folded.  These dense forms now skip the probe by their residue image
+# (_misses); it still turns dense x(x+4)+y^2+z^2, x(4x+4)+y(5y+5)+z(6z+6)
+# and 8x^2+y(8y+7)+z(10z+1), which show no empty class, and with the
+# drop test off (P grown until the shifts run out) they took 68, 40 and
+# 49 ms to 10^6 against 42, 27 and 46 ms (best of two medians of 3).
 _PROBE_SHIFTS = 64
 _BITS_PER_CANDIDATE = 4096
 _SPARSE_SHARE = 16
@@ -404,6 +432,13 @@ _SPLIT = 16
 # at 2^13, q = 1680 of x^2+3y^2+35z^2 0.48 and of 3x^2+5y^2+7z^2 0.59.
 _FLOOR = 1 << 13
 
+# Widest factor F of Q taken into a residue image, in bits: a sum of two
+# slots' residues mod F costs up to F/2 shifts of F bits.  The image of
+# x^2+y^2+11z^2 (F = 16 and 121) takes 0.07-0.1 ms, of x^2+y^2+61z^2 (16
+# and 3 721) 1.7-2.8 ms (Python 3.11, 2-core x86-64 VM); a form whose odd
+# primes are all left out is routed by its 2-adic image, or by the probe.
+_IMAGE_BITS = 1 << 12
+
 
 def _fold_class(offset: int, width: int, groups: list[tuple[int, list[int]]]) -> bytes:
     # OR of base << s over the groups' shifts, bit k standing for i = k +
@@ -425,6 +460,8 @@ def _interleave(masks: list[bytes]) -> int:
     # j fills bytes q - 1 - j, 2q - 1 - j, ... of a block's plane of one byte
     # per bit, most significant first, which int(plane, 2) reads back
     q = len(masks)
+    if q == 1:
+        return int.from_bytes(masks[0], "little")
     size = max(_PIECE // (8 * q), 1)
     top = -(-max(map(len, masks)) // size) * size
     plane, out = bytearray(8 * q * size), bytearray(q * top)
@@ -452,13 +489,9 @@ Group = tuple[list[Part], list[int]]
 Class = tuple[int, int, list[tuple[int, list[int]]]]
 
 
-def _levels(form: Form, limit: int, progression: tuple[int, int], q: int = 1) -> tuple[dict[int, list[Part]], list[Class]]:
-    """(pairs, classes) for progression = (M, C), slots bucketed mod Q =
-    q*M: pairs[s] holds the parts of B_s, and classes[j] = (offset, width,
-    targets) has M*(q*(k + offset) + j) + C a value of form iff bit k - v of
-    _pairs(pairs[s], ...) is set for some (s, shifts) in targets, v in
-    shifts, the longest-slot quotients.  offset is -((M*j + C) // Q): bit k
-    stands for Q*k + ((M*j + C) mod Q), and sums of values >= 0 start at 0."""
+def _sieved(form: Form, limit: int, progression: tuple[int, int]) -> tuple[DiagonalForm, int, int]:
+    # _constrained's (cf, M, C), once the sieve's arguments are checked and
+    # before anything is allocated
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if progression[0] < 1:
@@ -466,6 +499,17 @@ def _levels(form: Form, limit: int, progression: tuple[int, int], q: int = 1) ->
     cf, M, C, _ = _constrained(form, progression)
     if limit + C // M + 1 > DEFAULT_MAX_BITS:
         raise ResourceLimitError(f"sieve needs {limit + C // M + 1} bits, cap is {DEFAULT_MAX_BITS}")
+    return cf, M, C
+
+
+def _levels(form: Form, limit: int, progression: tuple[int, int], q: int = 1) -> tuple[dict[int, list[Part]], list[Class]]:
+    """(pairs, classes) for progression = (M, C), slots bucketed mod Q =
+    q*M: pairs[s] holds the parts of B_s, and classes[j] = (offset, width,
+    targets) has M*(q*(k + offset) + j) + C a value of form iff bit k - v of
+    _pairs(pairs[s], ...) is set for some (s, shifts) in targets, v in
+    shifts, the longest-slot quotients.  offset is -((M*j + C) // Q): bit k
+    stands for Q*k + ((M*j + C) mod Q), and sums of values >= 0 start at 0."""
+    cf, M, C = _sieved(form, limit, progression)
     slots = (sorted(_square_slot(c, M * limit + C, cl)) for c, cl in zip(cf.coeffs, cf.classes))
     short, middle, longest = sorted(slots, key=len)
     Q = q * M
@@ -521,9 +565,12 @@ def _pairs(parts: list[Part], width: int, lo: int = 0, hi: Optional[int] = None)
 
 def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) -> int:
     """For progression = (M, C), bit n of the mask is set iff M*n + C is a
-    value of form, 0 <= n <= limit.  A sparse form folds only a prefix of
-    the pair level and tests the few bits it leaves missing; a dense one
-    folds each class of n mod q on its own."""
+    value of form, 0 <= n <= limit.  A form whose residue image shows an
+    empty class folds each class of n mod q on its own, with no probe; any
+    other folds a prefix of the pair level, and tests the few bits it
+    leaves missing unless the probe finds it dense."""
+    if any(bits for _, bits in _misses(form, limit, progression)):
+        return _interleave(list(_class_masks(form, limit, progression, _split(form, limit, progression))))
     pairs, [(offset, width, targets)] = _levels(form, limit, progression)
     groups = [(pairs[s], longest) for s, longest in targets]
     values = sorted({q for parts, _ in groups for _, short in parts for q in short})
@@ -560,15 +607,8 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
     del acc
     q = _split(form, limit, progression)
     if q > 1:
-        # each B_s is built once, as wide as the widest class, and each
-        # class's shifts are cut at its width
         del bases
-        pairs, classes = _levels(form, limit, progression, q)
-        top = max(width for _, width, _ in classes)
-        built = {s: _pairs(pairs[s], top) for s in sorted({s for _, _, targets in classes for s, _ in targets})}
-        masks = [_fold_class(o, w, [(built[s], v[: bisect_left(v, w)]) for s, v in targets]) for o, w, targets in classes]
-        del pairs, classes, built
-        return _interleave(masks)
+        return _interleave(list(_class_masks(form, limit, progression, q)))
     # all of B meets every v
     acc = 0
     for base, (parts, longest) in zip(bases, groups):
@@ -576,6 +616,19 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
             base |= _pairs(parts, width, cut)
         acc |= _or_shifts(base, longest, width)
     return _aligned(acc, offset)
+
+
+def _class_masks(form: Form, limit: int, progression: tuple[int, int], q: int) -> Iterator[bytes]:
+    # the dense fold: for each class j of n mod q, ascending, its mask as
+    # bytes, bit i set iff n = q*i + j is in the set.  Each B_s is built
+    # once, as wide as the widest class, and each class's shifts are cut at
+    # its width
+    pairs, classes = _levels(form, limit, progression, q)
+    top = max(width for _, width, _ in classes)
+    built = {s: _pairs(pairs[s], top) for s in sorted({s for _, _, targets in classes for s, _ in targets})}
+    del pairs
+    for o, w, targets in classes:
+        yield _fold_class(o, w, [(built[s], v[: bisect_left(v, w)]) for s, v in targets])
 
 
 def _aligned(mask: int, offset: int) -> int:
@@ -586,17 +639,67 @@ def _aligned(mask: int, offset: int) -> int:
 def _split(form: Form, limit: int, progression: tuple[int, int]) -> int:
     # q of a dense fold: lcm(M, _SPLIT * p1 * p2 ...) / M over the odd primes
     # of each coefficient whose slot holds a value in (0, M*limit + C]; 1
-    # where a class of n mod q would be narrower than _FLOOR bits
+    # where a class of n mod q would be narrower than _FLOOR bits.  The
+    # image (_misses) takes p^2, where x^2+y^2+3z^2 misses 16 classes of 144
+    # and none of 48; the fold takes p, as at p^2 the classes of
+    # x^2+y^2+3z^2 to 10^6 would be 6 944 bits wide, below the floor
     cf, M, C, _ = _constrained(form, progression)
-    odd = 1
+    q = lcm(M, _SPLIT * prod(_odd_primes(cf, M * limit + C))) // M
+    return q if limit // q >= _FLOOR else 1
+
+
+def _odd_primes(cf: DiagonalForm, top: int) -> list[int]:
+    # the odd primes of each coefficient whose slot holds a value in (0, top]
+    primes = set()
     for c, cl in zip(cf.coeffs, cf.classes):
-        if c * (min(cl.residue, cl.modulus - cl.residue) or cl.modulus) ** 2 <= M * limit + C:
+        if c * (min(cl.residue, cl.modulus - cl.residue) or cl.modulus) ** 2 <= top:
             c, p = c // (c & -c), 3
             while p * p <= c:
-                odd, c, p = (lcm(odd, p), c // p, p) if c % p == 0 else (odd, c, p + 2)
-            odd = lcm(odd, c)
-    q = lcm(M, _SPLIT * odd) // M
-    return q if limit // q >= _FLOOR else 1
+                if c % p:
+                    p += 2
+                else:
+                    primes.add(p)
+                    c //= p
+            if c > 1:
+                primes.add(c)
+    return sorted(primes)
+
+
+def _misses(form: Form, limit: int, progression: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """The residue image of form on progression = (M, C), as (F, bits)
+    pairs over the prime-power factors F of Q = lcm(M, 16*p1^2*p2^2...) at
+    2 and at each odd prime p of a coefficient whose slot holds a value in
+    (0, M*limit + C].  Bit t of bits is set iff t = M*n + C (mod F) for
+    some n and no sum of the slots' residues c*w^2 mod F, w in their
+    classes, is t.  By the Chinese remainder theorem a class of n mod q =
+    Q/M holds no value, is empty, iff some factor's bits hold M*n + C mod
+    F.  A factor of M at another prime is left out, as it gives every n
+    one residue, and so is a factor wider than _IMAGE_BITS."""
+    cf, M, C = _sieved(form, limit, progression)
+    out = []
+    for p, e in [(2, 4)] + [(p, 2) for p in _odd_primes(cf, M * limit + C)]:
+        F = p**e
+        while M % (F * p) == 0:
+            F *= p
+        if F > _IMAGE_BITS:
+            continue
+        sums = 1
+        for c, cl in zip(cf.coeffs, cf.classes):
+            sums = _sumset(sums, _bits(_slot_residues(*_slot_key(c, cl, F)), F), F)
+        g = gcd(M, F)
+        out.append((F, _every(C % g, g, F) & ~sums))
+    return tuple(out)
+
+
+def _sumset(a: int, b: int, modulus: int) -> int:
+    # bit x + y mod modulus for each bit x of a and y of b: the sparser
+    # operand's bits are the shifts
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    acc = 0
+    for x in _set_bits(a):
+        acc |= b << x
+    return (acc | acc >> modulus) & (1 << modulus) - 1
 
 
 def _start(groups: list[Group], values: list[int], width: int) -> int:
@@ -657,11 +760,33 @@ def attainable(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
 def exceptional_set(form: Form, limit: int, workers: int = 1) -> SieveReport:
     """All n in [0, limit] not attained by form, as a SieveReport.
 
+    A form whose residue image shows an empty class is read class by class
+    off its dense fold; any other is read off ``attainable``'s mask.
     workers is accepted and has no effect: the sieve runs in one process.
     Raises ResourceLimitError, before the bit array is allocated, when it
     would exceed DEFAULT_MAX_BITS.
     """
     t0 = time.perf_counter()
-    exceptions = tuple(attainable(form, limit).missing())
+    if any(bits for _, bits in _misses(form, limit, (1, 0))):
+        exceptions = tuple(_class_exceptions(form, limit))
+    else:
+        exceptions = tuple(attainable(form, limit).missing())
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return SieveReport(form=str(form), limit=limit, exceptions=exceptions, elapsed_ms=elapsed_ms)
+
+
+def _class_exceptions(form: Form, limit: int) -> list[int]:
+    # the n <= limit that no class mask holds, ascending: a class with no
+    # bit set is all of range(j, limit + 1, q), and any other maps its clear
+    # bits i to q*i + j (at q = 1 they are n already, and are not copied);
+    # one sort of the runs orders them
+    q = _split(form, limit, (1, 0))
+    out: list[int] = []
+    for j, raw in enumerate(_class_masks(form, limit, (1, 0), q)):
+        if raw:
+            clear = _set_bits(int.from_bytes(raw, "little") ^ (1 << len(range(j, limit + 1, q))) - 1)
+            out += clear if q == 1 else [q * i + j for i in clear]
+        else:
+            out += range(j, limit + 1, q)
+    out.sort()
+    return out

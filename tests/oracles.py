@@ -177,6 +177,16 @@ def gauss_legendre_excluded(n: int) -> bool:
     return n % 8 == 7
 
 
+def residue_sums(coeffs, classes, modulus: int) -> set[int]:
+    """Every (c1*w1^2 + c2*w2^2 + c3*w3^2) mod modulus, each w = r (mod m)
+    over one period of its class: the modulus steps r, r + m, ..."""
+    sums = {0}
+    for c, (m, r) in zip(coeffs, classes):
+        squares = {c * w * w % modulus for w in range(r, r + m * modulus, m)}
+        sums = {(x + y) % modulus for x in sums for y in squares}
+    return sums
+
+
 def shifted_values_mask(terms, cap: int) -> tuple[int, int]:
     """(mask, offset): bit v - offset of mask is set iff v <= cap is a sum
     of one value of each term, offset being the sum of the terms' minima.

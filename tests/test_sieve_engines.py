@@ -5,18 +5,19 @@ On seeded random small forms, the residual-candidate sieve
 fold it replaces (``_dense_value_mask``, kept here as the reference), and
 ``exceptional_set`` the same exceptional set as the brute-force triple
 loop of ``oracles.naive_exceptions``, wherever the residual sieve
-switches to testing candidates and whichever path (residual, exact
-completion, dense) it takes.
+switches to testing candidates and whichever path (image, residual,
+exact completion, dense) it takes.
 """
 
 import inspect
 import random
+from math import gcd, lcm
 
 import pytest
 
 import oracles
 from terna import CongruenceClass, DiagonalForm, PolySum
-from terna import search
+from terna import lemmas, search
 from terna.search import _levels, _pairs, attainable, exceptional_set, value_mask
 
 
@@ -263,6 +264,8 @@ def test_progression_sieve(monkeypatch, coeffs, classes, progression, limit, swi
     expected = [n for n in range(limit + 1) if not reach[modulus * n + constant]]
 
     assert attainable(form, limit, progression=progression).missing() == expected
+    # any (M, C) pair will do, a list too
+    assert attainable(form, limit, progression=list(progression)).missing() == expected
     assert _dense_value_mask(form, limit, progression=progression) == value_mask(form, limit, progression=progression)
 
     # bit v of the dense mask is value v
@@ -312,27 +315,41 @@ def test_value_mask_repr_leaves_out_the_mask():
 
 # --- truncated pair fold ------------------------------------------------------
 #
-# value_mask takes one of three paths.  A sparse form folds the first K
-# short values into B_K and tests the bits left missing (residual); the
-# bits B_K leaves unreached are then tested against the short values past
-# K (completion).  A form that leaves too many bits missing grows the
-# probe P while it looks sparse and some longest-slot shifts are left;
-# otherwise it drops the probe and folds all of B with every shift (dense).
-# Each path is forced here and checked against the dense reference and
-# the brute-force oracles.
+# value_mask takes one of four paths.  A form whose residue image shows an
+# empty class folds by class at once (image).  Any other sparse form folds
+# the first K short values into B_K and tests the bits left missing
+# (residual); the bits B_K leaves unreached are then tested against the
+# short values past K (completion).  A form that leaves too many bits
+# missing grows the probe P while it looks sparse and some longest-slot
+# shifts are left; otherwise it drops the probe and folds all of B with
+# every shift (dense).  Each path is forced here and checked against the
+# dense reference and the brute-force oracles.
+
+
+def no_empty_class(form, limit, progression):
+    # the image route forced off: no factor misses a residue
+    return []
+
+
+def every_class_empty(form, limit, progression):
+    # the image route forced on: a factor of 1 that misses its one residue
+    return [(1, 1)]
+
 
 PATHS = {
+    # every form folds by class with no probe, sparse ones too
+    "image": {"_misses": every_class_empty},
     # candidates tested after the first probe, from the module's K
-    "residual": {"_BITS_PER_CANDIDATE": 0},
+    "residual": {"_BITS_PER_CANDIDATE": 0, "_misses": no_empty_class},
     # the same from K = 1: B_1 leaves bits that only later short values reach
-    "completion": {"_BITS_PER_CANDIDATE": 0, "_START_SHARE": 1 << 30},
+    "completion": {"_BITS_PER_CANDIDATE": 0, "_START_SHARE": 1 << 30, "_misses": no_empty_class},
     # a probe of no shifts leaves every bit missing and never grows: all of
     # B is built at once and meets every shift
-    "dense": {"_PROBE_SHIFTS": 0},
+    "dense": {"_PROBE_SHIFTS": 0, "_misses": no_empty_class},
     # a probe of one shift that every form grows, dense ones too, until one
     # bit in 64 is missing or the shifts run out; after the probe, all of B
     # meets every shift
-    "probe": {"_PROBE_SHIFTS": 1, "_SPARSE_SHARE": 0, "_SPARSE_DROP": 0, "_BITS_PER_CANDIDATE": 64},
+    "probe": {"_PROBE_SHIFTS": 1, "_SPARSE_SHARE": 0, "_SPARSE_DROP": 0, "_BITS_PER_CANDIDATE": 64, "_misses": no_empty_class},
 }
 
 # sparse triples, so the module's own K takes the residual path
@@ -386,15 +403,22 @@ def test_multi_group_cases_have_groups_of_parts():
 
 
 def paths_taken(monkeypatch, form, limit) -> set[str]:
-    # "dense" when the probe is dropped and the split factor is taken,
-    # "residual" when missing bits are tested, "completion" when B_K leaves
-    # some unreached, "probe grown" when B_K is folded with longest-slot
-    # shifts past the probe's first P
+    # "image" when the residue image shows an empty class, "dense" when the
+    # split factor is taken, "residual" when missing bits are tested,
+    # "completion" when B_K leaves some unreached, "probe grown" when B_K is
+    # folded with longest-slot shifts past the probe's first P
     taken = set()
     split, fold, complete = search._split, search._fold_class, search._complete
     unreached, pairs, or_shifts = search._unreached, search._pairs, search._or_shifts
+    misses = search._misses
     longest = [shifts for _, shifts in _levels(form, limit, (1, 0))[1][0][2]]
     nested = []
+
+    def spy_misses(*args):
+        out = misses(*args)
+        if any(bits for _, bits in out):
+            taken.add("image")
+        return out
 
     def spy_split(*args):
         taken.add("dense")
@@ -430,6 +454,7 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
             taken.add("probe grown")
         return or_shifts(base, shifts, width)
 
+    monkeypatch.setattr(search, "_misses", spy_misses)
     monkeypatch.setattr(search, "_split", spy_split)
     monkeypatch.setattr(search, "_fold_class", spy_fold)
     monkeypatch.setattr(search, "_complete", spy_complete)
@@ -458,7 +483,11 @@ EXHAUSTED = ((1, 0), (1, 0), (4, 1))
         # the module's own constants
         (None, SEVEN, 10**4, {"residual"}),
         (None, SIX, 10**4, {"residual", "completion"}),
+        # Gauss as a PolySum is sieved on 4n, where Q = lcm(4, 16) shows no
+        # empty class; as a DiagonalForm it misses the classes 7 and 15 mod
+        # 16, and skips the probe
         (None, GAUSS, 3000, {"dense"}),
+        (None, DiagonalForm((1, 1, 1)), 3000, {"image", "dense"}),
         (None, GROWING, 10**6, {"probe grown", "residual"}),
         # B_K from isqrt(width) // 8 short values, the probe grown once
         (None, SEVEN, 10**7, {"probe grown", "residual"}),
@@ -468,12 +497,14 @@ EXHAUSTED = ((1, 0), (1, 0), (4, 1))
         ("completion", SEVEN, 3000, {"residual", "completion"}),
         ("dense", SEVEN, 3000, {"dense"}),
         ("probe", GAUSS, 3000, {"probe grown", "dense"}),
+        ("image", SEVEN, 3000, {"image", "dense"}),
     ],
 )
 def test_each_path_is_taken(monkeypatch, path, pairs, limit, taken):
     if path:
         force(monkeypatch, path)
-    assert paths_taken(monkeypatch, PolySum.of(*pairs), limit) == taken
+    form = pairs if isinstance(pairs, DiagonalForm) else PolySum.of(*pairs)
+    assert paths_taken(monkeypatch, form, limit) == taken
 
 
 def fold_calls(monkeypatch, form, limit) -> list[tuple]:
@@ -499,55 +530,47 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
 @pytest.mark.parametrize(
     "form,limit,calls",
     [
-        # Gauss never grows the probe: B_K of the first 79 squares meets the
-        # first 64 shifts, then B_K is completed with the other 238 squares
-        # and all of B meets all 317 shifts
+        # Gauss misses the classes 7 and 15 mod 16, so it skips the probe.
+        # Its classes would be narrower than the floor, so all of B is built
+        # from every square and meets all 317 shifts, 64 at a time
         (
             DiagonalForm((1, 1, 1)),
             10**5,
-            [
-                ("pairs", 0, 6241), ("or", 79), ("or", 64),
-                ("pairs", 6241, None), ("or", 238), ("or", 317),
-            ],
+            [("pairs", 0, None), ("or", 317), *[("or", 64)] * 4, ("or", 61)],
         ),
         # to 2^17, classes of n mod 16 are 2^13 bits wide and fold on their
-        # own: after the same probe, the pair level B_s of each of the 9 pair
-        # residues s mod 16 is built once, from every square.  Classes 0 and
-        # 12, which hold the exceptions, fold all 91 and 90 of their shifts;
-        # the other classes that a group reaches are full after the first 64
-        # shifts of one group, or of two in classes 1, 2 and 9; no group
-        # reaches 7 or 15
+        # own: the pair level B_s of each of the 9 pair residues s mod 16 is
+        # built once, from every square.  Classes 0 and 12, which hold the
+        # exceptions, fold all 91 and 90 of their shifts; the other classes
+        # that a group reaches are full after the first 64 shifts of one
+        # group, or of two in classes 1, 2 and 9; no group reaches 7 or 15
         (
             DiagonalForm((1, 1, 1)),
             2**17,
             [
-                ("pairs", 0, 8100), ("or", 90), ("or", 64),
                 ("pairs", 0, None), ("or", 91), ("pairs", 0, None), ("or", 91), ("or", 91),
                 ("pairs", 0, None), ("or", 91), ("or", 90), *[("pairs", 0, None), ("or", 91), ("or", 91)] * 2,
                 ("pairs", 0, None), ("or", 91), *[("pairs", 0, None), ("or", 90), ("or", 90)] * 3,
                 ("or", 64), ("or", 27), *[("or", 64)] * 13, ("or", 64), ("or", 27), ("or", 64), ("or", 64),
             ],
         ),
+        # 10x^2+5y^2+2z^2 misses 190 classes of 400: all of B meets all 224
+        # shifts
         (
             DiagonalForm((10, 5, 2)),
             10**5,
-            [
-                ("pairs", 0, 62410), ("or", 79), ("or", 64),
-                ("pairs", 62410, None), ("or", 22), ("or", 224),
-            ],
+            [("pairs", 0, None), ("or", 101), *[("or", 64)] * 3, ("or", 32)],
         ),
-        # x^2+y^2+11z^2 grows the probe once, to 128 shifts, before all of B
-        # meets every shift
+        # x^2+y^2+11z^2 misses 80 classes of 1 936 and no longer grows the
+        # probe: all of B meets every shift
         (
             DiagonalForm((1, 1, 11)),
             10**5,
-            [
-                ("pairs", 0, 68651), ("or", 79), ("or", 64), ("or", 64),
-                ("pairs", 68651, None), ("or", 17), ("or", 317),
-            ],
+            [("pairs", 0, None), ("or", 96), *[("or", 64)] * 4, ("or", 61)],
         ),
-        # 8x^2+y(8y+7)+z(10z+1) grows the probe three times, to 512 shifts,
-        # from a B_K of isqrt(width) // 8 short values, and then turns dense
+        # 8x^2+y(8y+7)+z(10z+1) has no empty class at q = 25: it grows the
+        # probe three times, to 512 shifts, from a B_K of isqrt(width) // 8
+        # short values, and then turns dense
         (
             PolySum.of((8, 0), (8, 7), (10, 1)),
             10**6,
@@ -560,8 +583,8 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
     ids=["x^2+y^2+z^2", "x^2+y^2+z^2 by class", "10x^2+5y^2+2z^2", "x^2+y^2+11z^2", "8x^2+y(8y+7)+z(10z+1)"],
 )
 def test_dense_work_is_pinned(monkeypatch, form, limit, calls):
-    # after the probe, each class folds until it is full, or, below the
-    # floor, all of B meets every shift, call for call
+    # each class folds until it is full, or, below the floor, all of B
+    # meets every shift, call for call
     assert fold_calls(monkeypatch, form, limit) == calls
 
 
@@ -685,7 +708,8 @@ def test_class_fold_matches_references(form, terms, progression, limit):
 @pytest.mark.usefixtures("split")
 def test_split_cases_reach_the_class_fold(monkeypatch):
     # the four chosen cases and more than a third of all are dense and fold
-    # by class (37 of 84); the others are sparse, or no wider than q bits
+    # by class (54 of 84, 41 of them sent by the image with no probe); the
+    # others are sparse, or no wider than q bits
     folded = []
     fold_class = search._fold_class
 
@@ -746,3 +770,132 @@ def test_interleave_shifted_by_one_class_is_caught(monkeypatch):
     interleave = search._interleave
     monkeypatch.setattr(search, "_interleave", lambda masks: interleave(masks[1:] + masks[:1]))
     assert value_mask(GAUSS_FORM, GAUSS_SPLIT) != dense
+
+
+# --- residue image ----------------------------------------------------------------
+#
+# _misses gives, for each factor F of Q, the residues M*n + C mod F that no
+# sum of the slots' residues reaches; a class of n mod q = Q/M is empty when
+# some factor misses its target.  The factors are checked against sums over
+# whole periods of the classes (oracles.residue_sums), the empty classes
+# against the oracles' values, and the route they decide is forced on and
+# off.
+
+ROUTE_CASES = (
+    [(PolySum.of(*pairs), pairs, (1, 0), limit) for pairs, limit in PATH_POLYSUMS]
+    + [(constrained(c, k), class_terms(c, k), p, n) for c, k, p, n in PROGRESSION_CASES]
+    + SPLIT_CASES
+)
+ROUTE_IDS = [f"{t}{p}@{n}" for _, t, p, n in ROUTE_CASES]
+
+
+def empty_classes(form, limit: int, progression: tuple[int, int]) -> tuple[int, list[int]]:
+    # (q, the classes j of n mod q that some factor of the image misses)
+    _, M, C, _ = search._constrained(form, progression)
+    factors = search._misses(form, limit, progression)
+    q = lcm(M, *(F for F, _ in factors)) // M
+    return q, [j for j in range(q) if any(bits >> (M * j + C) % F & 1 for F, bits in factors)]
+
+
+def holds_no_value(form, terms, progression, limit) -> bool:
+    # every n <= limit in a class the image calls empty is missing
+    q, empty = empty_classes(form, limit, progression)
+    reach = reference_mask(terms, limit, progression)
+    return all(not reach >> n & 1 for j in empty for n in range(j, limit + 1, q))
+
+
+def expected_factors(cf: DiagonalForm, M: int, top: int) -> list[int]:
+    # 2^max(4, v2(M)), then p^max(2, vp(M)) for each odd prime p of a
+    # coefficient with a value c*w^2 in (0, top], w in its class
+    def part(p: int, e: int) -> int:
+        while M % p ** (e + 1) == 0:
+            e += 1
+        return p**e
+
+    primes = set()
+    for c, k in zip(cf.coeffs, cf.classes):
+        if any(0 < c * w * w <= top for w in range(k.residue - k.modulus, k.modulus + 1, k.modulus)):
+            primes |= {p for p in range(3, c + 1, 2) if c % p == 0 and all(p % d for d in range(3, p, 2))}
+    return [part(2, 4)] + [part(p, 2) for p in sorted(primes)]
+
+
+@pytest.mark.parametrize("form,terms,progression,limit", ROUTE_CASES, ids=ROUTE_IDS)
+def test_image_matches_period_sums(form, terms, progression, limit):
+    cf, M, C, _ = search._constrained(form, progression)
+    factors = search._misses(form, limit, progression)
+    assert [F for F, _ in factors] == expected_factors(cf, M, M * limit + C)
+    classes = [(k.modulus, k.residue) for k in cf.classes]
+    for F, bits in factors:
+        reached, g = oracles.residue_sums(cf.coeffs, classes, F), gcd(M, F)
+        assert bits == sum(1 << t for t in range(F) if t % g == C % g and t not in reached)
+    assert holds_no_value(form, terms, progression, limit)
+
+
+@pytest.mark.parametrize("floor", [search._FLOOR, 1], ids=["module-floor", "floor-1"])
+@pytest.mark.parametrize("route", ["image", "probe"])
+@pytest.mark.parametrize("form,terms,progression,limit", ROUTE_CASES, ids=ROUTE_IDS)
+def test_routes_agree_with_oracles(monkeypatch, form, terms, progression, limit, route, floor):
+    # the image route forced on (every form folds by class, no probe) and
+    # off (every form starts with the probe), at the module's floor and
+    # with classes of one bit and up
+    monkeypatch.setattr(search, "_misses", every_class_empty if route == "image" else no_empty_class)
+    monkeypatch.setattr(search, "_FLOOR", floor)
+    expected = reference_mask(terms, limit, progression)
+    assert value_mask(form, limit, progression=progression) == _dense_value_mask(form, limit, progression) == expected
+    missing = [n for n in range(limit + 1) if not expected >> n & 1]
+    assert attainable(form, limit, progression=progression).missing() == missing
+    if progression == (1, 0):
+        assert exceptional_set(form, limit).exceptions == tuple(missing)
+
+
+def test_routes_cover_both_paths():
+    # the module's own image routes some cases of each list to the class
+    # fold and leaves others to the probe
+    lists = [ROUTE_CASES[: len(PATH_POLYSUMS)], ROUTE_CASES[len(PATH_POLYSUMS) : -len(SPLIT_CASES)], SPLIT_CASES]
+    for cases in lists:
+        routed = [bool(empty_classes(form, limit, progression)[1]) for form, _, progression, limit in cases]
+        assert any(routed) and not all(routed)
+
+
+def test_nonempty_class_marked_empty_is_caught(monkeypatch):
+    # mutation check: the least residue the slots reach, taken for missed,
+    # marks a class empty that holds values
+    assert all(holds_no_value(*case) for case in ROUTE_CASES)
+    mutant(monkeypatch, "_misses", "& ~sums", "& ~(sums & sums - 1)")
+    assert not all(holds_no_value(*case) for case in ROUTE_CASES)
+
+
+@pytest.mark.parametrize(
+    "coeffs,q,count",
+    [((1, 1, 1), 16, 2), ((1, 1, 3), 144, 16), ((10, 5, 2), 400, 190), ((1, 1, 11), 1936, 80), ((1, 1, 10), 400, 25), ((1, 2, 3), 144, 9)],
+)
+def test_empty_classes_are_the_classes_with_no_value(coeffs, q, count):
+    # to 32q every class of n mod q holds 32 members, so the classes whose
+    # members the oracle all misses are the empty ones, and no other class
+    # is wholly missed
+    limit = 32 * q - 1
+    reach = reference_mask(class_terms(coeffs, [(1, 0)] * 3), limit, (1, 0))
+    wholly = [j for j in range(q) if not any(reach >> n & 1 for n in range(j, limit + 1, q))]
+    assert empty_classes(DiagonalForm(coeffs), limit, (1, 0)) == (q, wholly)
+    assert len(wholly) == count
+
+
+def test_image_finds_classes_only_at_p_squared():
+    # x^2+y^2+3z^2 misses n = 9^k(9l + 6): the image mod 144 finds the 16
+    # classes 6 (mod 9), and the fold, at 3 and not 3^2, gives each of its
+    # 48 classes some group
+    form = DiagonalForm((1, 1, 3))
+    assert empty_classes(form, 10**6, (1, 0)) == (144, [j for j in range(144) if j % 9 == 6])
+    assert search._split(form, 10**6, (1, 0)) == 48
+    assert all(targets for _, _, targets in _levels(form, 10**6, (1, 0), 48)[1])
+
+
+def test_pair_mask_keeps_q_small(monkeypatch):
+    # lemmas._pair_mask sieves c1*x^2 + c2*y^2 as a form whose third
+    # coefficient, limit + 1 = 10 007 (a prime), holds no value in range:
+    # its prime stays out of Q
+    seen = []
+    misses = search._misses
+    monkeypatch.setattr(search, "_misses", lambda *args: seen.append(misses(*args)) or seen[-1])
+    assert lemmas.scan_3x2_6y2(10**4 + 6) == []
+    assert [[F for F, _ in factors] for factors in seen] == [[16, 9], [16]]
