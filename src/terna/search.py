@@ -54,15 +54,17 @@ Two complementary engines:
   shift.
 
   The form's residue image comes first (``_misses``): the sums of its
-  slots' residues c*w^2 mod Q, w over each class, with
-  Q = lcm(M, 16*p1^2*p2^2...) over the odd primes p of the coefficients
-  whose slots hold a value in (0, M*limit + C].  A class of n mod Q/M
-  whose target M*n + C mod Q lies outside the image is empty: every n in
-  it is an exception.  Gauss misses 2 classes of 16, x^2+y^2+3z^2 16 of
-  144 (9^k(9l+6) shows only at 3^2) and 10x^2+5y^2+2z^2 190 of 400.  A
-  form with an empty class is dense and goes straight to the class fold
-  below, with no probe; the image costs 0.02-0.1 ms for the forms of the
-  benchmark (Python 3.11, 2-core x86-64 VM).
+  slots' residues c*w^2 mod Q, w over each class, with Q = lcm(M,
+  2^(4 + v2(M))*p1^2*p2^2...) over the odd primes p of M and of the
+  coefficients whose slots hold a value in (0, M*limit + C].  A class of
+  n mod Q/M whose target M*n + C mod Q lies outside the image is empty:
+  every n in it is an exception.  Gauss misses 2 classes of 16, on n and,
+  as a PolySum, on 4n; x^2+y^2+3z^2 16 of 144 (9^k(9l+6) shows only at
+  3^2), 10x^2+5y^2+2z^2 190 of 400, and x(x+4)+y^2+z^2, on 4n + 16, the
+  classes 3 and 11 mod 16.  A form with an empty class is dense and goes
+  straight to the class fold below, with no probe; the image costs
+  0.02-0.1 ms for the forms of the benchmark (Python 3.11, 2-core x86-64
+  VM).
 
   Any other form's pair level starts as B_K, built from its first K short
   values only, and is folded with the first P v into a probe, P = 64 at
@@ -70,19 +72,17 @@ Two complementary engines:
   of the pair fold says that B_K costs more than twice B_{K/2} plus the
   wider probe the halving plans for: only where the short values c*w^2
   spread B_K over many pieces, as (2,3,7) to 10^7 does, which starts at
-  isqrt(width)/8.  The probe's missing bits decide what follows.  When
-  at most one bit in 4096 is missing, folding stops: each missing bit k
-  is tested against B_K's bytes for the v past P, up to the first k - v
-  in B_K.  The bits still unreached are tested against the short values
-  past K, with B cut to the largest of them, which makes the result
-  exact: none is left for the conjectured triples to 10^6 or (2,3,7) to
-  10^7, and 48 is the one for x(2x+1)+y(3y+1)+z(6z+1).  When more are
-  missing, P doubles while every probe has shown a sparse form (at most
-  one bit in 16 missing, and at most half as many after each P step):
-  B_K is folded with the next P v.  Otherwise the form is dense with no
-  empty class (x(x+4)+y^2+z^2, whose 4^k(8l+7) pattern sits at 4n + 16,
-  past Q = 16), and the probe is dropped; at q = 1, B_K is completed to
-  all of B and folded with every v.
+  isqrt(width)/8.  When at most one bit in 4096 is missing, folding
+  stops: each missing bit k is tested against B_K's bytes for the v past
+  P, up to the first k - v in B_K.  The bits still unreached are tested
+  against the short values past K, with B cut to the largest of them,
+  which makes the result exact: none is left for the conjectured triples
+  to 10^6 or (2,3,7) to 10^7, and 48 is the one for
+  x(2x+1)+y(3y+1)+z(6z+1).  When more are missing, P doubles and B_K is
+  folded with the next P v.  A probe that has taken every v is exhausted:
+  the short values past K build the rest of B, which meets every v once.
+  8x^2+y(8y+7)+z(10z+1) to 10^6, whose 242 exceptions lie in no empty
+  class, takes all 707 v and leaves 245 bits missing.
 
   A dense form is folded by class of n mod q (``_split``, from 2 and the
   odd primes p themselves, not p^2): the slots are bucketed mod q*M,
@@ -319,25 +319,14 @@ def _constrained(form: Form, progression: tuple[int, int]) -> tuple[DiagonalForm
 # 2 000-5 600 bits: 0.13-0.22 us per test step against 7 us, 40 us and
 # 0.38 ms per shift over 10^5, 10^6 and 10^7 bits (Python 3.11, 2-core
 # x86-64 VM).
-# P doubles while every probe shows a sparse form: at most one bit in
-# _SPARSE_SHARE missing, and _SPARSE_DROP times fewer after each P step.
-# Bits missing at P = 64 and 128 from K = isqrt(width)/8, and at P = 64
-# from /4: (2,3,7) to 10^7 43 690, 786 and 871; to 10^6 3 718, 61 and 68;
-# x(x+1)+y(2y+1)+z(4z+1) to 10^6 14 981, 1 112 and 932 (11 from /4 at 128);
-# x^2+y^2+z^2 to 10^6 193 024, 179 841 and 170 903; 10x^2+5y^2+2z^2
-# 509 159, 494 081 and 493 992.  A sparse form misses at most one bit in
-# 67 and loses 13-85x of them when P doubles; Gauss and Dickson miss one
-# in six or more and never grow P.  x^2+y^2+11z^2 misses one value in 23:
-# its 52 523 missing bits from /4 fall to 44 523 at P = 128, and all of B
-# is folded.  These dense forms now skip the probe by their residue image
-# (_misses); it still turns dense x(x+4)+y^2+z^2, x(4x+4)+y(5y+5)+z(6z+6)
-# and 8x^2+y(8y+7)+z(10z+1), which show no empty class, and with the
-# drop test off (P grown until the shifts run out) they took 68, 40 and
-# 49 ms to 10^6 against 42, 27 and 46 ms (best of two medians of 3).
+# P doubles, and B_K is folded with the next P shifts, until few enough
+# bits are missing or the shifts run out.  Bits missing at P = 64 and 128
+# from K = isqrt(width)/8, and at P = 64 from /4: (2,3,7) to 10^7 43 690,
+# 786 and 871; to 10^6 3 718, 61 and 68; x(x+1)+y(2y+1)+z(4z+1) to 10^6
+# 14 981, 1 112 and 932 (11 from /4 at 128).  A sparse form misses at most
+# one bit in 67 at P = 64 and loses 13-85x of them when P doubles.
 _PROBE_SHIFTS = 64
 _BITS_PER_CANDIDATE = 4096
-_SPARSE_SHARE = 16
-_SPARSE_DROP = 2
 
 # Truncated pair fold (value_mask): the pair level starts from the first
 # isqrt(width) // _START_SHARE short values, halved where _start finds B_K
@@ -435,8 +424,8 @@ _FLOOR = 1 << 13
 # Widest factor F of Q taken into a residue image, in bits: a sum of two
 # slots' residues mod F costs up to F/2 shifts of F bits.  The image of
 # x^2+y^2+11z^2 (F = 16 and 121) takes 0.07-0.1 ms, of x^2+y^2+61z^2 (16
-# and 3 721) 1.7-2.8 ms (Python 3.11, 2-core x86-64 VM); a form whose odd
-# primes are all left out is routed by its 2-adic image, or by the probe.
+# and 3 721) 1.7-2.8 ms (Python 3.11, 2-core x86-64 VM).  A wider 2-adic
+# factor is cut to _IMAGE_BITS, and a wider odd one left out.
 _IMAGE_BITS = 1 << 12
 
 
@@ -568,7 +557,8 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
     value of form, 0 <= n <= limit.  A form whose residue image shows an
     empty class folds each class of n mod q on its own, with no probe; any
     other folds a prefix of the pair level, and tests the few bits it
-    leaves missing unless the probe finds it dense."""
+    leaves missing, or folds the rest of the pair level once its probe has
+    taken every shift."""
     if any(bits for _, bits in _misses(form, limit, progression)):
         return _interleave(list(_class_masks(form, limit, progression, _split(form, limit, progression))))
     pairs, [(offset, width, targets)] = _levels(form, limit, progression)
@@ -578,7 +568,7 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
     cut = values[k] if k < len(values) else None
     bases = [_pairs(parts, width, 0, cut) for parts, _ in groups]
     most = max((len(longest) for _, longest in groups), default=0)
-    acc, lo, p, before = 0, 0, _PROBE_SHIFTS, width
+    acc, lo, p = 0, 0, _PROBE_SHIFTS
     while True:
         # acc is B_K folded with the first p v of each group: each step
         # folds B_K with the v in [lo, p)
@@ -598,23 +588,14 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
             if unreached and cut is not None:
                 unreached = _complete(unreached, groups, cut)
             return _aligned(((1 << width) - 1) ^ _bits(unreached, width), offset)
-        # P grows while every probe has shown a sparse form and some group
-        # has shifts past it
-        if not (p < most and missing * _SPARSE_SHARE <= width and missing * _SPARSE_DROP <= before):
+        if p >= most:
             break
-        lo, p, before = p, 2 * p, missing
-    # a dense form: the probe is dropped
-    del acc
-    q = _split(form, limit, progression)
-    if q > 1:
-        del bases
-        return _interleave(list(_class_masks(form, limit, progression, q)))
-    # all of B meets every v
-    acc = 0
-    for base, (parts, longest) in zip(bases, groups):
-        if cut is not None:
-            base |= _pairs(parts, width, cut)
-        acc |= _or_shifts(base, longest, width)
+        lo, p = p, 2 * p
+    # every v is folded with B_K: the short values past K meet them once
+    del bases
+    if cut is not None:
+        for parts, longest in groups:
+            acc |= _or_shifts(_pairs(parts, width, cut), longest, width)
     return _aligned(acc, offset)
 
 
@@ -637,52 +618,57 @@ def _aligned(mask: int, offset: int) -> int:
 
 
 def _split(form: Form, limit: int, progression: tuple[int, int]) -> int:
-    # q of a dense fold: lcm(M, _SPLIT * p1 * p2 ...) / M over the odd primes
-    # of each coefficient whose slot holds a value in (0, M*limit + C]; 1
-    # where a class of n mod q would be narrower than _FLOOR bits.  The
-    # image (_misses) takes p^2, where x^2+y^2+3z^2 misses 16 classes of 144
-    # and none of 48; the fold takes p, as at p^2 the classes of
-    # x^2+y^2+3z^2 to 10^6 would be 6 944 bits wide, below the floor
+    # q of a dense fold: lcm(M, _SPLIT * p1 * p2 ...) / M over _odd_primes (a
+    # prime of M leaves it as it is); 1 where a class of n mod q would be
+    # narrower than _FLOOR bits.  The image (_misses) takes p^2, where
+    # x^2+y^2+3z^2 misses 16 classes of 144 and none of 48; the fold takes
+    # p, as at p^2 the classes of x^2+y^2+3z^2 to 10^6 would be 6 944 bits
+    # wide, below the floor
     cf, M, C, _ = _constrained(form, progression)
-    q = lcm(M, _SPLIT * prod(_odd_primes(cf, M * limit + C))) // M
+    q = lcm(M, _SPLIT * prod(_odd_primes(cf, M, M * limit + C))) // M
     return q if limit // q >= _FLOOR else 1
 
 
-def _odd_primes(cf: DiagonalForm, top: int) -> list[int]:
-    # the odd primes of each coefficient whose slot holds a value in (0, top]
+def _odd_primes(cf: DiagonalForm, M: int, top: int) -> list[int]:
+    # the odd primes of M and of each coefficient whose slot holds a value
+    # in (0, top]
+    held = [c for c, cl in zip(cf.coeffs, cf.classes) if c * (min(cl.residue, cl.modulus - cl.residue) or cl.modulus) ** 2 <= top]
     primes = set()
-    for c, cl in zip(cf.coeffs, cf.classes):
-        if c * (min(cl.residue, cl.modulus - cl.residue) or cl.modulus) ** 2 <= top:
-            c, p = c // (c & -c), 3
-            while p * p <= c:
-                if c % p:
-                    p += 2
-                else:
-                    primes.add(p)
-                    c //= p
-            if c > 1:
-                primes.add(c)
+    for c in [M, *held]:
+        c, p = c // (c & -c), 3
+        while p * p <= c:
+            if c % p:
+                p += 2
+            else:
+                primes.add(p)
+                c //= p
+        if c > 1:
+            primes.add(c)
     return sorted(primes)
 
 
 def _misses(form: Form, limit: int, progression: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     """The residue image of form on progression = (M, C), as (F, bits)
-    pairs over the prime-power factors F of Q = lcm(M, 16*p1^2*p2^2...) at
-    2 and at each odd prime p of a coefficient whose slot holds a value in
-    (0, M*limit + C].  Bit t of bits is set iff t = M*n + C (mod F) for
-    some n and no sum of the slots' residues c*w^2 mod F, w in their
-    classes, is t.  By the Chinese remainder theorem a class of n mod q =
-    Q/M holds no value, is empty, iff some factor's bits hold M*n + C mod
-    F.  A factor of M at another prime is left out, as it gives every n
-    one residue, and so is a factor wider than _IMAGE_BITS."""
+    pairs over prime powers F: 2^(4 + v2(M)), cut to _IMAGE_BITS, and
+    p^max(2, vp(M)) at each of _odd_primes, left out where wider than
+    _IMAGE_BITS.  Bit t of bits is set iff t = M*n + C (mod F) for some n
+    and no sum of the slots' residues c*w^2 mod F, w in their classes, is
+    t.  By the Chinese remainder theorem a class of n mod q = Q/M, Q the
+    lcm of M and the factors, holds no value, is empty, iff some factor's
+    bits hold M*n + C mod F.  Modulo 2^v2(M), or p^vp(M), M*n + C is C for
+    every n, so each factor reaches past M: x(x+4)+y^2+z^2, sieved on 4n +
+    16, misses the classes n = 3 (mod 8) at 64 and none at 16, and
+    3x^2+3y^2+z(3z+3), on 12n + 9, shows its 3-adic classes at 9."""
     cf, M, C = _sieved(form, limit, progression)
-    out = []
-    for p, e in [(2, 4)] + [(p, 2) for p in _odd_primes(cf, M * limit + C)]:
-        F = p**e
+    factors = [min(16 * (M & -M), _IMAGE_BITS)]
+    for p in _odd_primes(cf, M, M * limit + C):
+        F = p * p
         while M % (F * p) == 0:
             F *= p
-        if F > _IMAGE_BITS:
-            continue
+        if F <= _IMAGE_BITS:
+            factors.append(F)
+    out = []
+    for F in factors:
         sums = 1
         for c, cl in zip(cf.coeffs, cf.classes):
             sums = _sumset(sums, _bits(_slot_residues(*_slot_key(c, cl, F)), F), F)
@@ -706,8 +692,8 @@ def _start(groups: list[Group], values: list[int], width: int) -> int:
     # the first K: isqrt(width) // _START_SHARE, halved while, by the cost
     # model of _pairs, B_K costs more than twice B_{K/2} plus the P step
     # the halving plans for.  Halving saves a sparse form the top half of
-    # B_K for one P step; a dense form builds all of B whatever K is, and
-    # folds B_K only in its probes.  The saving clearly wins only where
+    # B_K for one P step; a form whose probe is exhausted builds the rest
+    # of B past K and folds it once.  The saving clearly wins only where
     # B_K's cost grows faster than K, as the short values c*w^2 spread it
     # over more pieces.  p is the probe the plan has reached.
     k, p = max(isqrt(width) // _START_SHARE, 1), _PROBE_SHIFTS

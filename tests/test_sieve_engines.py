@@ -6,7 +6,7 @@ fold it replaces (``_dense_value_mask``, kept here as the reference), and
 ``exceptional_set`` the same exceptional set as the brute-force triple
 loop of ``oracles.naive_exceptions``, wherever the residual sieve
 switches to testing candidates and whichever path (image, residual,
-exact completion, dense) it takes.
+exact completion, exhausted probe) it takes.
 """
 
 import inspect
@@ -243,7 +243,7 @@ def constrained(coeffs, classes) -> DiagonalForm:
 
 
 # probe shifts: the module's own, and four shifts of each group, so that
-# the probe grows or is dropped on small sieves too
+# the probe grows, and runs out of shifts, on small sieves too
 PROBES = (search._PROBE_SHIFTS, 4)
 
 
@@ -315,15 +315,14 @@ def test_value_mask_repr_leaves_out_the_mask():
 
 # --- truncated pair fold ------------------------------------------------------
 #
-# value_mask takes one of four paths.  A form whose residue image shows an
-# empty class folds by class at once (image).  Any other sparse form folds
-# the first K short values into B_K and tests the bits left missing
-# (residual); the bits B_K leaves unreached are then tested against the
-# short values past K (completion).  A form that leaves too many bits
-# missing grows the probe P while it looks sparse and some longest-slot
-# shifts are left; otherwise it drops the probe and folds all of B with
-# every shift (dense).  Each path is forced here and checked against the
-# dense reference and the brute-force oracles.
+# value_mask takes one of three paths.  A form whose residue image shows an
+# empty class folds by class at once (image).  Any other folds the first K
+# short values into B_K and tests the bits left missing (residual); the
+# bits B_K leaves unreached are then tested against the short values past
+# K (completion).  A form that leaves too many bits missing grows the probe
+# P until its longest-slot shifts run out, and then folds the short values
+# past K with every shift (exhausted).  Each path is forced here and
+# checked against the dense reference and the brute-force oracles.
 
 
 def no_empty_class(form, limit, progression):
@@ -343,13 +342,13 @@ PATHS = {
     "residual": {"_BITS_PER_CANDIDATE": 0, "_misses": no_empty_class},
     # the same from K = 1: B_1 leaves bits that only later short values reach
     "completion": {"_BITS_PER_CANDIDATE": 0, "_START_SHARE": 1 << 30, "_misses": no_empty_class},
-    # a probe of no shifts leaves every bit missing and never grows: all of
-    # B is built at once and meets every shift
-    "dense": {"_PROBE_SHIFTS": 0, "_misses": no_empty_class},
+    # no residual test while a bit is missing: the probe grows until its
+    # shifts run out, and then the short values past K = 1 meet every shift
+    "exhausted": {"_BITS_PER_CANDIDATE": 1 << 62, "_START_SHARE": 1 << 30, "_misses": no_empty_class},
     # a probe of one shift that every form grows, dense ones too, until one
-    # bit in 64 is missing or the shifts run out; after the probe, all of B
-    # meets every shift
-    "probe": {"_PROBE_SHIFTS": 1, "_SPARSE_SHARE": 0, "_SPARSE_DROP": 0, "_BITS_PER_CANDIDATE": 64, "_misses": no_empty_class},
+    # bit in 64 is missing or the shifts run out; then the short values
+    # past K meet every shift
+    "probe": {"_PROBE_SHIFTS": 1, "_BITS_PER_CANDIDATE": 64, "_misses": no_empty_class},
 }
 
 # sparse triples, so the module's own K takes the residual path
@@ -404,9 +403,11 @@ def test_multi_group_cases_have_groups_of_parts():
 
 def paths_taken(monkeypatch, form, limit) -> set[str]:
     # "image" when the residue image shows an empty class, "dense" when the
-    # split factor is taken, "residual" when missing bits are tested,
-    # "completion" when B_K leaves some unreached, "probe grown" when B_K is
-    # folded with longest-slot shifts past the probe's first P
+    # split factor is taken (on the image route alone), "residual" when
+    # missing bits are tested, "completion" when B_K leaves some unreached,
+    # "probe grown" when B_K is folded with longest-slot shifts past the
+    # probe's first P, "exhausted" when the short values past K are folded
+    # after the probe
     taken = set()
     split, fold, complete = search._split, search._fold_class, search._complete
     unreached, pairs, or_shifts = search._unreached, search._pairs, search._or_shifts
@@ -433,13 +434,19 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
 
     def spy_complete(*args):
         taken.add("completion")
-        return complete(*args)
+        nested.append(1)
+        try:
+            return complete(*args)
+        finally:
+            nested.pop()
 
     def spy_unreached(*args):
         taken.add("residual")
         return unreached(*args)
 
     def spy_pairs(parts, width, lo=0, hi=None):
+        if lo and not nested:
+            taken.add("exhausted")
         nested.append(1)
         try:
             return pairs(parts, width, lo, hi)
@@ -448,8 +455,8 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
 
     def spy_or_shifts(base, shifts, width):
         # value_mask's own folds take a group's longest shifts: a prefix of
-        # them in the first probe, later ones when P grows, all of them in a
-        # dense fold of one class; a split fold's calls run inside _fold_class
+        # them in the first probe, later ones when P grows, all of them when
+        # the probe is exhausted; a split fold's calls run inside _fold_class
         if not nested and shifts and all(shifts != group[: len(shifts)] for group in longest):
             taken.add("probe grown")
         return or_shifts(base, shifts, width)
@@ -472,8 +479,8 @@ GAUSS = ((1, 0), (1, 0), (1, 0))
 # missing, and the probe grows once
 GROWING = ((1, 1), (2, 1), (4, 1))
 # x^2+y^2+z(4z+1) to 10^4: the probe takes all 101 longest-slot shifts and
-# still leaves too many bits missing, so all of B is built and meets all
-# 101 again
+# still leaves too many bits missing, so the short values past K meet all
+# 101
 EXHAUSTED = ((1, 0), (1, 0), (4, 1))
 
 
@@ -483,20 +490,20 @@ EXHAUSTED = ((1, 0), (1, 0), (4, 1))
         # the module's own constants
         (None, SEVEN, 10**4, {"residual"}),
         (None, SIX, 10**4, {"residual", "completion"}),
-        # Gauss as a PolySum is sieved on 4n, where Q = lcm(4, 16) shows no
-        # empty class; as a DiagonalForm it misses the classes 7 and 15 mod
-        # 16, and skips the probe
-        (None, GAUSS, 3000, {"dense"}),
+        # Gauss misses the classes 7 and 15 mod 16 and skips the probe: as
+        # a DiagonalForm, and as a PolySum, sieved on 4n, whose 2-adic
+        # factor 2^(4 + 2) misses 28 and 60 mod 64
+        (None, GAUSS, 3000, {"image", "dense"}),
         (None, DiagonalForm((1, 1, 1)), 3000, {"image", "dense"}),
         (None, GROWING, 10**6, {"probe grown", "residual"}),
         # B_K from isqrt(width) // 8 short values, the probe grown once
         (None, SEVEN, 10**7, {"probe grown", "residual"}),
-        (None, EXHAUSTED, 10**4, {"probe grown", "dense"}),
+        (None, EXHAUSTED, 10**4, {"probe grown", "exhausted"}),
         # forced
         ("residual", GAUSS, 3000, {"residual", "completion"}),
         ("completion", SEVEN, 3000, {"residual", "completion"}),
-        ("dense", SEVEN, 3000, {"dense"}),
-        ("probe", GAUSS, 3000, {"probe grown", "dense"}),
+        ("exhausted", SIX, 3000, {"probe grown", "exhausted"}),
+        ("probe", GAUSS, 3000, {"probe grown", "exhausted"}),
         ("image", SEVEN, 3000, {"image", "dense"}),
     ],
 )
@@ -568,14 +575,15 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
             10**5,
             [("pairs", 0, None), ("or", 96), *[("or", 64)] * 4, ("or", 61)],
         ),
-        # 8x^2+y(8y+7)+z(10z+1) has no empty class at q = 25: it grows the
-        # probe three times, to 512 shifts, from a B_K of isqrt(width) // 8
-        # short values, and then turns dense
+        # 8x^2+y(8y+7)+z(10z+1) has no empty class at q = 80: from a B_K of
+        # isqrt(width) // 8 short values, its probe grows four times and
+        # takes all 707 shifts, and 245 bits stay missing, one more than the
+        # residual test takes; the 229 short values past K then meet all 707
         (
             PolySum.of((8, 0), (8, 7), (10, 1)),
             10**6,
             [
-                ("pairs", 0, 125000), ("or", 633), ("or", 64), ("or", 64), ("or", 128), ("or", 256),
+                ("pairs", 0, 125000), ("or", 633), ("or", 64), ("or", 64), ("or", 128), ("or", 256), ("or", 195),
                 ("pairs", 125000, None), ("or", 229), ("or", 707),
             ],
         ),
@@ -584,7 +592,8 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
 )
 def test_dense_work_is_pinned(monkeypatch, form, limit, calls):
     # each class folds until it is full, or, below the floor, all of B
-    # meets every shift, call for call
+    # meets every shift; a form with no empty class probes until its shifts
+    # run out.  Call for call
     assert fold_calls(monkeypatch, form, limit) == calls
 
 
@@ -629,6 +638,16 @@ def test_skipping_completion_is_caught(monkeypatch):
     assert any(value_mask(form, limit) != _dense_value_mask(form, limit) for form, limit in cases)
 
 
+def test_skipping_the_rest_is_caught(monkeypatch):
+    # mutation check: with the short values past K left out once the probe
+    # has run out of shifts, the masks differ from the reference
+    force(monkeypatch, "exhausted")
+    cases = [(PolySum.of(*pairs), limit) for pairs, limit in PATH_POLYSUMS]
+    assert all(search.value_mask(form, limit) == _dense_value_mask(form, limit) for form, limit in cases)
+    mutant(monkeypatch, "value_mask", "_or_shifts(_pairs(parts, width, cut), longest, width)", "0")
+    assert any(search.value_mask(form, limit) != _dense_value_mask(form, limit) for form, limit in cases)
+
+
 # --- whole-range reference ----------------------------------------------------
 #
 # value_mask against oracles.shifted_values_mask, which ORs whole-int
@@ -645,10 +664,12 @@ REFERENCE_FORMS = [
 
 
 def reference_mask(terms, limit: int, progression: tuple[int, int]) -> int:
-    # the reference over [0, M*limit + C], read at every M*n + C >= 0
+    # the reference over [0, M*limit + C], read at every M*n + C >= 0, n
+    # from limit down to 0; whole[v] is bit v of the reference
     modulus, constant = progression
-    whole = _aligned(*oracles.shifted_values_mask(terms, modulus * limit + constant))
-    return sum(1 << n for n in range(limit + 1) if modulus * n + constant >= 0 and whole >> modulus * n + constant & 1)
+    whole = format(_aligned(*oracles.shifted_values_mask(terms, modulus * limit + constant)), "b")[::-1]
+    top = modulus * limit + constant
+    return int("".join("1" if 0 <= v < len(whole) and whole[v] == "1" else "0" for v in range(top, top - modulus * (limit + 1), -modulus)), 2)
 
 
 @pytest.mark.parametrize("form,terms", REFERENCE_FORMS, ids=[str(f) for f, _ in REFERENCE_FORMS])
@@ -707,9 +728,8 @@ def test_class_fold_matches_references(form, terms, progression, limit):
 
 @pytest.mark.usefixtures("split")
 def test_split_cases_reach_the_class_fold(monkeypatch):
-    # the four chosen cases and more than a third of all are dense and fold
-    # by class (54 of 84, 41 of them sent by the image with no probe); the
-    # others are sparse, or no wider than q bits
+    # the four chosen cases and more than a third of all are sent by the
+    # image to the class fold (56 of 84); the others take the probe
     folded = []
     fold_class = search._fold_class
 
@@ -798,28 +818,44 @@ def empty_classes(form, limit: int, progression: tuple[int, int]) -> tuple[int, 
 
 
 def holds_no_value(form, terms, progression, limit) -> bool:
-    # every n <= limit in a class the image calls empty is missing
+    # every n <= limit in a class the image calls empty is missing; reach[n]
+    # is bit n of the reference
     q, empty = empty_classes(form, limit, progression)
-    reach = reference_mask(terms, limit, progression)
-    return all(not reach >> n & 1 for j in empty for n in range(j, limit + 1, q))
+    reach = format(reference_mask(terms, limit, progression), "b")[::-1]
+    return all("1" not in reach[j::q] for j in empty)
 
 
 def expected_factors(cf: DiagonalForm, M: int, top: int) -> list[int]:
-    # 2^max(4, v2(M)), then p^max(2, vp(M)) for each odd prime p of a
-    # coefficient with a value c*w^2 in (0, top], w in its class
-    def part(p: int, e: int) -> int:
-        while M % p ** (e + 1) == 0:
-            e += 1
-        return p**e
+    # 2^(4 + v2(M)), at most _IMAGE_BITS, then p^max(2, vp(M)) for each odd
+    # prime p of M or of a coefficient with a value c*w^2 in (0, top], w in
+    # its class, where that is at most _IMAGE_BITS
+    def power(p: int) -> int:
+        return max(p**e for e in range(M.bit_length() + 1) if M % p**e == 0)
 
-    primes = set()
+    def odd_primes(c: int) -> set[int]:
+        return {p for p in range(3, c + 1, 2) if c % p == 0 and all(p % d for d in range(3, p, 2))}
+
+    primes = odd_primes(M)
     for c, k in zip(cf.coeffs, cf.classes):
         if any(0 < c * w * w <= top for w in range(k.residue - k.modulus, k.modulus + 1, k.modulus)):
-            primes |= {p for p in range(3, c + 1, 2) if c % p == 0 and all(p % d for d in range(3, p, 2))}
-    return [part(2, 4)] + [part(p, 2) for p in sorted(primes)]
+            primes |= odd_primes(c)
+    odd = [max(p * p, power(p)) for p in sorted(primes)]
+    return [min(16 * power(2), search._IMAGE_BITS)] + [F for F in odd if F <= search._IMAGE_BITS]
 
 
-@pytest.mark.parametrize("form,terms,progression,limit", ROUTE_CASES, ids=ROUTE_IDS)
+# x(128x+1)+y^2+z^2 is sieved on M = 512: its 2-adic factor 2^(4 + 9) is
+# cut to _IMAGE_BITS, not left out
+WIDE = ((128, 1), (1, 0), (1, 0))
+IMAGE_CASES = ROUTE_CASES + [(PolySum.of(*WIDE), WIDE, (1, 0), 3000)]
+
+
+def test_wide_two_adic_factor_is_cut():
+    _, M, _, _ = search._constrained(PolySum.of(*WIDE), (1, 0))
+    assert M == 512
+    assert [F for F, _ in search._misses(PolySum.of(*WIDE), 3000, (1, 0))] == [search._IMAGE_BITS]
+
+
+@pytest.mark.parametrize("form,terms,progression,limit", IMAGE_CASES, ids=ROUTE_IDS + [f"{WIDE}(1, 0)@3000"])
 def test_image_matches_period_sums(form, terms, progression, limit):
     cf, M, C, _ = search._constrained(form, progression)
     factors = search._misses(form, limit, progression)
@@ -888,6 +924,30 @@ def test_image_finds_classes_only_at_p_squared():
     assert empty_classes(form, 10**6, (1, 0)) == (144, [j for j in range(144) if j % 9 == 6])
     assert search._split(form, 10**6, (1, 0)) == 48
     assert all(targets for _, _, targets in _levels(form, 10**6, (1, 0), 48)[1])
+
+
+# sums whose empty classes show only past M: x(x+4)+y^2+z^2, sieved on 4n +
+# 16, misses n = 3 (mod 8) at 2^(4 + 2) and none at 16;
+# x(4x+4)+y(5y+5)+z(6z+6), on 240n + 900, misses 8 residues of 2^(4 + 4);
+# 3x^2+3y^2+z(3z+3), on 12n + 9, has coefficients 1 and misses 2 residues
+# of 9, a prime of M alone
+PAST_M = [((1, 4), (1, 0), (1, 0)), ((4, 4), (5, 5), (6, 6)), ((3, 0), (3, 0), (3, 3))]
+
+
+@pytest.mark.parametrize("pairs", PAST_M, ids=[str(PolySum.of(*pairs)) for pairs in PAST_M])
+def test_image_sees_classes_past_m(monkeypatch, pairs):
+    form = PolySum.of(*pairs)
+    assert empty_classes(form, 10**6, (1, 0))[1]
+    assert holds_no_value(form, pairs, (1, 0), 10**6)
+    assert paths_taken(monkeypatch, form, 10**6) == {"image", "dense"}
+
+
+@pytest.mark.parametrize("old,new", [("16 * (M & -M)", "16"), ("_odd_primes(cf, M, ", "_odd_primes(cf, 1, ")], ids=["2-adic-16", "no-primes-of-M"])
+def test_image_past_m_mutations_are_caught(monkeypatch, old, new):
+    # mutation check: with the 2-adic factor back at 16, or the odd primes
+    # of M left out, some of the sums above shows no empty class
+    mutant(monkeypatch, "_misses", old, new)
+    assert not all(empty_classes(PolySum.of(*pairs), 10**6, (1, 0))[1] for pairs in PAST_M)
 
 
 def test_pair_mask_keeps_q_small(monkeypatch):
