@@ -54,16 +54,18 @@ Two complementary engines:
   shift.
 
   The form's residue image comes first (``_misses``): the sums of its
-  slots' residues c*w^2 mod Q, w over each class, with Q = lcm(M,
-  2^(4 + v2(M))*p1^2*p2^2...) over the odd primes p of M and of the
-  coefficients whose slots hold a value in (0, M*limit + C].  A class of
-  n mod Q/M whose target M*n + C mod Q lies outside the image is empty:
-  every n in it is an exception.  Gauss misses 2 classes of 16, on n and,
-  as a PolySum, on 4n; x^2+y^2+3z^2 16 of 144 (9^k(9l+6) shows only at
-  3^2), 10x^2+5y^2+2z^2 190 of 400, and x(x+4)+y^2+z^2, on 4n + 16, the
+  slots' residues c*w^2 mod F, w over each class, at F = p^(vp(M) + 4)
+  for p = 2 and p^(vp(M) + 2) for the odd primes p of M and of the
+  coefficients whose slots hold a value in (0, M*limit + C], each cut to
+  the largest power of p within _IMAGE_BITS.  Before a cut, the image
+  reads n mod 16*p1^2*p2^2... on any progression.  A class of n whose
+  target M*n + C mod F lies outside some factor's image is empty: every
+  n in it is an exception.  Gauss misses 2 classes of 16, on n and, as a
+  PolySum, on 4n; x^2+y^2+3z^2 16 of 144 (9^k(9l+6) shows only at 3^2),
+  10x^2+5y^2+2z^2 190 of 400, and x(x+4)+y^2+z^2, on 4n + 16, the
   classes 3 and 11 mod 16.  A form with an empty class is dense and goes
   straight to the class fold below, with no probe; the image costs
-  0.02-0.1 ms for the forms of the benchmark (Python 3.11, 2-core x86-64
+  0.01-0.2 ms for the forms of the benchmark (Python 3.11, 2-core x86-64
   VM).
 
   Any other form's pair level starts as B_K, built from its first K short
@@ -84,14 +86,15 @@ Two complementary engines:
   8x^2+y(8y+7)+z(10z+1) to 10^6, whose 242 exceptions lie in no empty
   class, takes all 707 v and leaves 245 bits missing.
 
-  A dense form is folded by class of n mod q (``_split``, from 2 and the
-  odd primes p themselves, not p^2): the slots are bucketed mod q*M,
-  each B_s is built once, and class j (n = q*i + j) folds its groups
-  (B_s, longest quotients of residue M*j + C - s mod q*M), limit/q bits
-  wide, _PROBE_SHIFTS shifts at a time until all its bits are set: of
-  Gauss's 16 classes to 10^6, only the two that hold exceptions fold all
-  their 250, and the two empty ones have no group to fold.  Below the
-  floor q is 1, and the one class is all of B folded with every v.
+  A dense form is folded by class of n mod q (``_route``): q is the
+  first of 16*p1*p2..., over the image's odd primes p themselves, not
+  p^2, and 16 whose classes are _FLOOR bits wide, else 1, all of B
+  folded with every v.  The slots are bucketed mod q*M, each B_s is
+  built once, and class j (n = q*i + j) folds its groups (B_s, longest
+  quotients of residue M*j + C - s mod q*M), limit/q bits wide,
+  _PROBE_SHIFTS shifts at a time until all its bits are set: of Gauss's
+  16 classes to 10^6, only the two that hold exceptions fold all their
+  250, and the two empty ones have no group to fold.
   ``value_mask`` interleaves the class masks into bit n for n, a block at
   a time.  A dense ``exceptional_set`` reads each class on its own: a
   class with no bit set is all of range(j, limit + 1, q), with no bit
@@ -113,7 +116,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, compress, count, cycle
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from operator import add
 from typing import Iterable, Iterator, Optional, Union
 
@@ -408,30 +411,33 @@ def _or_shifts(base: int, shifts: Iterable[int], width: int) -> int:
     return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in acc), "little")
 
 
-# Split factor of a dense fold (_split).  value_mask to 10^7 at _SPLIT =
-# 4/8/16/32 (medians of 5, interleaved, ms): x^2+y^2+z^2 963/577/439/416,
-# x^2+y^2+3z^2 399/376/376/332, 10x^2+5y^2+2z^2 257/206/199/214,
-# x^2+y^2+11z^2 670/637/592/719; to 10^6, 16 is best for x^2+y^2+z^2 (23
-# ms against 24-38) and 4 for x^2+y^2+11z^2 (34 against 41, 44 whole).
+# Split factor of a dense fold (_route), times the image's odd primes, or
+# alone where those classes would be too narrow.  value_mask to 10^7 at
+# _SPLIT = 4/8/16/32 (medians of 5, interleaved, ms): x^2+y^2+z^2
+# 963/577/439/416, x^2+y^2+3z^2 399/376/376/332, 10x^2+5y^2+2z^2
+# 257/206/199/214, x^2+y^2+11z^2 670/637/592/719; to 10^6, 16 is best for
+# x^2+y^2+z^2 (23 ms against 24-38) and 4 for x^2+y^2+11z^2 (34 against
+# 41, 44 whole).
 _SPLIT = 16
-# Narrowest class of n mod q, in bits; narrower classes fold whole (q = 1).
+# Narrowest class of n mod q, in bits; q falls back to _SPLIT, then 1.
 # value_mask split / whole at classes of 2^12, 6 250 and 2^13 bits (medians
 # of 7-11): x^2+y^2+z^2 (q = 16) 1.35, 0.98, 0.73; x^2+y^2+11z^2 (176) 1.03,
 # 0.86, 0.80; x^2+y^2+3z^2 (48) and 10x^2+5y^2+2z^2 (80) 0.56-0.87 at each;
 # at 2^13, q = 1680 of x^2+3y^2+35z^2 0.48 and of 3x^2+5y^2+7z^2 0.59.
 _FLOOR = 1 << 13
 
-# Widest factor F of Q taken into a residue image, in bits: a sum of two
-# slots' residues mod F costs up to F/2 shifts of F bits.  The image of
+# Widest factor F of a residue image, in bits: a sum of two slots'
+# residues mod F costs up to F/2 shifts of F bits.  The image of
 # x^2+y^2+11z^2 (F = 16 and 121) takes 0.07-0.1 ms, of x^2+y^2+61z^2 (16
-# and 3 721) 1.7-2.8 ms (Python 3.11, 2-core x86-64 VM).  A wider 2-adic
-# factor is cut to _IMAGE_BITS, and a wider odd one left out.
+# and 3 721) 1.7-2.8 ms (Python 3.11, 2-core x86-64 VM).  A wider factor
+# of any prime p is cut to the largest power of p that fits: 67^2 of
+# x^2+67y^2+67z^2 to 67.
 _IMAGE_BITS = 1 << 12
 
 
-def _fold_class(offset: int, width: int, groups: list[tuple[int, list[int]]]) -> bytes:
+def _fold_class(offset: int, width: int, groups: list[tuple[int, list[int]]]) -> int:
     # OR of base << s over the groups' shifts, bit k standing for i = k +
-    # offset of the class, as bytes with bit i for i.  The groups take turns,
+    # offset of the class, moved to bit i.  The groups take turns,
     # _PROBE_SHIFTS shifts at a time, until every bit of an i >= 0 is set
     skip, acc = max(-offset, 0), 0
     most = max((len(shifts) for _, shifts in groups), default=0)
@@ -440,22 +446,22 @@ def _fold_class(offset: int, width: int, groups: list[tuple[int, list[int]]]) ->
         acc |= _or_shifts(base, batch, width)
         if (acc >> skip).bit_count() == width - skip:
             break
-    acc = _aligned(acc, offset)
-    return acc.to_bytes((acc.bit_length() + 7) // 8, "little")
+    return _aligned(acc, offset)
 
 
-def _interleave(masks: list[bytes]) -> int:
+def _interleave(masks: list[int]) -> int:
     # bit q*i + j of the result is bit i of masks[j], q = len(masks): class
     # j fills bytes q - 1 - j, 2q - 1 - j, ... of a block's plane of one byte
     # per bit, most significant first, which int(plane, 2) reads back
     q = len(masks)
     if q == 1:
-        return int.from_bytes(masks[0], "little")
+        return masks[0]
+    raws = [m.to_bytes((m.bit_length() + 7) // 8, "little") for m in masks]
     size = max(_PIECE // (8 * q), 1)
-    top = -(-max(map(len, masks)) // size) * size
+    top = -(-max(map(len, raws)) // size) * size
     plane, out = bytearray(8 * q * size), bytearray(q * top)
     for k in range(0, top, size):
-        for j, raw in enumerate(masks):
+        for j, raw in enumerate(raws):
             plane[q - 1 - j :: q] = format(int.from_bytes(raw[k : k + size], "little"), f"0{8 * size}b").encode()
         out[q * k : q * (k + size)] = int(plane, 2).to_bytes(q * size, "little")
     return int.from_bytes(out, "little")
@@ -559,8 +565,9 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
     other folds a prefix of the pair level, and tests the few bits it
     leaves missing, or folds the rest of the pair level once its probe has
     taken every shift."""
-    if any(bits for _, bits in _misses(form, limit, progression)):
-        return _interleave(list(_class_masks(form, limit, progression, _split(form, limit, progression))))
+    q = _route(form, limit, progression)
+    if q:
+        return _interleave(list(_class_masks(form, limit, progression, q)))
     pairs, [(offset, width, targets)] = _levels(form, limit, progression)
     groups = [(pairs[s], longest) for s, longest in targets]
     values = sorted({q for parts, _ in groups for _, short in parts for q in short})
@@ -599,11 +606,10 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
     return _aligned(acc, offset)
 
 
-def _class_masks(form: Form, limit: int, progression: tuple[int, int], q: int) -> Iterator[bytes]:
-    # the dense fold: for each class j of n mod q, ascending, its mask as
-    # bytes, bit i set iff n = q*i + j is in the set.  Each B_s is built
-    # once, as wide as the widest class, and each class's shifts are cut at
-    # its width
+def _class_masks(form: Form, limit: int, progression: tuple[int, int], q: int) -> Iterator[int]:
+    # the dense fold: for each class j of n mod q, ascending, its mask, bit
+    # i set iff n = q*i + j is in the set.  Each B_s is built once, as wide
+    # as the widest class, and each class's shifts are cut at its width
     pairs, classes = _levels(form, limit, progression, q)
     top = max(width for _, width, _ in classes)
     built = {s: _pairs(pairs[s], top) for s in sorted({s for _, _, targets in classes for s, _ in targets})}
@@ -617,16 +623,17 @@ def _aligned(mask: int, offset: int) -> int:
     return mask << offset if offset >= 0 else mask >> -offset
 
 
-def _split(form: Form, limit: int, progression: tuple[int, int]) -> int:
-    # q of a dense fold: lcm(M, _SPLIT * p1 * p2 ...) / M over _odd_primes (a
-    # prime of M leaves it as it is); 1 where a class of n mod q would be
-    # narrower than _FLOOR bits.  The image (_misses) takes p^2, where
-    # x^2+y^2+3z^2 misses 16 classes of 144 and none of 48; the fold takes
-    # p, as at p^2 the classes of x^2+y^2+3z^2 to 10^6 would be 6 944 bits
-    # wide, below the floor
-    cf, M, C, _ = _constrained(form, progression)
-    q = lcm(M, _SPLIT * prod(_odd_primes(cf, M, M * limit + C))) // M
-    return q if limit // q >= _FLOOR else 1
+def _route(form: Form, limit: int, progression: tuple[int, int]) -> int:
+    # q of the class fold when the image (_misses) shows an empty class,
+    # else 0: the first of _SPLIT * p1 * p2 ... and _SPLIT whose classes
+    # are _FLOOR bits wide, else 1.  The image takes p^2, where x^2+y^2+3z^2
+    # misses 16 classes of 144 and none of 48; the fold takes p, as at p^2
+    # its classes to 10^6 would be 6 944 bits wide, below the floor
+    cf, M, C = _sieved(form, limit, progression)
+    odd = _odd_primes(cf, M, M * limit + C)
+    if not any(bits for _, bits in _misses(cf, M, C, odd)):
+        return 0
+    return next((q for q in (_SPLIT * prod(odd), _SPLIT) if limit // q >= _FLOOR), 1)
 
 
 def _odd_primes(cf: DiagonalForm, M: int, top: int) -> list[int]:
@@ -647,34 +654,31 @@ def _odd_primes(cf: DiagonalForm, M: int, top: int) -> list[int]:
     return sorted(primes)
 
 
-def _misses(form: Form, limit: int, progression: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    """The residue image of form on progression = (M, C), as (F, bits)
-    pairs over prime powers F: 2^(4 + v2(M)), cut to _IMAGE_BITS, and
-    p^max(2, vp(M)) at each of _odd_primes, left out where wider than
-    _IMAGE_BITS.  Bit t of bits is set iff t = M*n + C (mod F) for some n
-    and no sum of the slots' residues c*w^2 mod F, w in their classes, is
-    t.  By the Chinese remainder theorem a class of n mod q = Q/M, Q the
-    lcm of M and the factors, holds no value, is empty, iff some factor's
-    bits hold M*n + C mod F.  Modulo 2^v2(M), or p^vp(M), M*n + C is C for
-    every n, so each factor reaches past M: x(x+4)+y^2+z^2, sieved on 4n +
-    16, misses the classes n = 3 (mod 8) at 64 and none at 16, and
-    3x^2+3y^2+z(3z+3), on 12n + 9, shows its 3-adic classes at 9."""
-    cf, M, C = _sieved(form, limit, progression)
-    factors = [min(16 * (M & -M), _IMAGE_BITS)]
-    for p in _odd_primes(cf, M, M * limit + C):
-        F = p * p
-        while M % (F * p) == 0:
-            F *= p
-        if F <= _IMAGE_BITS:
-            factors.append(F)
+def _misses(cf: DiagonalForm, M: int, C: int, odd: list[int]) -> list[tuple[int, int]]:
+    """The residue image of cf on the progression M*n + C, as (F, bits)
+    pairs, one for 2 and one for each prime p of odd: F = p^(vp(M) + e),
+    e = 4 for 2 and 2 for odd p, cut to the largest power of p that is at
+    most _IMAGE_BITS.  Bit t of bits is set iff t = M*n + C (mod F) for
+    some n and no sum of the slots' residues c*w^2 mod F, w in their
+    classes, is t.  By the Chinese remainder theorem a class of n mod q =
+    Q/M, Q the lcm of M and the factors, is empty iff some factor's bits
+    hold M*n + C mod F.  As M*n + C is C mod p^vp(M), F reads n mod p^e
+    before a cut: x(x+4)+y^2+z^2, on 4n + 16, misses n = 3 (mod 8) at 64
+    and none at 16; x(9x+9)+y(9y+15)+z(12z+3), on 144n + 1251, every n
+    not 0 (mod 3) at 3^4 and none at 3^2."""
     out = []
-    for F in factors:
+    for p in (2, *odd):
+        F, m = p ** (4 if p == 2 else 2), M
+        while m % p == 0:
+            F, m = F * p, m // p
+        while F > _IMAGE_BITS:
+            F //= p
         sums = 1
         for c, cl in zip(cf.coeffs, cf.classes):
             sums = _sumset(sums, _bits(_slot_residues(*_slot_key(c, cl, F)), F), F)
         g = gcd(M, F)
         out.append((F, _every(C % g, g, F) & ~sums))
-    return tuple(out)
+    return out
 
 
 def _sumset(a: int, b: int, modulus: int) -> int:
@@ -682,9 +686,7 @@ def _sumset(a: int, b: int, modulus: int) -> int:
     # operand's bits are the shifts
     if a.bit_count() > b.bit_count():
         a, b = b, a
-    acc = 0
-    for x in _set_bits(a):
-        acc |= b << x
+    acc = _or_shifts(b, _set_bits(a), 2 * modulus)
     return (acc | acc >> modulus) & (1 << modulus) - 1
 
 
@@ -753,24 +755,21 @@ def exceptional_set(form: Form, limit: int, workers: int = 1) -> SieveReport:
     would exceed DEFAULT_MAX_BITS.
     """
     t0 = time.perf_counter()
-    if any(bits for _, bits in _misses(form, limit, (1, 0))):
-        exceptions = tuple(_class_exceptions(form, limit))
-    else:
-        exceptions = tuple(attainable(form, limit).missing())
+    q = _route(form, limit, (1, 0))
+    exceptions = tuple(_class_exceptions(form, limit, q) if q else attainable(form, limit).missing())
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return SieveReport(form=str(form), limit=limit, exceptions=exceptions, elapsed_ms=elapsed_ms)
 
 
-def _class_exceptions(form: Form, limit: int) -> list[int]:
-    # the n <= limit that no class mask holds, ascending: a class with no
-    # bit set is all of range(j, limit + 1, q), and any other maps its clear
-    # bits i to q*i + j (at q = 1 they are n already, and are not copied);
-    # one sort of the runs orders them
-    q = _split(form, limit, (1, 0))
+def _class_exceptions(form: Form, limit: int, q: int) -> list[int]:
+    # the n <= limit that no class mask of n mod q holds, ascending: a class
+    # with no bit set is all of range(j, limit + 1, q), and any other maps
+    # its clear bits i to q*i + j (at q = 1 they are n already, and are not
+    # copied); one sort of the runs orders them
     out: list[int] = []
-    for j, raw in enumerate(_class_masks(form, limit, (1, 0), q)):
-        if raw:
-            clear = _set_bits(int.from_bytes(raw, "little") ^ (1 << len(range(j, limit + 1, q))) - 1)
+    for j, mask in enumerate(_class_masks(form, limit, (1, 0), q)):
+        if mask:
+            clear = _set_bits(mask ^ (1 << len(range(j, limit + 1, q))) - 1)
             out += clear if q == 1 else [q * i + j for i in clear]
         else:
             out += range(j, limit + 1, q)

@@ -325,12 +325,12 @@ def test_value_mask_repr_leaves_out_the_mask():
 # checked against the dense reference and the brute-force oracles.
 
 
-def no_empty_class(form, limit, progression):
+def no_empty_class(cf, M, C, odd):
     # the image route forced off: no factor misses a residue
     return []
 
 
-def every_class_empty(form, limit, progression):
+def every_class_empty(cf, M, C, odd):
     # the image route forced on: a factor of 1 that misses its one residue
     return [(1, 1)]
 
@@ -403,27 +403,32 @@ def test_multi_group_cases_have_groups_of_parts():
 
 def paths_taken(monkeypatch, form, limit) -> set[str]:
     # "image" when the residue image shows an empty class, "dense" when the
-    # split factor is taken (on the image route alone), "residual" when
+    # class fold runs (on the image route alone), "residual" when
     # missing bits are tested, "completion" when B_K leaves some unreached,
     # "probe grown" when B_K is folded with longest-slot shifts past the
     # probe's first P, "exhausted" when the short values past K are folded
     # after the probe
     taken = set()
-    split, fold, complete = search._split, search._fold_class, search._complete
+    class_masks, fold, complete = search._class_masks, search._fold_class, search._complete
     unreached, pairs, or_shifts = search._unreached, search._pairs, search._or_shifts
     misses = search._misses
     longest = [shifts for _, shifts in _levels(form, limit, (1, 0))[1][0][2]]
     nested = []
 
     def spy_misses(*args):
-        out = misses(*args)
+        # the image's sumsets call _or_shifts too
+        nested.append(1)
+        try:
+            out = misses(*args)
+        finally:
+            nested.pop()
         if any(bits for _, bits in out):
             taken.add("image")
         return out
 
-    def spy_split(*args):
+    def spy_class_masks(*args):
         taken.add("dense")
-        return split(*args)
+        return class_masks(*args)
 
     def spy_fold(*args):
         nested.append(1)
@@ -462,7 +467,7 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
         return or_shifts(base, shifts, width)
 
     monkeypatch.setattr(search, "_misses", spy_misses)
-    monkeypatch.setattr(search, "_split", spy_split)
+    monkeypatch.setattr(search, "_class_masks", spy_class_masks)
     monkeypatch.setattr(search, "_fold_class", spy_fold)
     monkeypatch.setattr(search, "_complete", spy_complete)
     monkeypatch.setattr(search, "_unreached", spy_unreached)
@@ -516,9 +521,10 @@ def test_each_path_is_taken(monkeypatch, path, pairs, limit, taken):
 
 def fold_calls(monkeypatch, form, limit) -> list[tuple]:
     # ("pairs", lo, hi) for each _pairs call and ("or", shifts) for each
-    # _or_shifts call, in order
+    # _or_shifts call, in order; the image's sumsets, which call _or_shifts
+    # too, are left out
     calls = []
-    pairs, or_shifts = search._pairs, search._or_shifts
+    pairs, or_shifts, misses = search._pairs, search._or_shifts, search._misses
 
     def spy_pairs(parts, width, lo=0, hi=None):
         calls.append(("pairs", lo, hi))
@@ -528,8 +534,16 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
         calls.append(("or", len(shifts)))
         return or_shifts(base, shifts, width)
 
+    def spy_misses(*args):
+        monkeypatch.setattr(search, "_or_shifts", or_shifts)
+        try:
+            return misses(*args)
+        finally:
+            monkeypatch.setattr(search, "_or_shifts", spy_or_shifts)
+
     monkeypatch.setattr(search, "_pairs", spy_pairs)
     monkeypatch.setattr(search, "_or_shifts", spy_or_shifts)
+    monkeypatch.setattr(search, "_misses", spy_misses)
     value_mask(form, limit)
     return calls
 
@@ -808,11 +822,53 @@ ROUTE_CASES = (
 )
 ROUTE_IDS = [f"{t}{p}@{n}" for _, t, p, n in ROUTE_CASES]
 
+# sums whose empty classes show only past M: x(x+4)+y^2+z^2, sieved on 4n +
+# 16, misses n = 3 (mod 8) at 2^(2 + 4) and none at 16;
+# x(4x+4)+y(5y+5)+z(6z+6), on 240n + 900, misses 8 residues of 2^(4 + 4);
+# 3x^2+3y^2+z(3z+3), on 12n + 9, has coefficients 1 and misses 6 residues
+# of 3^(1 + 2), a prime of M alone.  Where p^2 divides M:
+# x(9x+9)+y(9y+15)+z(12z+3), on 144n + 1251, misses every n not 0 (mod 3)
+# at 3^(2 + 2), and x(9x+6)+y(3y+6)+z(3z+9), on 36n + 387, 6 residues of
+# 3^(2 + 2).  Where a factor is cut: x(17x+17)+y(17y+34)+z(17z+51), on 68n
+# + 4046, shows its classes at 17^2 of 17^(1 + 2), and x^2+67y^2+67z^2,
+# a DiagonalForm on n, at 67 of 67^2
+PAST_M = [
+    (PolySum.of(*pairs), pairs)
+    for pairs in [
+        ((1, 4), (1, 0), (1, 0)),
+        ((4, 4), (5, 5), (6, 6)),
+        ((3, 0), (3, 0), (3, 3)),
+        ((9, 9), (9, 15), (12, 3)),
+        ((9, 6), (3, 6), (3, 9)),
+        ((17, 17), (17, 34), (17, 51)),
+    ]
+] + [(DiagonalForm((1, 67, 67)), class_terms((1, 67, 67), [(1, 0)] * 3))]
+
+# x(10x+2)+y(7y+1)+2z^2 and x^2+y^2+11z^2 to 10^6, whose classes mod 16*35
+# and 16*11 would be narrower than the floor
+FALLBACK = [
+    (PolySum.of((10, 2), (7, 1), (2, 0)), ((10, 2), (7, 1), (2, 0))),
+    (DiagonalForm((1, 1, 11)), class_terms((1, 1, 11), [(1, 0)] * 3)),
+]
+
+# q of the class fold to 10^6: 16*p1*p2... where its classes are _FLOOR
+# bits wide, else 16
+FOLD_Q = [(PAST_M[0][0], 16), (PAST_M[2][0], 48), (FALLBACK[0][0], 16), (FALLBACK[1][0], 16)]
+
+# the sums above at a limit the oracle reaches
+NEW_ROUTE_CASES = [(form, terms, (1, 0), 2000) for form, terms in PAST_M + FALLBACK]
+NEW_ROUTE_IDS = [f"{t}{p}@{n}" for _, t, p, n in NEW_ROUTE_CASES]
+
+
+def image(form, limit: int, progression: tuple[int, int]) -> tuple[list[tuple[int, int]], int, int]:
+    # (the image's (F, bits) pairs, M, C) of form on progression
+    cf, M, C = search._sieved(form, limit, progression)
+    return search._misses(cf, M, C, search._odd_primes(cf, M, M * limit + C)), M, C
+
 
 def empty_classes(form, limit: int, progression: tuple[int, int]) -> tuple[int, list[int]]:
     # (q, the classes j of n mod q that some factor of the image misses)
-    _, M, C, _ = search._constrained(form, progression)
-    factors = search._misses(form, limit, progression)
+    factors, M, C = image(form, limit, progression)
     q = lcm(M, *(F for F, _ in factors)) // M
     return q, [j for j in range(q) if any(bits >> (M * j + C) % F & 1 for F, bits in factors)]
 
@@ -826,11 +882,12 @@ def holds_no_value(form, terms, progression, limit) -> bool:
 
 
 def expected_factors(cf: DiagonalForm, M: int, top: int) -> list[int]:
-    # 2^(4 + v2(M)), at most _IMAGE_BITS, then p^max(2, vp(M)) for each odd
-    # prime p of M or of a coefficient with a value c*w^2 in (0, top], w in
-    # its class, where that is at most _IMAGE_BITS
-    def power(p: int) -> int:
-        return max(p**e for e in range(M.bit_length() + 1) if M % p**e == 0)
+    # p^(vp(M) + 4) for p = 2, then p^(vp(M) + 2) for each odd prime p of M
+    # or of a coefficient with a value c*w^2 in (0, top], w in its class,
+    # each cut to the largest power of p that is at most _IMAGE_BITS
+    def factor(p: int, e: int) -> int:
+        F = max(p**k for k in range(M.bit_length() + 1) if M % p**k == 0) * p**e
+        return max(p**k for k in range(F.bit_length()) if F % p**k == 0 and p**k <= search._IMAGE_BITS)
 
     def odd_primes(c: int) -> set[int]:
         return {p for p in range(3, c + 1, 2) if c % p == 0 and all(p % d for d in range(3, p, 2))}
@@ -839,26 +896,25 @@ def expected_factors(cf: DiagonalForm, M: int, top: int) -> list[int]:
     for c, k in zip(cf.coeffs, cf.classes):
         if any(0 < c * w * w <= top for w in range(k.residue - k.modulus, k.modulus + 1, k.modulus)):
             primes |= odd_primes(c)
-    odd = [max(p * p, power(p)) for p in sorted(primes)]
-    return [min(16 * power(2), search._IMAGE_BITS)] + [F for F in odd if F <= search._IMAGE_BITS]
+    return [factor(2, 4)] + [factor(p, 2) for p in sorted(primes)]
 
 
-# x(128x+1)+y^2+z^2 is sieved on M = 512: its 2-adic factor 2^(4 + 9) is
+# x(128x+1)+y^2+z^2 is sieved on M = 512: its 2-adic factor 2^(9 + 4) is
 # cut to _IMAGE_BITS, not left out
 WIDE = ((128, 1), (1, 0), (1, 0))
-IMAGE_CASES = ROUTE_CASES + [(PolySum.of(*WIDE), WIDE, (1, 0), 3000)]
+IMAGE_CASES = ROUTE_CASES + NEW_ROUTE_CASES + [(PolySum.of(*WIDE), WIDE, (1, 0), 3000)]
 
 
 def test_wide_two_adic_factor_is_cut():
-    _, M, _, _ = search._constrained(PolySum.of(*WIDE), (1, 0))
+    factors, M, _ = image(PolySum.of(*WIDE), 3000, (1, 0))
     assert M == 512
-    assert [F for F, _ in search._misses(PolySum.of(*WIDE), 3000, (1, 0))] == [search._IMAGE_BITS]
+    assert [F for F, _ in factors] == [search._IMAGE_BITS]
 
 
-@pytest.mark.parametrize("form,terms,progression,limit", IMAGE_CASES, ids=ROUTE_IDS + [f"{WIDE}(1, 0)@3000"])
+@pytest.mark.parametrize("form,terms,progression,limit", IMAGE_CASES, ids=ROUTE_IDS + NEW_ROUTE_IDS + [f"{WIDE}(1, 0)@3000"])
 def test_image_matches_period_sums(form, terms, progression, limit):
     cf, M, C, _ = search._constrained(form, progression)
-    factors = search._misses(form, limit, progression)
+    factors, _, _ = image(form, limit, progression)
     assert [F for F, _ in factors] == expected_factors(cf, M, M * limit + C)
     classes = [(k.modulus, k.residue) for k in cf.classes]
     for F, bits in factors:
@@ -869,7 +925,7 @@ def test_image_matches_period_sums(form, terms, progression, limit):
 
 @pytest.mark.parametrize("floor", [search._FLOOR, 1], ids=["module-floor", "floor-1"])
 @pytest.mark.parametrize("route", ["image", "probe"])
-@pytest.mark.parametrize("form,terms,progression,limit", ROUTE_CASES, ids=ROUTE_IDS)
+@pytest.mark.parametrize("form,terms,progression,limit", ROUTE_CASES + NEW_ROUTE_CASES, ids=ROUTE_IDS + NEW_ROUTE_IDS)
 def test_routes_agree_with_oracles(monkeypatch, form, terms, progression, limit, route, floor):
     # the image route forced on (every form folds by class, no probe) and
     # off (every form starts with the probe), at the module's floor and
@@ -922,32 +978,33 @@ def test_image_finds_classes_only_at_p_squared():
     # 48 classes some group
     form = DiagonalForm((1, 1, 3))
     assert empty_classes(form, 10**6, (1, 0)) == (144, [j for j in range(144) if j % 9 == 6])
-    assert search._split(form, 10**6, (1, 0)) == 48
+    assert search._route(form, 10**6, (1, 0)) == 48
     assert all(targets for _, _, targets in _levels(form, 10**6, (1, 0), 48)[1])
 
 
-# sums whose empty classes show only past M: x(x+4)+y^2+z^2, sieved on 4n +
-# 16, misses n = 3 (mod 8) at 2^(4 + 2) and none at 16;
-# x(4x+4)+y(5y+5)+z(6z+6), on 240n + 900, misses 8 residues of 2^(4 + 4);
-# 3x^2+3y^2+z(3z+3), on 12n + 9, has coefficients 1 and misses 2 residues
-# of 9, a prime of M alone
-PAST_M = [((1, 4), (1, 0), (1, 0)), ((4, 4), (5, 5), (6, 6)), ((3, 0), (3, 0), (3, 3))]
+@pytest.mark.parametrize("form,q", FOLD_Q, ids=[str(form) for form, _ in FOLD_Q])
+def test_fold_q_is_pinned(form, q):
+    assert search._route(form, 10**6, (1, 0)) == q
 
 
-@pytest.mark.parametrize("pairs", PAST_M, ids=[str(PolySum.of(*pairs)) for pairs in PAST_M])
-def test_image_sees_classes_past_m(monkeypatch, pairs):
-    form = PolySum.of(*pairs)
+@pytest.mark.parametrize("form,terms", PAST_M, ids=[str(form) for form, _ in PAST_M])
+def test_image_sees_classes_past_m(monkeypatch, form, terms):
     assert empty_classes(form, 10**6, (1, 0))[1]
-    assert holds_no_value(form, pairs, (1, 0), 10**6)
+    assert holds_no_value(form, terms, (1, 0), 10**6)
     assert paths_taken(monkeypatch, form, 10**6) == {"image", "dense"}
 
 
-@pytest.mark.parametrize("old,new", [("16 * (M & -M)", "16"), ("_odd_primes(cf, M, ", "_odd_primes(cf, 1, ")], ids=["2-adic-16", "no-primes-of-M"])
+@pytest.mark.parametrize(
+    "old,new",
+    [("while m % p == 0:", "while False:"), ("while F > _IMAGE_BITS:\n            F //= p", "if F > _IMAGE_BITS:\n            continue")],
+    ids=["no-vp-of-M", "wide-left-out"],
+)
 def test_image_past_m_mutations_are_caught(monkeypatch, old, new):
-    # mutation check: with the 2-adic factor back at 16, or the odd primes
-    # of M left out, some of the sums above shows no empty class
+    # mutation check: with vp(M) dropped from each factor, or a factor wider
+    # than _IMAGE_BITS left out instead of cut, some of the sums above shows
+    # no empty class
     mutant(monkeypatch, "_misses", old, new)
-    assert not all(empty_classes(PolySum.of(*pairs), 10**6, (1, 0))[1] for pairs in PAST_M)
+    assert not all(empty_classes(form, 10**6, (1, 0))[1] for form, _ in PAST_M)
 
 
 def test_pair_mask_keeps_q_small(monkeypatch):
