@@ -68,33 +68,43 @@ Two complementary engines:
   0.01-0.2 ms for the forms of the benchmark (Python 3.11, 2-core x86-64
   VM).
 
-  Any other form's pair level starts as B_K, built from its first K short
-  values only, and is folded with the first P v into a probe, P = 64 at
-  first.  K starts at isqrt(width)/4 and is halved while the cost model
-  of the pair fold says that B_K costs more than twice B_{K/2} plus the
-  wider probe the halving plans for: only where the short values c*w^2
-  spread B_K over many pieces, as (2,3,7) to 10^7 does, which starts at
-  isqrt(width)/8.  When at most one bit in 4096 is missing, folding
-  stops: each missing bit k is tested against B_K's bytes for the v past
-  P, up to the first k - v in B_K.  The bits still unreached are tested
-  against the short values past K, with B cut to the largest of them,
-  which makes the result exact: none is left for the conjectured triples
-  to 10^6 or (2,3,7) to 10^7, and 48 is the one for
-  x(2x+1)+y(3y+1)+z(6z+1).  When more are missing, P doubles and B_K is
-  folded with the next P v.  A probe that has taken every v is exhausted:
-  the short values past K build the rest of B, which meets every v once.
-  8x^2+y(8y+7)+z(10z+1) to 10^6, whose 242 exceptions lie in no empty
-  class, takes all 707 v and leaves 245 bits missing.
+  Any other form is probed.  With A_K the first K short values, Bm the
+  middle ones and L_P the first P longest ones, the probe is the sumset
+  B_K + L_P, B_K = A_K + Bm, and it is built from its narrow side: a base
+  A_K + L_P for each part, shifted once per middle value, the same set.
+  The base spans N = 96*isqrt(width)/2^17 pieces, at least one: A_K is the
+  short values in its first half, at most isqrt(width)/4 of them, and L_P
+  every longest value that fits in the rest, so a step costs the same
+  whatever P is.  (2,3,7) to 10^7 shifts a base of 2 pieces, 273 short and
+  515 longest values, by each of its 3 651 middle values, where B_K alone
+  is 77 pieces wide.  Where B_K, built and shifted once per v, costs fewer
+  piece-operations, as on a sieve within one piece like the bridge, the
+  probe is wide: B_K folded with the first 64 v.  When at most one bit in
+  4096 is missing, folding stops: B_K is built if the probe did not build
+  it, cut past the last missing bit, and each missing bit k is tested
+  against its bytes for the v past P, up to the first k - v in B_K.  The
+  bits still unreached are tested against the short values past K, with B
+  cut to the largest of them, which makes the result exact.  The probe
+  leaves no bit missing for the conjectured triples to 10^6, and for five
+  of them to 10^7; (2,3,10) leaves one, which the test reaches, and
+  x(2x+1)+y(3y+1)+z(6z+1) leaves 48, for which B_K is 49 bits wide.  When
+  more are missing, P doubles and the next P v are folded, from the narrow
+  side while it costs less, and then from B_K, built once.  A probe that
+  has taken every v is exhausted: the short values past K build the rest
+  of B, which meets every v once.  8x^2+y(8y+7)+z(10z+1) to 10^6, whose
+  242 exceptions lie in no empty class, takes all 707 v and leaves 245
+  bits missing.
 
   A dense form is folded by class of n mod q (``_route``): q is the
-  first of 16*p1*p2..., over the image's odd primes p themselves, not
-  p^2, and 16 whose classes are _FLOOR bits wide, else 1, all of B
-  folded with every v.  The slots are bucketed mod q*M, each B_s is
-  built once, and class j (n = q*i + j) folds its groups (B_s, longest
-  quotients of residue M*j + C - s mod q*M), limit/q bits wide,
-  _PROBE_SHIFTS shifts at a time until all its bits are set: of Gauss's
-  16 classes to 10^6, only the two that hold exceptions fold all their
-  250, and the two empty ones have no group to fold.
+  first of 16*p1*p2..., over the odd primes p whose factor of the image
+  misses a residue, p themselves and not p^2, and 16 whose classes are
+  _FLOOR bits wide, else 1, all of B folded with every v.  The slots are
+  bucketed mod q*M, each B_s is built once, and class j (n = q*i + j)
+  folds its groups (B_s, longest quotients of residue M*j + C - s mod
+  q*M), limit/q bits wide, _PROBE_SHIFTS shifts at a time until all its
+  bits are set: of Gauss's 16 classes to 10^6, only the two that hold
+  exceptions fold all their 250, and the two empty ones have no group to
+  fold.
   ``value_mask`` interleaves the class masks into bit n for n, a block at
   a time.  A dense ``exceptional_set`` reads each class on its own: a
   class with no bit set is all of range(j, limit + 1, q), with no bit
@@ -135,10 +145,11 @@ Form = Union[PolySum, DiagonalForm]
 
 # The cap counts one bitset: 2**31 sieve bits = 256 MiB, for every sieve
 # and survey.  A sieve's peak is several bitsets: the traced peak of
-# (2,3,7) to 10^7 is 5.65 of them (perfbench search.peak_over_bitset,
-# Python 3.11), in the P step of value_mask, which folds B_K beside the
-# probe; the read of the bits it leaves missing peaks at 5.51, and
-# value_mask of the three family forms at 3.71-4.19, in their interleave.
+# (2,3,7) to 10^7 is 3.70 of them (perfbench search.peak_over_bitset,
+# Python 3.11), in its one narrow probe step, whose _or_shifts holds the
+# accumulators, their bytes and the fold; (2,3,10), whose one missing bit
+# builds B_K after the probe, peaks at 4.33 (tracemalloc), and value_mask
+# of the three family forms at 3.71-4.19, in their interleave.
 # A dense exceptional_set interleaves nothing: its peak is its exceptions,
 # one int each in a list and then a tuple, 64.0 bitsets for Gauss's
 # 1 666 663, 49.0 and 188.3 for Dickson's (1,1,3) and (10,5,2) (tracemalloc
@@ -316,27 +327,38 @@ def _constrained(form: Form, progression: tuple[int, int]) -> tuple[DiagonalForm
 
 
 # Residual fold (value_mask): the probe folds B_K with the first P
-# longest-slot shifts, P = _PROBE_SHIFTS at first, and folding stops once
-# missing * _BITS_PER_CANDIDATE <= width.  Testing one candidate against
-# every remaining shift costs about as much as folding one shift over
-# 2 000-5 600 bits: 0.13-0.22 us per test step against 7 us, 40 us and
-# 0.38 ms per shift over 10^5, 10^6 and 10^7 bits (Python 3.11, 2-core
-# x86-64 VM).
+# longest-slot shifts, and folding stops once missing *
+# _BITS_PER_CANDIDATE <= width.  Testing one candidate against every
+# remaining shift costs about as much as folding one shift over 2 000-5 600
+# bits: 0.13-0.22 us per test step against 7 us, 40 us and 0.38 ms per
+# shift over 10^5, 10^6 and 10^7 bits (Python 3.11, 2-core x86-64 VM).
 # P doubles, and B_K is folded with the next P shifts, until few enough
-# bits are missing or the shifts run out.  Bits missing at P = 64 and 128
-# from K = isqrt(width)/8, and at P = 64 from /4: (2,3,7) to 10^7 43 690,
-# 786 and 871; to 10^6 3 718, 61 and 68; x(x+1)+y(2y+1)+z(4z+1) to 10^6
-# 14 981, 1 112 and 932 (11 from /4 at 128).  A sparse form misses at most
-# one bit in 67 at P = 64 and loses 13-85x of them when P doubles.
+# bits are missing or the shifts run out.  A wide probe, B_K itself
+# shifted, starts at P = _PROBE_SHIFTS: the bridge, 21x^2+14y^2+6z^2 on
+# 168n+41 to 10^5, the one benchmark sieve whose probe is wide, takes
+# 1.47-1.52 ms at 16, 32 and 64, 1.63 at 128 and 2.11 at 256 (min of 30,
+# Python 3.11, 2-core x86-64 VM).
 _PROBE_SHIFTS = 64
 _BITS_PER_CANDIDATE = 4096
 
-# Truncated pair fold (value_mask): the pair level starts from the first
-# isqrt(width) // _START_SHARE short values, halved where _start finds B_K
-# dear.  _start keeps /4 for the six conjectured triples and for the
-# Gauss and Dickson forms to 10^6, and halves to /8 for (2,3,7) to 10^7
-# and 8x^2+y(8y+7)+z(10z+1) to 10^6, and to /16 for (2,3,7) to 10^8.
-# From /8, (2,3,7) to 10^7 shifts 20 773 pieces against 37 053 from /4.
+# Narrow probe (value_mask): its base A_K + L_P spans N = _BASE_SPAN *
+# isqrt(width) // _PIECE pieces, at least one, half of them A_K's: a sum
+# a + b + v with a and v below X reaches n in about X/isqrt(n) ways, up to
+# a factor set by the coefficients, so X grows with isqrt(width).  Bits
+# the first probe leaves missing at N = 1, 2, 3: (2,3,7) to 10^7 69, 0, 0
+# and (2,3,10) 382, 1, 0; to 10^8 at N = 4, 6, 8: 110, 1, 0 and 631, 3, 0;
+# at 10^6, N = 1 leaves none for the six conjectured triples.  96 gives
+# N = 1 to 10^6, 2 to 10^7 and 7 to 10^8; 128 gives 3 to 10^7, where the
+# six triples took 65-85 ms against 50-60 (75 for (2,3,10), whose one
+# candidate builds B_K), and the sparse workload round 119 ms against 102
+# (medians of 3, Python 3.11, 2-core x86-64 VM).
+_BASE_SPAN = 96
+# A_K holds at most isqrt(width) // _START_SHARE short values.  The cap
+# binds only where half a piece holds more, as on sieves within one
+# piece, whose probe is wide: the bridge, whose half piece holds 362 short
+# values, takes 2.1-2.3 ms at /4 (79), 2.3-2.6 at /8 and 3.5-3.8 at /1
+# (min of 100, three rounds in one process, on a slower host than the
+# figures above).
 _START_SHARE = 4
 
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
@@ -562,26 +584,38 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
     """For progression = (M, C), bit n of the mask is set iff M*n + C is a
     value of form, 0 <= n <= limit.  A form whose residue image shows an
     empty class folds each class of n mod q on its own, with no probe; any
-    other folds a prefix of the pair level, and tests the few bits it
-    leaves missing, or folds the rest of the pair level once its probe has
-    taken every shift."""
+    other probes with a prefix of the pair level, from its narrow side
+    where that is cheaper, and tests the few bits it leaves missing, or
+    folds the rest of the pair level once its probe has taken every
+    shift."""
     q = _route(form, limit, progression)
     if q:
         return _interleave(list(_class_masks(form, limit, progression, q)))
     pairs, [(offset, width, targets)] = _levels(form, limit, progression)
     groups = [(pairs[s], longest) for s, longest in targets]
     values = sorted({q for parts, _ in groups for _, short in parts for q in short})
-    k = _start(groups, values, width)
+    k, p = _fill(values, groups, width)
     cut = values[k] if k < len(values) else None
-    bases = [_pairs(parts, width, 0, cut) for parts, _ in groups]
     most = max((len(longest) for _, longest in groups), default=0)
-    acc, lo, p = 0, 0, _PROBE_SHIFTS
+    # the probe starts narrow where that costs fewer piece-operations than
+    # B_K folded with the same P shifts, and else wide, as B_K folded with
+    # the first _PROBE_SHIFTS; a narrow probe turns wide, once, at the
+    # first step where B_K costs less
+    narrow = _narrower(groups, width, cut, 0, p)
+    acc, lo, bases = 0, 0, None
+    if not narrow:
+        p = _PROBE_SHIFTS
     while True:
         # acc is B_K folded with the first p v of each group: each step
         # folds B_K with the v in [lo, p)
-        for base, (_, longest) in zip(bases, groups):
-            if base:
-                acc |= _or_shifts(base, longest[lo:p], width)
+        if narrow:
+            acc |= _narrow(groups, width, cut, lo, p)
+        else:
+            if bases is None:
+                bases = [_pairs(parts, width, 0, cut) for parts, _ in groups]
+            for base, (_, longest) in zip(bases, groups):
+                if base:
+                    acc |= _or_shifts(base, longest[lo:p], width)
         missing = width - acc.bit_count()
         if missing * _BITS_PER_CANDIDATE <= width:
             # complemented in place, so acc is not held beside its
@@ -589,8 +623,14 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
             acc ^= (1 << width) - 1
             unreached = _set_bits(acc)
             del acc
-            for base, (_, longest) in zip(bases, groups):
-                unreached = _unreached(unreached, base, width, longest[p:])
+            if unreached:
+                # B_K, built now if the probe did not build it, cut past
+                # the last candidate
+                top = width if bases is not None else unreached[-1] + 1
+                if bases is None:
+                    bases = [_pairs(parts, top, 0, cut) for parts, _ in groups]
+                for base, (_, longest) in zip(bases, groups):
+                    unreached = _unreached(unreached, base, top, longest[p:])
             del bases
             if unreached and cut is not None:
                 unreached = _complete(unreached, groups, cut)
@@ -598,12 +638,61 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
         if p >= most:
             break
         lo, p = p, 2 * p
+        narrow = narrow and _narrower(groups, width, cut, lo, p)
     # every v is folded with B_K: the short values past K meet them once
     del bases
     if cut is not None:
         for parts, longest in groups:
             acc |= _or_shifts(_pairs(parts, width, cut), longest, width)
     return _aligned(acc, offset)
+
+
+def _fill(values: list[int], groups: list[Group], width: int) -> tuple[int, int]:
+    # (K, P) of the first probe.  Its narrow base A_K + L_P spans N =
+    # _BASE_SPAN * isqrt(width) // _PIECE pieces, at least one: A_K is the
+    # short values in the first half of them, at most isqrt(width) //
+    # _START_SHARE of them, and L_P every longest-slot shift v of a group
+    # with v - v0 within the rest
+    half = max(_BASE_SPAN * isqrt(width) // _PIECE, 1) * _PIECE // 2
+    k = max(min(bisect_left(values, values[0] + half) if values else 0, isqrt(width) // _START_SHARE), 1)
+    room = 2 * half - (values[k - 1] - values[0] if values else 0)
+    return k, max((bisect_left(longest, longest[0] + room) for _, longest in groups), default=0)
+
+
+def _narrower(groups: list[Group], width: int, cut: Optional[int], lo: int, p: int) -> bool:
+    # whether the probe step of the v in [lo, p) costs fewer
+    # piece-operations from the narrow side, each part's base A_K + L
+    # shifted once per middle value, than from the wide side, B_K built
+    # and shifted once per v
+    narrow = wide = 0
+    pieces = -(-width // _PIECE)
+    for parts, longest in groups:
+        batch = longest[lo:p]
+        wide += len(batch) * pieces
+        for middle, shifts in _cut(parts, width, 0, cut):
+            wide += min(_costs(middle, shifts, width))
+            if batch:
+                span = shifts[-1] - shifts[0] + batch[-1] - batch[0]
+                narrow += len(middle) * (1 + span // _PIECE) + min(_costs(batch, shifts, span + 1))
+    return narrow < wide
+
+
+def _narrow(groups: list[Group], width: int, cut: Optional[int], lo: int, p: int) -> int:
+    # B_K folded with each group's v in [lo, p), cut to width bits, as the
+    # base A_K + L of each part, shifted by its middle values: the same
+    # sumset as B_K shifted by L, from bases as narrow as A_K and L
+    acc = 0
+    for parts, longest in groups:
+        batch = longest[lo:p]
+        if not batch:
+            continue
+        first = batch[0]
+        spread = [v - first for v in batch]
+        for middle, shifts in _cut(parts, width, 0, cut):
+            a0 = shifts[0]
+            base = _pairs([(spread, [a - a0 for a in shifts])], shifts[-1] - a0 + spread[-1] + 1)
+            acc |= _or_shifts(base, [m + a0 + first for m in middle], width)
+    return acc
 
 
 def _class_masks(form: Form, limit: int, progression: tuple[int, int], q: int) -> Iterator[int]:
@@ -626,14 +715,17 @@ def _aligned(mask: int, offset: int) -> int:
 def _route(form: Form, limit: int, progression: tuple[int, int]) -> int:
     # q of the class fold when the image (_misses) shows an empty class,
     # else 0: the first of _SPLIT * p1 * p2 ... and _SPLIT whose classes
-    # are _FLOOR bits wide, else 1.  The image takes p^2, where x^2+y^2+3z^2
-    # misses 16 classes of 144 and none of 48; the fold takes p, as at p^2
-    # its classes to 10^6 would be 6 944 bits wide, below the floor
+    # are _FLOOR bits wide, else 1, over the odd primes p whose factor
+    # misses a residue.  The image takes p^2, where x^2+y^2+3z^2 misses 16
+    # classes of 144 and none of 48; the fold takes p, as at p^2 its classes
+    # to 10^6 would be 6 944 bits wide, below the floor
     cf, M, C = _sieved(form, limit, progression)
     odd = _odd_primes(cf, M, M * limit + C)
-    if not any(bits for _, bits in _misses(cf, M, C, odd)):
+    factors = _misses(cf, M, C, odd)
+    if not any(bits for _, bits in factors):
         return 0
-    return next((q for q in (_SPLIT * prod(odd), _SPLIT) if limit // q >= _FLOOR), 1)
+    empty = [p for p in odd if any(bits for F, bits in factors if F % p == 0)]
+    return next((q for q in (_SPLIT * prod(empty), _SPLIT) if limit // q >= _FLOOR), 1)
 
 
 def _odd_primes(cf: DiagonalForm, M: int, top: int) -> list[int]:
@@ -688,29 +780,6 @@ def _sumset(a: int, b: int, modulus: int) -> int:
         a, b = b, a
     acc = _or_shifts(b, _set_bits(a), 2 * modulus)
     return (acc | acc >> modulus) & (1 << modulus) - 1
-
-
-def _start(groups: list[Group], values: list[int], width: int) -> int:
-    # the first K: isqrt(width) // _START_SHARE, halved while, by the cost
-    # model of _pairs, B_K costs more than twice B_{K/2} plus the P step
-    # the halving plans for.  Halving saves a sparse form the top half of
-    # B_K for one P step; a form whose probe is exhausted builds the rest
-    # of B past K and folds it once.  The saving clearly wins only where
-    # B_K's cost grows faster than K, as the short values c*w^2 spread it
-    # over more pieces.  p is the probe the plan has reached.
-    k, p = max(isqrt(width) // _START_SHARE, 1), _PROBE_SHIFTS
-    pieces = -(-width // _PIECE)
-
-    def cost(k: int) -> int:
-        hi = values[k] if k < len(values) else None
-        return sum(min(_costs(m, s, width)) for parts, _ in groups for m, s in _cut(parts, width, 0, hi))
-
-    while k > 1:
-        step = pieces * sum(len(longest[p : 2 * p]) for _, longest in groups)
-        if not step or cost(k) <= 2 * cost(k // 2) + step:
-            break
-        k, p = k // 2, 2 * p
-    return k
 
 
 def _complete(unreached: list[int], groups: list[Group], cut: int) -> list[int]:

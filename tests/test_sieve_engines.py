@@ -317,12 +317,15 @@ def test_value_mask_repr_leaves_out_the_mask():
 #
 # value_mask takes one of three paths.  A form whose residue image shows an
 # empty class folds by class at once (image).  Any other folds the first K
-# short values into B_K and tests the bits left missing (residual); the
-# bits B_K leaves unreached are then tested against the short values past
-# K (completion).  A form that leaves too many bits missing grows the probe
-# P until its longest-slot shifts run out, and then folds the short values
-# past K with every shift (exhausted).  Each path is forced here and
-# checked against the dense reference and the brute-force oracles.
+# short values with the first P longest-slot shifts, from the narrow side
+# (A_K + L_P shifted by the middle values) or the wide one (B_K shifted by
+# L_P), and tests the bits left missing (residual) against B_K, built then
+# if the probe was narrow (lazy); the bits B_K leaves unreached are then
+# tested against the short values past K (completion).  A form that leaves
+# too many bits missing grows the probe P until its longest-slot shifts
+# run out, and then folds the short values past K with every shift
+# (exhausted).  Each path is forced here and checked against the dense
+# reference and the brute-force oracles.
 
 
 def no_empty_class(cf, M, C, odd):
@@ -349,6 +352,12 @@ PATHS = {
     # bit in 64 is missing or the shifts run out; then the short values
     # past K meet every shift
     "probe": {"_PROBE_SHIFTS": 1, "_BITS_PER_CANDIDATE": 64, "_misses": no_empty_class},
+    # every probe step from the narrow side, on a base of one 64-bit piece,
+    # so that the probe grows on small sieves too
+    "narrow": {"_narrower": lambda *args: True, "_BASE_SPAN": 0, "_PIECE": 64, "_misses": no_empty_class},
+    # the same, with the missing bits tested after the first step: B_K is
+    # built then, cut past the last of them
+    "lazy": {"_narrower": lambda *args: True, "_BASE_SPAN": 0, "_PIECE": 64, "_BITS_PER_CANDIDATE": 0, "_misses": no_empty_class},
 }
 
 # sparse triples, so the module's own K takes the residual path
@@ -403,25 +412,30 @@ def test_multi_group_cases_have_groups_of_parts():
 
 def paths_taken(monkeypatch, form, limit) -> set[str]:
     # "image" when the residue image shows an empty class, "dense" when the
-    # class fold runs (on the image route alone), "residual" when
-    # missing bits are tested, "completion" when B_K leaves some unreached,
-    # "probe grown" when B_K is folded with longest-slot shifts past the
-    # probe's first P, "exhausted" when the short values past K are folded
-    # after the probe
-    taken = set()
+    # class fold runs (on the image route alone), "narrow" when a probe step
+    # folds A_K + L by the middle values, "lazy" when B_K is built only
+    # after the probe, for the missing bits, "residual" when missing bits
+    # are tested, "completion" when B_K leaves some unreached, "probe
+    # grown" when B_K is folded with longest-slot shifts past the probe's
+    # first P, "exhausted" when the short values past K are folded after
+    # the probe
+    taken, events, nested = set(), [], []
     class_masks, fold, complete = search._class_masks, search._fold_class, search._complete
     unreached, pairs, or_shifts = search._unreached, search._pairs, search._or_shifts
-    misses = search._misses
+    misses, narrow = search._misses, search._narrow
     longest = [shifts for _, shifts in _levels(form, limit, (1, 0))[1][0][2]]
-    nested = []
+
+    def inside(f, *args):
+        # f's own _pairs and _or_shifts calls are not the probe's
+        nested.append(1)
+        try:
+            return f(*args)
+        finally:
+            nested.pop()
 
     def spy_misses(*args):
         # the image's sumsets call _or_shifts too
-        nested.append(1)
-        try:
-            out = misses(*args)
-        finally:
-            nested.pop()
+        out = inside(misses, *args)
         if any(bits for _, bits in out):
             taken.add("image")
         return out
@@ -430,46 +444,47 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
         taken.add("dense")
         return class_masks(*args)
 
-    def spy_fold(*args):
-        nested.append(1)
-        try:
-            return fold(*args)
-        finally:
-            nested.pop()
-
     def spy_complete(*args):
         taken.add("completion")
-        nested.append(1)
-        try:
-            return complete(*args)
-        finally:
-            nested.pop()
+        return inside(complete, *args)
+
+    def spy_narrow(groups, width, cut, lo, p):
+        taken.add("narrow")
+        if lo:
+            taken.add("probe grown")
+        return inside(narrow, groups, width, cut, lo, p)
 
     def spy_unreached(*args):
+        # B_K is lazy when no fold came between its build and the test
         taken.add("residual")
+        if [e for e in events if e != "test"][-1:] == ["build"]:
+            taken.add("lazy")
+        events.append("test")
         return unreached(*args)
 
     def spy_pairs(parts, width, lo=0, hi=None):
-        if lo and not nested:
-            taken.add("exhausted")
-        nested.append(1)
-        try:
-            return pairs(parts, width, lo, hi)
-        finally:
-            nested.pop()
+        if not nested:
+            if lo:
+                taken.add("exhausted")
+            else:
+                events.append("build")
+        return inside(pairs, parts, width, lo, hi)
 
     def spy_or_shifts(base, shifts, width):
         # value_mask's own folds take a group's longest shifts: a prefix of
         # them in the first probe, later ones when P grows, all of them when
         # the probe is exhausted; a split fold's calls run inside _fold_class
-        if not nested and shifts and all(shifts != group[: len(shifts)] for group in longest):
-            taken.add("probe grown")
+        if not nested:
+            events.append("fold")
+            if shifts and all(shifts != group[: len(shifts)] for group in longest):
+                taken.add("probe grown")
         return or_shifts(base, shifts, width)
 
     monkeypatch.setattr(search, "_misses", spy_misses)
     monkeypatch.setattr(search, "_class_masks", spy_class_masks)
-    monkeypatch.setattr(search, "_fold_class", spy_fold)
+    monkeypatch.setattr(search, "_fold_class", lambda *args: inside(fold, *args))
     monkeypatch.setattr(search, "_complete", spy_complete)
+    monkeypatch.setattr(search, "_narrow", spy_narrow)
     monkeypatch.setattr(search, "_unreached", spy_unreached)
     monkeypatch.setattr(search, "_pairs", spy_pairs)
     monkeypatch.setattr(search, "_or_shifts", spy_or_shifts)
@@ -480,9 +495,14 @@ def paths_taken(monkeypatch, form, limit) -> set[str]:
 SIX = ((2, 1), (3, 1), (6, 1))
 SEVEN = ((2, 1), (3, 1), (7, 1))
 GAUSS = ((1, 0), (1, 0), (1, 0))
-# x(x+1)+y(2y+1)+z(4z+1): the module's first probe leaves too many bits
-# missing, and the probe grows once
+# x(x+1)+y(2y+1)+z(4z+1) to 10^6: a wide probe of 64 shifts leaves too
+# many bits missing and grows; the narrow probe, 371 shifts, leaves none
 GROWING = ((1, 1), (2, 1), (4, 1))
+# 4x^2+y(4y+1)+z(4z+1) to 10^6: the narrow probe grows, turns wide and
+# tests the missing bits against the B_K it built; 4x^2+4y^2+z(4z+1)
+# stays narrow and builds B_K for them
+TURNS_WIDE = ((4, 0), (4, 1), (4, 1))
+STAYS_NARROW = ((4, 0), (4, 0), (4, 1))
 # x^2+y^2+z(4z+1) to 10^4: the probe takes all 101 longest-slot shifts and
 # still leaves too many bits missing, so the short values past K meet all
 # 101
@@ -492,24 +512,32 @@ EXHAUSTED = ((1, 0), (1, 0), (4, 1))
 @pytest.mark.parametrize(
     "path,pairs,limit,taken",
     [
-        # the module's own constants
-        (None, SEVEN, 10**4, {"residual"}),
-        (None, SIX, 10**4, {"residual", "completion"}),
+        # the module's own constants: the narrow probe reaches every value
+        # of (2,3,7), and leaves 48 to (2,3,6), for which B_K is built to
+        # 49 bits
+        (None, SEVEN, 10**4, {"narrow"}),
+        (None, SIX, 10**4, {"narrow", "lazy", "residual", "completion"}),
         # Gauss misses the classes 7 and 15 mod 16 and skips the probe: as
         # a DiagonalForm, and as a PolySum, sieved on 4n, whose 2-adic
         # factor 2^(4 + 2) misses 28 and 60 mod 64
         (None, GAUSS, 3000, {"image", "dense"}),
         (None, DiagonalForm((1, 1, 1)), 3000, {"image", "dense"}),
-        (None, GROWING, 10**6, {"probe grown", "residual"}),
-        # B_K from isqrt(width) // 8 short values, the probe grown once
-        (None, SEVEN, 10**7, {"probe grown", "residual"}),
+        (None, GROWING, 10**6, {"narrow"}),
+        (None, TURNS_WIDE, 10**6, {"narrow", "probe grown", "residual", "completion"}),
+        (None, STAYS_NARROW, 10**6, {"narrow", "probe grown", "lazy", "residual", "completion"}),
+        # a base of two pieces, 273 short values and 515 shifts, reaches
+        # every value
+        (None, SEVEN, 10**7, {"narrow"}),
+        # below a piece the probe is wide
         (None, EXHAUSTED, 10**4, {"probe grown", "exhausted"}),
         # forced
         ("residual", GAUSS, 3000, {"residual", "completion"}),
-        ("completion", SEVEN, 3000, {"residual", "completion"}),
-        ("exhausted", SIX, 3000, {"probe grown", "exhausted"}),
+        ("completion", SEVEN, 3000, {"narrow", "lazy", "residual", "completion"}),
+        ("exhausted", SIX, 3000, {"narrow", "exhausted"}),
         ("probe", GAUSS, 3000, {"probe grown", "exhausted"}),
         ("image", SEVEN, 3000, {"image", "dense"}),
+        ("narrow", SEVEN, 3000, {"narrow", "probe grown", "exhausted"}),
+        ("lazy", SIX, 3000, {"narrow", "lazy", "residual", "completion"}),
     ],
 )
 def test_each_path_is_taken(monkeypatch, path, pairs, limit, taken):
@@ -589,16 +617,19 @@ def fold_calls(monkeypatch, form, limit) -> list[tuple]:
             10**5,
             [("pairs", 0, None), ("or", 96), *[("or", 64)] * 4, ("or", 61)],
         ),
-        # 8x^2+y(8y+7)+z(10z+1) has no empty class at q = 80: from a B_K of
-        # isqrt(width) // 8 short values, its probe grows four times and
-        # takes all 707 shifts, and 245 bits stay missing, one more than the
-        # residual test takes; the 229 short values past K then meet all 707
+        # 8x^2+y(8y+7)+z(10z+1) has no empty class at q = 80.  Its probe
+        # starts narrow, from 91 short values and 182 shifts: each step
+        # builds A_K + L ("pairs", its 91 shifts) and shifts it by the 633
+        # middle values.  It grows once, and then turns wide: B_K is built,
+        # one shift per middle value, and meets the last 343 shifts.  245
+        # bits stay missing, one more than the residual test takes; the 263
+        # short values past K then meet all 707
         (
             PolySum.of((8, 0), (8, 7), (10, 1)),
             10**6,
             [
-                ("pairs", 0, 125000), ("or", 633), ("or", 64), ("or", 64), ("or", 128), ("or", 256), ("or", 195),
-                ("pairs", 125000, None), ("or", 229), ("or", 707),
+                ("pairs", 0, None), ("or", 91), ("or", 633), ("pairs", 0, None), ("or", 91), ("or", 633),
+                ("pairs", 0, 66248), ("or", 633), ("or", 343), ("pairs", 66248, None), ("or", 263), ("or", 707),
             ],
         ),
     ],
@@ -638,9 +669,11 @@ def test_full_classes_stop_early(monkeypatch):
 
 
 def test_sparse_work_is_pinned(monkeypatch):
-    # (2,3,7), a form of the sparse sieve workload, to 10^6: B_K, one
-    # probe of 64 shifts, then the residual test
-    assert fold_calls(monkeypatch, PolySum.of(*SEVEN), 10**6) == [("pairs", 0, 109500), ("or", 1155), ("or", 64)]
+    # (2,3,7), a form of the sparse sieve workload, to 10^6: one narrow
+    # probe, whose base A_K + L_P, 193 short values and 365 shifts in one
+    # piece, is built by 193 shifts and then shifted by the 1 155 middle
+    # values; it leaves no bit missing, so B_K is never built
+    assert fold_calls(monkeypatch, PolySum.of(*SEVEN), 10**6) == [("pairs", 0, None), ("or", 193), ("or", 1155)]
 
 
 def test_skipping_completion_is_caught(monkeypatch):
@@ -660,6 +693,26 @@ def test_skipping_the_rest_is_caught(monkeypatch):
     assert all(search.value_mask(form, limit) == _dense_value_mask(form, limit) for form, limit in cases)
     mutant(monkeypatch, "value_mask", "_or_shifts(_pairs(parts, width, cut), longest, width)", "0")
     assert any(search.value_mask(form, limit) != _dense_value_mask(form, limit) for form, limit in cases)
+
+
+@pytest.mark.parametrize("offset", ["+ 1", "- 1"])
+def test_narrow_base_off_by_one_is_caught(monkeypatch, offset):
+    # mutation check: the narrow base shifted one bit too far, or one too
+    # short, by a0 + v0 + m +- 1, gives masks that differ from the
+    # reference, or a negative shift
+    force(monkeypatch, "narrow")
+    cases = [(PolySum.of(*pairs), limit) for pairs, limit in PATH_POLYSUMS]
+    assert all(search.value_mask(form, limit) == _dense_value_mask(form, limit) for form, limit in cases)
+    mutant(monkeypatch, "_narrow", "m + a0 + first", f"m + a0 + first {offset}")
+    assert not all(mask_or_none(form, limit) == _dense_value_mask(form, limit) for form, limit in cases)
+
+
+def mask_or_none(form, limit: int):
+    # value_mask, or None where it shifts by a negative count
+    try:
+        return search.value_mask(form, limit)
+    except ValueError:
+        return None
 
 
 # --- whole-range reference ----------------------------------------------------
@@ -851,9 +904,19 @@ FALLBACK = [
     (DiagonalForm((1, 1, 11)), class_terms((1, 1, 11), [(1, 0)] * 3)),
 ]
 
-# q of the class fold to 10^6: 16*p1*p2... where its classes are _FLOOR
-# bits wide, else 16
-FOLD_Q = [(PAST_M[0][0], 16), (PAST_M[2][0], 48), (FALLBACK[0][0], 16), (FALLBACK[1][0], 16)]
+# q of the class fold to 10^6: 16*p1*p2..., over the odd primes p whose
+# factor misses a residue, where its classes are _FLOOR bits wide, else
+# 16.  x(2x+2)+y(7y+1)+z(7z+5) and x(6x+6)+y(9y+1)+z(9z+5) miss classes
+# mod 16 alone: their 7 and 3 (primes of M) miss no residue and stay out
+# of q, which was 112 and 48 while it took every odd prime of the image
+FOLD_Q = [
+    (PAST_M[0][0], 16),
+    (PAST_M[2][0], 48),
+    (FALLBACK[0][0], 16),
+    (FALLBACK[1][0], 16),
+    (PolySum.of((2, 2), (7, 1), (7, 5)), 16),
+    (PolySum.of((6, 6), (9, 1), (9, 5)), 16),
+]
 
 # the sums above at a limit the oracle reaches
 NEW_ROUTE_CASES = [(form, terms, (1, 0), 2000) for form, terms in PAST_M + FALLBACK]
