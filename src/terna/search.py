@@ -88,12 +88,12 @@ Two complementary engines:
   leaves no bit missing for the conjectured triples to 10^6, and for five
   of them to 10^7; (2,3,10) leaves one, which the test reaches, and
   x(2x+1)+y(3y+1)+z(6z+1) leaves 48, for which B_K is 49 bits wide.  When
-  more are missing, P doubles and the next P v are folded, from the narrow
-  side while it costs less, and then from B_K, built once.  A probe that
-  has taken every v is exhausted: the short values past K build the rest
-  of B, which meets every v once.  8x^2+y(8y+7)+z(10z+1) to 10^6, whose
-  242 exceptions lie in no empty class, takes all 707 v and leaves 245
-  bits missing.
+  more are missing, P doubles and B_K, built once, is folded with the
+  next P v: only the first step is narrow.  A probe that has taken every
+  v is exhausted: the short values past K build the rest of B, which
+  meets every v once.  8x^2+y(8y+7)+z(10z+1) to 10^6, whose 242
+  exceptions lie in no empty class, takes all 707 v and leaves 245 bits
+  missing.
 
   A dense form is folded by class of n mod q (``_route``): q is the
   first of 16*p1*p2..., over the odd primes p whose factor of the image
@@ -351,7 +351,11 @@ _BITS_PER_CANDIDATE = 4096
 # N = 1 to 10^6, 2 to 10^7 and 7 to 10^8; 128 gives 3 to 10^7, where the
 # six triples took 65-85 ms against 50-60 (75 for (2,3,10), whose one
 # candidate builds B_K), and the sparse workload round 119 ms against 102
-# (medians of 3, Python 3.11, 2-core x86-64 VM).
+# (medians of 3, Python 3.11, 2-core x86-64 VM).  48 and 64 give N = 1 to
+# 10^7 too: the round took 104.5 and 107.0 ms against 112.1 (medians of
+# 7, spread 99-131), and (2,3,7) to 10^7 within it 55.6 and 57.5 ms
+# against 54.6; 64 gives N = 4 to 10^8, where (2,3,10) took 0.78 s
+# against 1.14 s at N = 7 and (2,3,7) 0.75 against 0.76 (medians of 3).
 _BASE_SPAN = 96
 # A_K holds at most isqrt(width) // _START_SHARE short values.  The cap
 # binds only where half a piece holds more, as on sieves within one
@@ -597,11 +601,10 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
     k, p = _fill(values, groups, width)
     cut = values[k] if k < len(values) else None
     most = max((len(longest) for _, longest in groups), default=0)
-    # the probe starts narrow where that costs fewer piece-operations than
-    # B_K folded with the same P shifts, and else wide, as B_K folded with
-    # the first _PROBE_SHIFTS; a narrow probe turns wide, once, at the
-    # first step where B_K costs less
-    narrow = _narrower(groups, width, cut, 0, p)
+    # the first probe step is narrow where that costs fewer
+    # piece-operations than B_K folded with the same P shifts, and else
+    # B_K folded with the first _PROBE_SHIFTS; every later step folds B_K
+    narrow = _narrower(groups, width, cut, p)
     acc, lo, bases = 0, 0, None
     if not narrow:
         p = _PROBE_SHIFTS
@@ -609,7 +612,7 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
         # acc is B_K folded with the first p v of each group: each step
         # folds B_K with the v in [lo, p)
         if narrow:
-            acc |= _narrow(groups, width, cut, lo, p)
+            acc, narrow = _narrow(groups, width, cut, p), False
         else:
             if bases is None:
                 bases = [_pairs(parts, width, 0, cut) for parts, _ in groups]
@@ -638,7 +641,6 @@ def value_mask(form: Form, limit: int, progression: tuple[int, int] = (1, 0)) ->
         if p >= most:
             break
         lo, p = p, 2 * p
-        narrow = narrow and _narrower(groups, width, cut, lo, p)
     # every v is folded with B_K: the short values past K meet them once
     del bases
     if cut is not None:
@@ -659,15 +661,15 @@ def _fill(values: list[int], groups: list[Group], width: int) -> tuple[int, int]
     return k, max((bisect_left(longest, longest[0] + room) for _, longest in groups), default=0)
 
 
-def _narrower(groups: list[Group], width: int, cut: Optional[int], lo: int, p: int) -> bool:
-    # whether the probe step of the v in [lo, p) costs fewer
-    # piece-operations from the narrow side, each part's base A_K + L
+def _narrower(groups: list[Group], width: int, cut: Optional[int], p: int) -> bool:
+    # whether the first probe step, the first p v of each group, costs
+    # fewer piece-operations from the narrow side, each part's base A_K + L
     # shifted once per middle value, than from the wide side, B_K built
     # and shifted once per v
     narrow = wide = 0
     pieces = -(-width // _PIECE)
     for parts, longest in groups:
-        batch = longest[lo:p]
+        batch = longest[:p]
         wide += len(batch) * pieces
         for middle, shifts in _cut(parts, width, 0, cut):
             wide += min(_costs(middle, shifts, width))
@@ -677,17 +679,16 @@ def _narrower(groups: list[Group], width: int, cut: Optional[int], lo: int, p: i
     return narrow < wide
 
 
-def _narrow(groups: list[Group], width: int, cut: Optional[int], lo: int, p: int) -> int:
-    # B_K folded with each group's v in [lo, p), cut to width bits, as the
+def _narrow(groups: list[Group], width: int, cut: Optional[int], p: int) -> int:
+    # B_K folded with each group's first p v, cut to width bits, as the
     # base A_K + L of each part, shifted by its middle values: the same
     # sumset as B_K shifted by L, from bases as narrow as A_K and L
     acc = 0
     for parts, longest in groups:
-        batch = longest[lo:p]
-        if not batch:
+        if not longest:
             continue
-        first = batch[0]
-        spread = [v - first for v in batch]
+        first = longest[0]
+        spread = [v - first for v in longest[:p]]
         for middle, shifts in _cut(parts, width, 0, cut):
             a0 = shifts[0]
             base = _pairs([(spread, [a - a0 for a in shifts])], shifts[-1] - a0 + spread[-1] + 1)
